@@ -1,0 +1,54 @@
+"""Golden digests: the forward trace of fixed configs is pinned bit for bit.
+
+Each config runs ``simulate --dump-attention`` and then replays the dump
+with ``--inject``; both must read the pinned trace digest. The default run's
+output files are pinned by sha256 as well, so a refactor that changes a byte
+of any artifact fails here rather than drifting unnoticed.
+"""
+
+import hashlib
+
+import pytest
+
+from avprune.cli import main
+
+GOLDEN = {
+    "default": ((), "1feea8ec49fc45a7"),
+    "selector-plain": (("--selector", "plain"), "a8d7582405566bc8"),
+    "selector-random": (("--selector", "random"), "cd802d9343f55442"),
+    "intra": (("--set", "intra.enabled=true"), "cbf6982d056dcb35"),
+    "chunks-4": (("--set", "sequence.chunks=4"), "c0aef2277e2bbb94"),
+    "chunks-1": (("--set", "sequence.chunks=1"), "12db76b9825b7ddb"),
+}
+
+DEFAULT_OUTPUTS = {
+    "trace.jsonl": "26047d40d967d947",
+    "tokens.jsonl": "f6ab2ac507e07f38",
+    "retention.csv": "ae53d66466108cd9",
+    "config.json": "a702ed320ff1be5d",
+    "embeddings.omtn": "70f71c833f0a2204",
+}
+
+
+def _trace_digest(capsys, argv) -> str:
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    return next(ln.split("=", 1)[1] for ln in out.splitlines() if ln.startswith("trace_digest="))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_forward_digest_is_pinned_and_replays(name, capsys, tmp_path):
+    extra, expected = GOLDEN[name]
+    forward = tmp_path / "forward"
+    replay = tmp_path / "replay"
+    assert _trace_digest(capsys, ["simulate", *extra, "--out", str(forward), "--dump-attention"]) == expected
+    replayed = _trace_digest(
+        capsys, ["simulate", *extra, "--out", str(replay), "--inject", str(forward / "attention")]
+    )
+    assert replayed == expected
+
+
+def test_default_outputs_are_pinned(capsys, tmp_path):
+    assert _trace_digest(capsys, ["simulate", "--out", str(tmp_path)]) == GOLDEN["default"][1]
+    for name, prefix in DEFAULT_OUTPUTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == prefix, name
