@@ -11,7 +11,6 @@ from .errors import (
     DegenerateInput,
     Infeasible,
     InvalidInput,
-    NotFound,
     SchemaError,
 )
 from .harness import (
@@ -72,9 +71,8 @@ from .sequence import (
     ChunkSpec,
     InterleavedSequence,
     Modality,
-    TokenMeta,
+    TokenTable,
     build_sequence,
-    chunk_index_of,
     synth_embeddings,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "InvalidInput",
     "LayerRecord",
     "Modality",
-    "NotFound",
     "PairKind",
     "PruneScheduleConfig",
     "PruneTrace",
@@ -108,7 +105,7 @@ __all__ = [
     "SchemaError",
     "Selector",
     "TdsConfig",
-    "TokenMeta",
+    "TokenTable",
     "ToyDecoder",
     "apply_intra",
     "audio_intra_prune",
@@ -116,7 +113,6 @@ __all__ = [
     "calibrate_p_final",
     "calibrate_p_final_bisection",
     "calibrate_p_final_closed_form",
-    "chunk_index_of",
     "cosine",
     "cosine_distribution",
     "cost_model",

@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 
 from .config import ExperimentConfig, load_config_file
 from .errors import Infeasible, InvalidInput, SchemaError
@@ -150,6 +152,8 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
         values = tensorio.read_tensor(tensor_path)
         if values.ndim != 2:
             raise SchemaError(f"{tensor_path}: expected a rank-2 tensor")
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise SchemaError(f"{tensor_path}: attention values must be finite and within [0, 1]")
         ids = tensorio.read_ids(ids_path)
         if len(ids) != values.shape[1]:
             raise SchemaError(f"{ids_path}: {len(ids)} ids for {values.shape[1]} columns")
@@ -196,7 +200,7 @@ def _simulate_one(raw_config: dict, out_dir: str, dump_attention: bool, inject_d
 
     with open(out / "tokens.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config_digest": digest}, sort_keys=True) + "\n")
-        for rec in seq.to_records():
+        for rec in seq.tokens.records():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
     tensorio.write_tensor(out / "embeddings.omtn", seq.embeddings)
@@ -218,7 +222,14 @@ def _simulate_one(raw_config: dict, out_dir: str, dump_attention: bool, inject_d
     return trace.digest
 
 
+def pool_size(workers: int, runs: int) -> int:
+    """Worker processes for a fan-out: never more than the runs or the CPUs."""
+    return min(workers, runs, os.cpu_count() or 1)
+
+
 def cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise InvalidInput(f"--runs must be at least 1, got {args.runs}")
     cfg = _load_experiment(args)
     out = Path(args.out)
     if args.runs == 1:
@@ -234,8 +245,9 @@ def cmd_simulate(args) -> int:
         raw["model"]["seed"] = cfg.raw["model"]["seed"] + i
         run_configs.append(raw)
     run_dirs = [str(out / f"run_{i:04d}") for i in range(args.runs)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = pool_size(cfg.workers, args.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             digests = list(
                 pool.map(
                     _simulate_one,
@@ -276,19 +288,22 @@ def _analyze_retention(args) -> str:
 
 
 def _read_token_modalities(path) -> list[Modality]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            objs = [json.loads(line) for line in fh if line.strip()]
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
+        raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
     modalities = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "modality" in obj:
-                try:
-                    modalities.append(Modality(obj["modality"]))
-                except ValueError:
-                    raise SchemaError(f"{path}: unknown modality {obj['modality']!r}") from None
-            elif "config_digest" not in obj:
-                raise SchemaError(f"{path}: token record without a modality")
+    for obj in objs:
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}: token record is not a JSON object")
+        if "modality" in obj:
+            try:
+                modalities.append(Modality(obj["modality"]))
+            except ValueError:
+                raise SchemaError(f"{path}: unknown modality {obj['modality']!r}") from None
+        elif "config_digest" not in obj:
+            raise SchemaError(f"{path}: token record without a modality")
     return modalities
 
 

@@ -5,10 +5,6 @@ class InvalidInput(ValueError):
     """Arguments violate a documented precondition."""
 
 
-class NotFound(LookupError):
-    """Requested token id does not exist."""
-
-
 class DegenerateInput(ValueError):
     """Structurally valid input with no defined result (e.g. a zero vector)."""
 

@@ -32,7 +32,7 @@ from .importance import (
 from .intra import AudioSaliency, FrameGrid, apply_intra, grid_from_embeddings
 from .numerics import Rng, derive_seed
 from .schedule import PruneScheduleConfig, prune_ratio
-from .sequence import InterleavedSequence, Modality, TokenMeta
+from .sequence import InterleavedSequence, Modality, TokenTable
 
 
 @dataclass(frozen=True)
@@ -135,20 +135,32 @@ class LayerRecord:
         }
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "LayerRecord":
-        try:
-            return LayerRecord(
-                layer=obj["layer"],
-                p_l=obj["p_l"],
-                k_l=obj["k_l"],
-                pruned_ids=tuple(obj["pruned_ids"]),
-                n_audio=obj["n_audio"],
-                n_video=obj["n_video"],
-                n_text=obj["n_text"],
-                selector=obj["selector"],
-            )
-        except KeyError as exc:
-            raise SchemaError(f"layer record missing key {exc}") from None
+    def from_json_obj(obj) -> "LayerRecord":
+        """Record from a parsed JSON line; SchemaError names a missing or mistyped key."""
+        if not isinstance(obj, dict):
+            raise SchemaError("layer record is not a JSON object")
+        pruned = _field(obj, "pruned_ids", list)
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in pruned):
+            raise SchemaError("layer record key 'pruned_ids' must hold integers")
+        return LayerRecord(
+            layer=_field(obj, "layer", int),
+            p_l=_field(obj, "p_l", (int, float)),
+            k_l=_field(obj, "k_l", int),
+            pruned_ids=tuple(pruned),
+            n_audio=_field(obj, "n_audio", int),
+            n_video=_field(obj, "n_video", int),
+            n_text=_field(obj, "n_text", int),
+            selector=_field(obj, "selector", str),
+        )
+
+
+def _field(obj: dict, key: str, kind):
+    if key not in obj:
+        raise SchemaError(f"layer record missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SchemaError(f"layer record key {key!r} has the wrong type")
+    return value
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,7 @@ class AttentionRecord:
     """One layer's restricted text-to-audiovisual map, ready for dump/replay."""
 
     layer: int
-    col_ids: tuple[int, ...]
+    col_ids: np.ndarray | tuple[int, ...]  # token id of each column
     values: np.ndarray  # (text rows, AV cols) float32
 
 
@@ -235,72 +247,24 @@ def make_intra_plan(
     scope); video grids are views of the sequence's own video embeddings.
     """
     rng = Rng(derive_seed(seed, 0x1A7D10))
-    n_chunks = seq.max_chunk_index + 1
+    tokens = seq.tokens
     scores: list[AudioSaliency | None] = []
     grids: list[FrameGrid | None] = []
-    for c in range(n_chunks):
-        audio_ids = [t.id for t in seq.tokens if t.chunk_index == c and t.modality is Modality.AUDIO]
-        video_pos = [
-            seq.position_of(t.id)
-            for t in seq.tokens
-            if t.chunk_index == c and t.modality is Modality.VIDEO
-        ]
+    for c in range(seq.max_chunk_index + 1):
+        in_chunk = tokens.chunk == c
+        n_audio = np.count_nonzero(in_chunk & tokens.mask(Modality.AUDIO))
+        video = in_chunk & tokens.mask(Modality.VIDEO)
         scores.append(
-            AudioSaliency(scores=tuple(rng.uniform() for _ in audio_ids)) if audio_ids else None
+            AudioSaliency(scores=tuple(rng.uniform() for _ in range(n_audio))) if n_audio else None
         )
         grids.append(
-            grid_from_embeddings(seq.embeddings[video_pos], frames_per_chunk) if video_pos else None
+            grid_from_embeddings(seq.embeddings[video], frames_per_chunk) if video.any() else None
         )
     return IntraPlan(
         audio_keep=audio_keep,
         video_prune_rate=video_prune_rate,
         scores=tuple(scores),
         grids=tuple(grids),
-    )
-
-
-class _TokenState:
-    """Mutable view of the surviving tokens during one run."""
-
-    def __init__(self, seq: InterleavedSequence, include_system_rows: bool):
-        self.metas: list[TokenMeta] = list(seq.tokens)
-        self.include_system_rows = include_system_rows
-
-    def text_rows(self) -> tuple[list[int], list[bool]]:
-        rows, is_system = [], []
-        for pos, tok in enumerate(self.metas):
-            if tok.modality is Modality.QUERY_TEXT or (
-                self.include_system_rows and tok.modality is Modality.SYSTEM_TEXT
-            ):
-                rows.append(pos)
-                is_system.append(tok.modality is Modality.SYSTEM_TEXT)
-        return rows, is_system
-
-    def av_columns(self) -> list[int]:
-        return [pos for pos, tok in enumerate(self.metas) if tok.modality.is_audiovisual]
-
-    def counts(self) -> tuple[int, int, int]:
-        n_a = sum(1 for t in self.metas if t.modality is Modality.AUDIO)
-        n_v = sum(1 for t in self.metas if t.modality is Modality.VIDEO)
-        return n_a, n_v, len(self.metas) - n_a - n_v
-
-    def drop_ids(self, ids: set[int]) -> list[int]:
-        positions = [pos for pos, tok in enumerate(self.metas) if tok.id in ids]
-        self.metas = [tok for tok in self.metas if tok.id not in ids]
-        return positions
-
-
-def _restricted_map(full: np.ndarray, state: _TokenState) -> AttentionMap:
-    rows, is_system = state.text_rows()
-    cols = state.av_columns()
-    col_meta = [state.metas[c] for c in cols]
-    values = full[np.ix_(rows, cols)] if rows and cols else np.zeros((len(rows), len(cols)), np.float32)
-    return AttentionMap(
-        values=values.astype(np.float32),
-        col_ids=tuple(t.id for t in col_meta),
-        col_chunks=tuple(t.chunk_index for t in col_meta),
-        col_modalities=tuple(t.modality for t in col_meta),
-        row_is_system=tuple(is_system),
     )
 
 
@@ -319,7 +283,7 @@ def _select(
     selector_rng: Rng,
 ) -> set[int]:
     if effective is Selector.RANDOM:
-        return random_select(attn.col_ids, k_l, selector_rng)
+        return random_select(attn.columns.id, k_l, selector_rng)
     scores = query_importance(attn)
     if effective is Selector.TDS:
         return tds_select(scores, k_l, tds, max_chunk)
@@ -338,24 +302,31 @@ def _pruning_loop(
     selector_seed: int,
     attention_out: list | None,
 ) -> PruneTrace:
-    state = _TokenState(seq, include_system_rows)
+    tokens = seq.tokens
     selector_rng = Rng(selector_seed)
     max_chunk = seq.max_chunk_index
     records = []
     for layer in range(sched.layers):
-        attn = layer_map(layer, state)
+        text = tokens.is_text if include_system_rows else tokens.mask(Modality.QUERY_TEXT)
+        rows, cols = np.flatnonzero(text), np.flatnonzero(tokens.is_audiovisual)
+        attn = AttentionMap(
+            values=layer_map(layer, tokens, rows, cols), rows=tokens[rows], columns=tokens[cols]
+        )
         if attention_out is not None:
             attention_out.append(
-                AttentionRecord(layer=layer, col_ids=attn.col_ids, values=attn.values)
+                AttentionRecord(layer=layer, col_ids=attn.columns.id, values=attn.values)
             )
-        n_audio, n_video, n_text = state.counts()
+        n_audio, n_video = tokens.count(Modality.AUDIO), tokens.count(Modality.VIDEO)
+        n_text = len(tokens) - n_audio - n_video
         p_l = prune_ratio(layer, sched)
         k_l = prune_count(n_audio, n_video, p_l)
         effective = _effective_selector(selector, layer, tds)
         pruned: set[int] = set()
         if k_l > 0:
             pruned = _select(attn, effective, k_l, tds, max_chunk, selector_rng)
-            drop_rows(state.drop_ids(pruned))
+            keep = ~np.isin(tokens.id, list(pruned))
+            drop_rows(keep)
+            tokens = tokens[keep]
         records.append(
             LayerRecord(
                 layer=layer,
@@ -406,19 +377,18 @@ def run_with_pruning(
         raise InvalidInput(f"sequence dim {seq.d} does not match model dim {model.d}")
 
     working = _apply_intra_plan(seq, intra)
-    positions = [t.original_position for t in working.tokens]
-    x = working.embeddings.astype(np.float32) + sinusoidal_positions(positions, model.d)
+    x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.position, model.d)
 
-    def layer_map(layer: int, state: _TokenState) -> AttentionMap:
+    def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         nonlocal x
         x, avg = _forward_layer(x, model.weights[layer], model.heads)
         if full_attention_out is not None:
             full_attention_out.append(avg)
-        return _restricted_map(avg, state)
+        return avg[np.ix_(rows, cols)]
 
-    def drop_rows(positions: list[int]):
+    def drop_rows(keep: np.ndarray):
         nonlocal x
-        x = np.delete(x, positions, axis=0)
+        x = x[keep]
 
     return _pruning_loop(
         working,
@@ -462,27 +432,21 @@ def run_with_injected_attention(
 
     working = _apply_intra_plan(seq, intra)
 
-    def layer_map(layer: int, state: _TokenState) -> AttentionMap:
+    def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rec = maps[layer]
-        by_id = {tid: col for col, tid in enumerate(rec.col_ids)}
-        rows, is_system = state.text_rows()
-        cols_meta = [state.metas[c] for c in state.av_columns()]
-        try:
-            col_sel = [by_id[t.id] for t in cols_meta]
-        except KeyError as exc:
-            raise SchemaError(f"layer {layer}: no attention column for token id {exc}") from None
+        rec_ids = np.asarray(rec.col_ids, dtype=np.int64)
+        want = tokens.id[cols]
+        missing = want[~np.isin(want, rec_ids)]
+        if missing.size:
+            raise SchemaError(f"layer {layer}: no attention column for token id {missing[0]}")
         values = np.asarray(rec.values, dtype=np.float32)
         if values.ndim != 2 or values.shape[0] != len(rows):
             raise SchemaError(
                 f"layer {layer}: expected {len(rows)} text rows, got {values.shape[0]}"
             )
-        return AttentionMap(
-            values=values[:, col_sel] if col_sel else values[:, :0],
-            col_ids=tuple(t.id for t in cols_meta),
-            col_chunks=tuple(t.chunk_index for t in cols_meta),
-            col_modalities=tuple(t.modality for t in cols_meta),
-            row_is_system=tuple(is_system),
-        )
+        # Each wanted id's column in the record; a repeated id takes its last column.
+        order = np.argsort(rec_ids, kind="stable")
+        return values[:, order[np.searchsorted(rec_ids, want, side="right", sorter=order) - 1]]
 
     return _pruning_loop(
         working,
@@ -490,7 +454,7 @@ def run_with_injected_attention(
         tds,
         selector,
         layer_map,
-        lambda positions: None,
+        lambda keep: None,
         include_system_rows=include_system_rows,
         selector_seed=selector_seed if selector_seed is not None else derive_seed(replay_seed, 0x5E1EC7),
         attention_out=None,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numerics import Rng
-from .sequence import Modality
+from .sequence import TokenTable
 
 
 class Selector(enum.Enum):
@@ -32,48 +32,42 @@ class AttentionMap:
 
     Values are the original post-softmax probabilities: the row-sum-to-one
     invariant holds for full rows before restriction, so restricted rows sum
-    to at most one. Column metadata travels with the matrix so scores can be
-    tied back to token ids and chunks.
+    to at most one. ``rows`` and ``columns`` are the slices of the token
+    table the matrix is indexed by, so scores tie back to ids and chunks.
     """
 
     values: np.ndarray  # (text rows, surviving AV columns), float32
-    col_ids: tuple[int, ...]
-    col_chunks: tuple[int, ...]
-    col_modalities: tuple[Modality, ...]
-    row_is_system: tuple[bool, ...]
+    rows: TokenTable
+    columns: TokenTable
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float32)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        rows, cols = vals.shape
-        if cols != len(self.col_ids) or cols != len(self.col_chunks) or cols != len(self.col_modalities):
-            raise InvalidInput("column metadata must match the value matrix width")
-        if rows != len(self.row_is_system):
-            raise InvalidInput("row metadata must match the value matrix height")
+        if vals.shape != (len(self.rows), len(self.columns)):
+            raise InvalidInput("row and column tokens must match the value matrix shape")
         if vals.size and float(vals.min()) < 0.0:
             raise InvalidInput("attention values must be non-negative")
 
 
 @dataclass(frozen=True)
 class ImportanceScores:
-    """Per surviving audiovisual token: importance score, id, chunk index."""
+    """Importance score per surviving audiovisual token of ``tokens``."""
 
-    ids: tuple[int, ...]
+    tokens: TokenTable
     scores: np.ndarray  # float64
-    chunks: tuple[int, ...]
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
-        if len(self.ids) != scores.shape[0] or len(self.chunks) != scores.shape[0]:
-            raise InvalidInput("ids, scores and chunks must be parallel")
+        if scores.shape != (len(self.tokens),):
+            raise InvalidInput("one score per token required")
         if scores.size and not np.all(np.isfinite(scores)):
             raise InvalidInput("importance scores must be finite")
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ def query_importance(attn: AttentionMap) -> ImportanceScores:
     if attn.values.shape[0] == 0:
         raise InvalidInput("attention map has no text rows")
     scores = attn.values.mean(axis=0, dtype=np.float64)
-    return ImportanceScores(ids=attn.col_ids, scores=scores, chunks=attn.col_chunks)
+    return ImportanceScores(tokens=attn.columns, scores=scores)
 
 
 def prune_count(n_audio: int, n_video: int, p_l: float) -> int:
@@ -105,10 +99,9 @@ def prune_count(n_audio: int, n_video: int, p_l: float) -> int:
     return int(np.floor((n_audio + n_video) * p_l))
 
 
-def _ascending(scores: ImportanceScores) -> list[int]:
+def _ascending(scores: ImportanceScores) -> np.ndarray:
     # Positions ordered by (score, id): the global lower-id-first tie rule.
-    vals = scores.scores
-    return sorted(range(len(scores)), key=lambda i: (vals[i], scores.ids[i]))
+    return np.lexsort((scores.tokens.id, scores.scores))
 
 
 def plain_select(scores: ImportanceScores, k: int) -> set[int]:
@@ -122,7 +115,7 @@ def plain_select(scores: ImportanceScores, k: int) -> set[int]:
         k = len(scores)
     if k <= 0:
         return set()
-    return {scores.ids[i] for i in _ascending(scores)[:k]}
+    return set(scores.tokens.id[_ascending(scores)[:k]].tolist())
 
 
 def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int) -> set[int]:
@@ -137,21 +130,17 @@ def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int)
     k = min(k, len(scores))
     if k <= 0:
         return set()
-    vals = scores.scores
-    peak = min(range(len(scores)), key=lambda i: (-vals[i], scores.ids[i]))
-    key_chunk = scores.chunks[peak]
-    buffer = _ascending(scores)[: min(2 * k, len(scores))]
-    rescored = []
-    for i in buffer:
-        distance = abs(key_chunk - scores.chunks[i]) / max_chunk if max_chunk > 0 else 0.0
-        rescored.append((vals[i] + cfg.lambda_div * distance, scores.ids[i]))
-    rescored.sort()
-    return {token_id for _, token_id in rescored[:k]}
+    ids, chunks, vals = scores.tokens.id, scores.tokens.chunk, scores.scores
+    key_chunk = chunks[np.lexsort((ids, -vals))[0]]
+    buffer = _ascending(scores)[: 2 * k]
+    distance = np.abs(key_chunk - chunks[buffer]) / max_chunk if max_chunk > 0 else 0.0
+    rescored = vals[buffer] + cfg.lambda_div * distance
+    return set(ids[buffer][np.lexsort((ids[buffer], rescored))[:k]].tolist())
 
 
 def random_select(ids, k: int, rng: Rng) -> set[int]:
     """Uniform sample of k ids without replacement; clamps oversized budgets."""
-    pool = list(ids)
+    pool = [int(i) for i in ids]
     k = min(max(k, 0), len(pool))
     for i in range(k):
         j = i + rng.below(len(pool) - i)

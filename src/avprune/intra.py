@@ -152,38 +152,32 @@ def apply_intra(
     if len(audio_scores) != n_chunks or len(grids) != n_chunks:
         raise InvalidInput(f"need scores and grids for all {n_chunks} chunks")
 
-    audio_by_chunk: dict[int, list[int]] = {c: [] for c in range(n_chunks)}
-    video_by_chunk: dict[int, list[int]] = {c: [] for c in range(n_chunks)}
-    for tok in seq.tokens:
-        if tok.modality is Modality.AUDIO:
-            audio_by_chunk[tok.chunk_index].append(tok.id)
-        elif tok.modality is Modality.VIDEO:
-            video_by_chunk[tok.chunk_index].append(tok.id)
-
-    keep_ids = {t.id for t in seq.tokens if t.modality.is_text}
+    tokens = seq.tokens
+    keep = tokens.is_text.copy()
     audio_total = audio_kept = video_total = video_kept = 0
 
     for c in range(n_chunks):
-        audio_ids = audio_by_chunk[c]
-        audio_total += len(audio_ids)
-        if audio_ids:
+        in_chunk = tokens.chunk == c
+        audio_rows = np.flatnonzero(in_chunk & tokens.mask(Modality.AUDIO))
+        audio_total += audio_rows.size
+        if audio_rows.size:
             saliency = audio_scores[c]
-            if saliency is None or len(saliency.scores) != len(audio_ids):
+            if saliency is None or len(saliency.scores) != audio_rows.size:
                 raise InvalidInput(f"chunk {c}: saliency length mismatch")
             kept = audio_intra_prune(saliency, audio_keep)
             audio_kept += len(kept)
-            keep_ids.update(audio_ids[i] for i in kept)
+            keep[audio_rows[list(kept)]] = True
 
-        video_ids = video_by_chunk[c]
-        video_total += len(video_ids)
-        if video_ids:
+        video_rows = np.flatnonzero(in_chunk & tokens.mask(Modality.VIDEO))
+        video_total += video_rows.size
+        if video_rows.size:
             grid = grids[c]
-            if grid is None or grid.frame_count * grid.tokens_per_frame != len(video_ids):
+            if grid is None or grid.frame_count * grid.tokens_per_frame != video_rows.size:
                 raise InvalidInput(f"chunk {c}: frame grid does not cover the video tokens")
             kept_ft = video_ttm(grid, video_prune_rate)
             video_kept += len(kept_ft)
             t_per = grid.tokens_per_frame
-            keep_ids.update(video_ids[f * t_per + t] for f, t in kept_ft)
+            keep[video_rows[[f * t_per + t for f, t in kept_ft]]] = True
 
     report = IntraReport(
         audio_total=audio_total,
@@ -191,7 +185,7 @@ def apply_intra(
         video_total=video_total,
         video_retained=video_kept,
     )
-    return seq.subsequence(keep_ids), report
+    return seq.subsequence(tokens.id[keep]), report
 
 
 def grid_from_embeddings(video_rows: np.ndarray, frames: int) -> FrameGrid:

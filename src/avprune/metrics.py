@@ -39,11 +39,9 @@ def top20_recall(
     if isinstance(attn, AttentionMap):
         values = np.asarray(attn.values, dtype=np.float64)
         if modality is not None:
-            cols = [i for i, m in enumerate(attn.col_modalities) if m is modality]
-            values = values[:, cols]
-        if exclude_system and any(attn.row_is_system):
-            rows = [i for i, s in enumerate(attn.row_is_system) if not s]
-            values = values[rows]
+            values = values[:, attn.columns.mask(modality)]
+        if exclude_system:
+            values = values[~attn.rows.mask(Modality.SYSTEM_TEXT)]
     else:
         values = np.asarray(attn, dtype=np.float64)
     if values.size == 0:

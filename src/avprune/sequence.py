@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidInput, NotFound
+from .errors import DegenerateInput, InvalidInput
 from .numerics import Rng, derive_seed
 
 
@@ -33,23 +32,102 @@ class Modality(enum.Enum):
     def is_audiovisual(self) -> bool:
         return self in (Modality.VIDEO, Modality.AUDIO)
 
+    @property
+    def code(self) -> int:
+        """This modality's value in a ``TokenTable.modality`` column."""
+        return MODALITIES.index(self)
+
+
+MODALITIES = tuple(Modality)
+_IS_TEXT = np.array([m.is_text for m in MODALITIES])
+# Stream phase per modality code: system text 0, audiovisual 1, query text 2.
+_PHASE = np.array([0 if m is Modality.SYSTEM_TEXT else 2 if m.is_text else 1 for m in MODALITIES])
+
 
 @dataclass(frozen=True)
-class TokenMeta:
-    """Identity of one token; survives pruning unchanged."""
+class TokenTable:
+    """The token set as one struct of arrays: row i is the i-th token in stream order.
 
-    id: int
-    modality: Modality
-    chunk_index: int | None
-    original_position: int
+    ``modality`` holds ``Modality.code`` values, ``chunk`` is -1 for text
+    tokens, and ``position`` is the original stream position, which survives
+    pruning unchanged. A row slice (``table[rows]``) is again a table, so the
+    survivors of a layer and the rows and columns of an attention map share
+    this one type. Columns are read-only.
+    """
+
+    id: np.ndarray
+    modality: np.ndarray
+    chunk: np.ndarray
+    position: np.ndarray
 
     def __post_init__(self):
-        if self.id < 0 or self.original_position < 0:
+        for name in ("id", "modality", "chunk", "position"):
+            col = np.array(getattr(self, name), dtype=np.int8 if name == "modality" else np.int64)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+            if col.ndim != 1 or col.shape != self.id.shape:
+                raise InvalidInput("token columns must be 1-D and of equal length")
+        if np.any(self.id < 0) or np.any(self.position < 0):
             raise InvalidInput("token id and position must be non-negative")
-        if self.modality.is_audiovisual and self.chunk_index is None:
-            raise InvalidInput(f"token {self.id}: audiovisual tokens need a chunk_index")
-        if self.modality.is_text and self.chunk_index is not None:
-            raise InvalidInput(f"token {self.id}: text tokens carry no chunk_index")
+        if np.any((self.modality < 0) | (self.modality >= len(MODALITIES))):
+            raise InvalidInput("unknown modality code")
+        text = self.is_text
+        bad = np.flatnonzero(np.where(text, self.chunk != -1, self.chunk < 0))
+        if bad.size:
+            i = bad[0]
+            rule = "text tokens carry no" if text[i] else "audiovisual tokens need a"
+            raise InvalidInput(f"token {self.id[i]}: {rule} chunk index")
+
+    @staticmethod
+    def from_runs(runs) -> "TokenTable":
+        """Table of consecutive (modality, count, chunk) runs; chunk is None for text.
+
+        Ids and original positions are dense, 0..n-1 in stream order.
+        """
+        runs = list(runs)
+        counts = [count for _, count, _ in runs]
+        n = sum(counts)
+        return TokenTable(
+            id=np.arange(n),
+            modality=np.repeat([m.code for m, _, _ in runs], counts),
+            chunk=np.repeat([-1 if c is None else c for _, _, c in runs], counts),
+            position=np.arange(n),
+        )
+
+    def __len__(self) -> int:
+        return self.id.size
+
+    def __getitem__(self, rows) -> "TokenTable":
+        """Row slice by slice, boolean mask or index array."""
+        return TokenTable(self.id[rows], self.modality[rows], self.chunk[rows], self.position[rows])
+
+    def mask(self, modality: Modality) -> np.ndarray:
+        return self.modality == modality.code
+
+    def count(self, modality: Modality) -> int:
+        return int(np.count_nonzero(self.mask(modality)))
+
+    @property
+    def is_text(self) -> np.ndarray:
+        return _IS_TEXT[self.modality]
+
+    @property
+    def is_audiovisual(self) -> np.ndarray:
+        return ~self.is_text
+
+    def records(self) -> list[dict]:
+        """Plain-dict rows for JSONL serialization; text chunks read None."""
+        return [
+            {
+                "id": i,
+                "modality": MODALITIES[m].value,
+                "chunk_index": None if c < 0 else c,
+                "original_position": p,
+            }
+            for i, m, c, p in zip(
+                self.id.tolist(), self.modality.tolist(), self.chunk.tolist(), self.position.tolist()
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -69,14 +147,14 @@ class ChunkSpec:
 
 @dataclass(frozen=True)
 class InterleavedSequence:
-    """Ordered token stream plus an aligned n x d embedding matrix.
+    """Token table plus an aligned n x d embedding matrix.
 
     Immutable after construction; pruning produces a new instance via
     ``subsequence``. The stream pattern [sys, (video, audio) per chunk, query]
     is validated on every construction, also for pruned shapes.
     """
 
-    tokens: tuple[TokenMeta, ...]
+    tokens: TokenTable
     embeddings: np.ndarray
 
     def __post_init__(self):
@@ -88,40 +166,25 @@ class InterleavedSequence:
         self._check_layout()
 
     def _check_layout(self):
-        seen_ids: set[int] = set()
-        phase = 0  # 0 system, 1 audiovisual, 2 query
-        last_pos = -1
-        last_chunk = -1
-        video_open = False  # inside current chunk's video block
-        for tok in self.tokens:
-            if tok.id in seen_ids:
-                raise InvalidInput(f"duplicate token id {tok.id}")
-            seen_ids.add(tok.id)
-            if tok.original_position <= last_pos:
-                raise InvalidInput("original positions must be strictly increasing")
-            last_pos = tok.original_position
-            if tok.modality is Modality.SYSTEM_TEXT:
-                if phase != 0:
-                    raise InvalidInput("system tokens must precede all others")
-            elif tok.modality.is_audiovisual:
-                if phase == 2:
-                    raise InvalidInput("audiovisual tokens cannot follow query tokens")
-                phase = 1
-                assert tok.chunk_index is not None
-                if tok.chunk_index < last_chunk:
-                    raise InvalidInput("chunk indices must be non-decreasing")
-                if tok.chunk_index > last_chunk:
-                    last_chunk = tok.chunk_index
-                    video_open = True
-                if tok.modality is Modality.VIDEO:
-                    if not video_open:
-                        raise InvalidInput(
-                            f"chunk {tok.chunk_index}: video tokens must precede audio tokens"
-                        )
-                else:
-                    video_open = False
-            else:  # query text
-                phase = 2
+        tok = self.tokens
+        if np.unique(tok.id).size != len(tok):
+            raise InvalidInput("duplicate token id")
+        if np.any(np.diff(tok.position) <= 0):
+            raise InvalidInput("original positions must be strictly increasing")
+        back = np.flatnonzero(np.diff(_PHASE[tok.modality]) < 0)
+        if back.size:
+            if tok.modality[back[0] + 1] == Modality.SYSTEM_TEXT.code:
+                raise InvalidInput("system tokens must precede all others")
+            raise InvalidInput("audiovisual tokens cannot follow query tokens")
+        av = tok[tok.is_audiovisual]
+        step = np.diff(av.chunk)
+        if np.any(step < 0):
+            raise InvalidInput("chunk indices must be non-decreasing")
+        audio = av.mask(Modality.AUDIO)
+        video_after_audio = np.flatnonzero((step == 0) & audio[:-1] & ~audio[1:])
+        if video_after_audio.size:
+            chunk = av.chunk[video_after_audio[0]]
+            raise InvalidInput(f"chunk {chunk}: video tokens must precede audio tokens")
 
     @property
     def n(self) -> int:
@@ -131,31 +194,9 @@ class InterleavedSequence:
     def d(self) -> int:
         return int(self.embeddings.shape[1])
 
-    @cached_property
-    def _by_id(self) -> dict[int, int]:
-        return {tok.id: pos for pos, tok in enumerate(self.tokens)}
-
-    def meta(self, token_id: int) -> TokenMeta:
-        try:
-            return self.tokens[self._by_id[token_id]]
-        except KeyError:
-            raise NotFound(f"unknown token id {token_id}") from None
-
-    def position_of(self, token_id: int) -> int:
-        try:
-            return self._by_id[token_id]
-        except KeyError:
-            raise NotFound(f"unknown token id {token_id}") from None
-
-    def ids_of(self, modality: Modality) -> tuple[int, ...]:
-        return tuple(t.id for t in self.tokens if t.modality is modality)
-
-    def count_of(self, modality: Modality) -> int:
-        return sum(1 for t in self.tokens if t.modality is modality)
-
     @property
     def text_count(self) -> int:
-        return sum(1 for t in self.tokens if t.modality.is_text)
+        return int(np.count_nonzero(self.tokens.is_text))
 
     @property
     def audiovisual_count(self) -> int:
@@ -163,33 +204,16 @@ class InterleavedSequence:
 
     @property
     def max_chunk_index(self) -> int:
-        chunks = [t.chunk_index for t in self.tokens if t.chunk_index is not None]
-        return max(chunks) if chunks else 0
+        return int(self.tokens.chunk.max(initial=0))
 
     def subsequence(self, keep_ids) -> "InterleavedSequence":
         """New sequence retaining only the given ids, in original order."""
-        keep = set(keep_ids)
-        positions = [i for i, t in enumerate(self.tokens) if t.id in keep]
-        return InterleavedSequence(
-            tokens=tuple(self.tokens[i] for i in positions),
-            embeddings=self.embeddings[positions],
-        )
-
-    def to_records(self) -> list[dict]:
-        """Plain-dict token layout for JSONL serialization."""
-        return [
-            {
-                "id": t.id,
-                "modality": t.modality.value,
-                "chunk_index": t.chunk_index,
-                "original_position": t.original_position,
-            }
-            for t in self.tokens
-        ]
+        keep = np.isin(self.tokens.id, np.fromiter(keep_ids, dtype=np.int64))
+        return InterleavedSequence(tokens=self.tokens[keep], embeddings=self.embeddings[keep])
 
 
 def synth_embeddings(
-    tokens,
+    tokens: TokenTable,
     d: int,
     subspace_dim: int,
     noise_scale: float,
@@ -226,11 +250,10 @@ def synth_embeddings(
         Modality.QUERY_TEXT: (2 * k, 2 * k + text_width),
     }
 
-    tokens = list(tokens)
     rng = Rng(seed)
     rows = np.zeros((len(tokens), d), dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        lo, hi = blocks[tok.modality]
+    for i, code in enumerate(tokens.modality.tolist()):
+        lo, hi = blocks[MODALITIES[code]]
         if hi == lo:  # 2k == d: no disjoint room left, spread text everywhere
             lo, hi = 0, d
         rows[i, lo:hi] = 1.0 + rng.gaussians(hi - lo)
@@ -293,32 +316,16 @@ def build_sequence(
         if spec.index != i:
             raise InvalidInput(f"chunk specs must be ordered 0..m-1, got {spec.index} at {i}")
 
-    metas: list[TokenMeta] = []
-
-    def add(modality: Modality, chunk: int | None):
-        pos = len(metas)
-        metas.append(TokenMeta(id=pos, modality=modality, chunk_index=chunk, original_position=pos))
-
-    for _ in range(sys_len):
-        add(Modality.SYSTEM_TEXT, None)
+    runs = [(Modality.SYSTEM_TEXT, sys_len, None)]
     for spec in chunks:
-        for _ in range(spec.n_v):
-            add(Modality.VIDEO, spec.index)
-        for _ in range(spec.n_a):
-            add(Modality.AUDIO, spec.index)
-    for _ in range(query_len):
-        add(Modality.QUERY_TEXT, None)
-
+        runs += [(Modality.VIDEO, spec.n_v, spec.index), (Modality.AUDIO, spec.n_a, spec.index)]
+    runs.append((Modality.QUERY_TEXT, query_len, None))
+    tokens = TokenTable.from_runs(runs)
     emb = synth_embeddings(
-        metas,
+        tokens,
         d,
         subspace_dim if subspace_dim is not None else default_subspace_dim(d),
         noise_scale,
         seed,
     )
-    return InterleavedSequence(tokens=tuple(metas), embeddings=emb)
-
-
-def chunk_index_of(seq: InterleavedSequence, token_id: int) -> int | None:
-    """Chunk index of an audiovisual token, None for text tokens."""
-    return seq.meta(token_id).chunk_index
+    return InterleavedSequence(tokens=tokens, embeddings=emb)

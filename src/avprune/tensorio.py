@@ -9,12 +9,13 @@ per line in column order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvalidInput, SchemaError
 from .harness import LayerRecord, PruneTrace
 
 MAGIC = b"OMTN"
@@ -43,10 +44,13 @@ def read_tensor(path) -> np.ndarray:
     if len(data) < dims_end:
         raise SchemaError(f"{path}: truncated dimension list")
     shape = struct.unpack_from(f"<{rank}Q", data, 12)
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
     if len(data) != dims_end + 4 * count:
         raise SchemaError(f"{path}: payload size does not match shape {shape}")
-    return np.frombuffer(data, dtype="<f4", offset=dims_end).reshape(shape).copy()
+    try:
+        return np.frombuffer(data, dtype="<f4", offset=dims_end).reshape(shape).copy()
+    except ValueError as exc:  # a rank or size past numpy's limits
+        raise SchemaError(f"{path}: cannot hold shape {shape} ({exc})") from None
 
 
 def write_ids(path, ids) -> None:
@@ -55,9 +59,12 @@ def write_ids(path, ids) -> None:
 
 def read_ids(path) -> tuple[int, ...]:
     try:
-        return tuple(int(line) for line in Path(path).read_text(encoding="ascii").split())
+        ids = tuple(int(line) for line in Path(path).read_text(encoding="ascii").split())
     except ValueError as exc:
         raise SchemaError(f"{path}: malformed id list ({exc})") from None
+    if not all(0 <= i < 2**63 for i in ids):
+        raise SchemaError(f"{path}: token ids must lie in [0, 2**63)")
+    return ids
 
 
 def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:
@@ -73,17 +80,26 @@ def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:
 
 def read_trace_jsonl(path) -> tuple[PruneTrace, dict]:
     """Parse a trace file; returns (trace, summary). Verifies the digest."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise SchemaError(f"{path}: expected layer records plus a summary line")
     try:
+        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
         objs = [json.loads(ln) for ln in lines]
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    summary = objs[-1]
-    if "digest" not in summary:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
+        raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
+    if len(objs) < 2:
+        raise SchemaError(f"{path}: expected layer records plus a summary line")
+    *records, summary = objs
+    if not isinstance(summary, dict) or not isinstance(summary.get("digest"), str):
         raise SchemaError(f"{path}: final line is not a summary object")
-    trace = PruneTrace(layers=tuple(LayerRecord.from_json_obj(o) for o in objs[:-1]))
+    layers = []
+    for number, obj in enumerate(records, 1):
+        try:
+            layers.append(LayerRecord.from_json_obj(obj))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: line {number}: {exc}") from None
+    try:
+        trace = PruneTrace(layers=tuple(layers))
+    except InvalidInput as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if trace.digest != summary["digest"]:
         raise SchemaError(f"{path}: stored digest does not match the records")
     return trace, summary

@@ -19,6 +19,7 @@ from avprune import (
     Rng,
     Selector,
     TdsConfig,
+    TokenTable,
     ToyDecoder,
     apply_intra,
     build_sequence,
@@ -36,7 +37,6 @@ from avprune import (
     video_ttm,
 )
 from avprune.cli import main
-from avprune.sequence import TokenMeta
 from tests.test_metrics import constant_retention_trace
 
 
@@ -86,7 +86,7 @@ def test_criterion_3_intra_pruning_arithmetic():
         seq = build_sequence(2, [ChunkSpec(0, 288, 50)], 3, 16, seed=21)
         rng = Rng(derive_seed(21, 0xACC3))
         scores = [AudioSaliency(scores=tuple(rng.uniform() for _ in range(50)))]
-        video_rows = seq.embeddings[[seq.position_of(i) for i in seq.ids_of(Modality.VIDEO)]]
+        video_rows = seq.embeddings[seq.tokens.mask(Modality.VIDEO)]
         grids = [grid_from_embeddings(video_rows, frames=4)]
         _, report = apply_intra(seq, audio_keep=0.7, video_prune_rate=0.8, audio_scores=scores, grids=grids)
         assert abs(report.combined_retention - 0.444) <= 0.002
@@ -130,7 +130,8 @@ def test_criterion_4_tds_matches_brute_force():
             k = rng.below(n + 1)
             lam = rng.uniform() * 0.5
             max_chunk = n_chunks - 1
-            packed = ImportanceScores(ids=tuple(ids), scores=np.array(scores), chunks=tuple(chunks))
+            tokens = TokenTable(id=ids, modality=[Modality.VIDEO.code] * n, chunk=chunks, position=ids)
+            packed = ImportanceScores(tokens=tokens, scores=np.array(scores))
             got = tds_select(packed, k, TdsConfig(lambda_div=lam, start_layer=0), max_chunk)
             expected, buffer = _brute_force_tds(scores, chunks, ids, k, lam, max_chunk)
             assert got == expected
@@ -197,7 +198,7 @@ def test_criterion_5_harness_structural_invariants(tmp_path):
             )
 
             # Text tokens survive every layer.
-            text_ids = {t.id for t in seq.tokens if t.modality.is_text}
+            text_ids = set(seq.tokens.id[seq.tokens.is_text].tolist())
             for rec in trace.layers:
                 assert not (set(rec.pruned_ids) & text_ids)
                 assert rec.n_text == seq.text_count
@@ -261,18 +262,10 @@ def test_criterion_6_metric_sanity():
 
 def test_criterion_7_cosine_separation():
     with criterion(7, "synthetic embeddings reproduce the modality-separation diagnostic"):
-        metas = []
-        for modality, count in ((Modality.VIDEO, 450), (Modality.AUDIO, 450), (Modality.QUERY_TEXT, 100)):
-            for _ in range(count):
-                metas.append(
-                    TokenMeta(
-                        id=len(metas),
-                        modality=modality,
-                        chunk_index=0 if modality.is_audiovisual else None,
-                        original_position=len(metas),
-                    )
-                )
-        emb = synth_embeddings(metas, d=64, subspace_dim=8, noise_scale=0.3, seed=2026)
+        tokens = TokenTable.from_runs(
+            [(Modality.VIDEO, 450, 0), (Modality.AUDIO, 450, 0), (Modality.QUERY_TEXT, 100, None)]
+        )
+        emb = synth_embeddings(tokens, d=64, subspace_dim=8, noise_scale=0.3, seed=2026)
         video, audio = emb[:450], emb[450:900]
         cross = (video @ audio.T).ravel()
         intra_pairs = np.concatenate(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from avprune import tensorio
+from avprune import cli, tensorio
 from avprune.cli import main
 from tests.test_metrics import constant_retention_trace, zero_schedule_trace
 
@@ -189,6 +189,35 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_exits_1(self, capsys, small_config, tmp_path, runs):
+        code = main(["simulate", "--config", small_config, "--out", str(tmp_path / "r"), "--runs", runs])
+        assert code == 1
+        assert "--runs" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_pool_size_is_capped_by_runs_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli.pool_size(workers=4, runs=3) == 2
+        assert cli.pool_size(workers=4, runs=1) == 1
+        assert cli.pool_size(workers=1, runs=3) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.pool_size(workers=4, runs=3) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.25])
+    def test_invalid_injected_attention_exits_4(self, capsys, small_config, tmp_path, bad):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        layer = dump / "attention" / "layer_0001.omtn"
+        values = tensorio.read_tensor(layer)
+        values[0, 0] = bad
+        tensorio.write_tensor(layer, values)
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        code = main(argv + ["--inject", str(dump / "attention")])
+        assert code == 4
+        assert "layer_0001.omtn" in capsys.readouterr().err
+
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "--config", small_config, "--out", str(tmp_path / "w"),
@@ -245,6 +274,16 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", "--metric", "recall")
         assert code == 4
 
+    @pytest.mark.parametrize("line", ["5", "{bad", '{"modality": ["audio"]}'])
+    def test_malformed_tokens_file_exits_4(self, capsys, tmp_path, line):
+        emb = tmp_path / "emb.omtn"
+        tokens = tmp_path / "tokens.jsonl"
+        tensorio.write_tensor(emb, np.ones((2, 2), dtype=np.float32))
+        tokens.write_text(line + "\n")
+        code = main(["analyze", "--metric", "cosine", "--embeddings", str(emb), "--tokens", str(tokens)])
+        assert code == 4
+        assert "tokens.jsonl" in capsys.readouterr().err
+
     def test_schema_mismatch_exits_4(self, capsys, tmp_path):
         emb = tmp_path / "emb.omtn"
         tokens = tmp_path / "tokens.jsonl"
@@ -277,6 +316,26 @@ class TestCost:
         for row in report["per_layer"][1:]:
             assert abs(row["attention_flops"] / row["baseline_attention_flops"] - 0.25) < 1e-9
         assert report["baseline_total_flops"] >= report["total_flops"]
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda lines: lines[:-1] + ["5"],  # summary line is a number
+            lambda lines: ["[1]"] + lines[1:],  # record line is a list
+            lambda lines: [lines[0].replace('"pruned_ids":[]', '"pruned_ids":5')] + lines[1:],
+            lambda lines: ['{"layer": 0}'] + lines[1:],  # record without its keys
+            lambda lines: ["\udcff"] + lines[1:],  # a byte that is not UTF-8
+        ],
+        ids=["summary-number", "record-list", "pruned-ids-number", "missing-keys", "not-utf8"],
+    )
+    def test_malformed_trace_exits_4(self, capsys, tmp_path, mangle):
+        path = tmp_path / "trace.jsonl"
+        tensorio.write_trace_jsonl(path, zero_schedule_trace(), config_digest="cfg")
+        text = "\n".join(mangle(path.read_text().splitlines())) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code = main(["cost", "--trace", str(path), "--d", "8"])
+        assert code == 4
+        assert "trace.jsonl" in capsys.readouterr().err
 
     def test_missing_trace_exits_4(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "cost", "--trace", str(tmp_path / "nope.jsonl"), "--d", "8")

@@ -73,7 +73,7 @@ class TestRunWithPruning:
     def test_text_tokens_never_pruned(self):
         seq, model, sched = small_setup(p_final=0.8)
         trace = run_with_pruning(seq, model, sched, TDS)
-        text_ids = set(seq.ids_of(Modality.SYSTEM_TEXT)) | set(seq.ids_of(Modality.QUERY_TEXT))
+        text_ids = set(seq.tokens.id[seq.tokens.is_text].tolist())
         for rec in trace.layers:
             assert not (set(rec.pruned_ids) & text_ids)
             assert rec.n_text == seq.text_count
@@ -125,17 +125,15 @@ class TestRunWithPruning:
         trace = run_with_pruning(seq, model, sched, TDS, full_attention_out=full_maps)
         first_prune = next(rec.layer for rec in trace.layers if rec.k_l > 0)
 
-        x = seq.embeddings.astype(np.float32) + sinusoidal_positions(
-            [t.original_position for t in seq.tokens], model.d
-        )
-        kept = list(seq.tokens)
+        x = seq.embeddings.astype(np.float32) + sinusoidal_positions(seq.tokens.position, model.d)
+        kept = seq.tokens
         for layer in range(first_prune + 1):
             x, probs = _forward_layer(x, model.weights[layer], model.heads)
             assert np.array_equal(probs, full_maps[layer])
             pruned = set(trace.layers[layer].pruned_ids)
-            positions = [i for i, t in enumerate(kept) if t.id in pruned]
-            x = np.delete(x, positions, axis=0)
-            kept = [t for t in kept if t.id not in pruned]
+            dropped = np.isin(kept.id, list(pruned))
+            x = np.delete(x, np.flatnonzero(dropped), axis=0)
+            kept = kept[~dropped]
         _, probs_next = _forward_layer(x, model.weights[first_prune + 1], model.heads)
         assert np.array_equal(probs_next, full_maps[first_prune + 1])
 
@@ -151,8 +149,8 @@ class TestRunWithPruning:
 
 class TestInjectedAttention:
     def _uniform_records(self, seq, layers, value=1.0):
-        av_ids = tuple(t.id for t in seq.tokens if t.modality.is_audiovisual)
-        rows = seq.count_of(Modality.QUERY_TEXT)
+        av_ids = tuple(seq.tokens.id[seq.tokens.is_audiovisual].tolist())
+        rows = seq.tokens.count(Modality.QUERY_TEXT)
         return [
             AttentionRecord(
                 layer=l,
@@ -185,15 +183,15 @@ class TestInjectedAttention:
         seq, _, sched = small_setup()
         records = self._uniform_records(seq, 4)
         trace = run_with_injected_attention(seq, records, sched, TDS, Selector.PLAIN)
-        av_ids = sorted(t.id for t in seq.tokens if t.modality.is_audiovisual)
+        av_ids = sorted(seq.tokens.id[seq.tokens.is_audiovisual].tolist())
         pruned_in_order = [tid for rec in trace.layers for tid in sorted(rec.pruned_ids)]
         assert pruned_in_order == av_ids[: len(pruned_in_order)]
 
     def test_one_hot_token_survives(self):
         seq, _, sched = small_setup(p_final=0.8)
-        av_ids = tuple(t.id for t in seq.tokens if t.modality.is_audiovisual)
+        av_ids = tuple(seq.tokens.id[seq.tokens.is_audiovisual].tolist())
         favored = av_ids[-1]
-        rows = seq.count_of(Modality.QUERY_TEXT)
+        rows = seq.tokens.count(Modality.QUERY_TEXT)
         records = []
         for l in range(4):
             values = np.zeros((rows, len(av_ids)), dtype=np.float32)

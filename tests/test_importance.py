@@ -9,6 +9,7 @@ from avprune import (
     Modality,
     Rng,
     TdsConfig,
+    TokenTable,
     plain_select,
     prune_count,
     query_importance,
@@ -17,25 +18,27 @@ from avprune import (
 )
 
 
-def make_map(values, chunks=None, modalities=None, system_rows=None):
+def make_map(values):
+    # Query-text rows over video columns of chunk 0.
     values = np.asarray(values, dtype=np.float32)
-    n_cols = values.shape[1]
+    rows, cols = values.shape
     return AttentionMap(
         values=values,
-        col_ids=tuple(range(n_cols)),
-        col_chunks=tuple(chunks if chunks is not None else [0] * n_cols),
-        col_modalities=tuple(modalities if modalities is not None else [Modality.VIDEO] * n_cols),
-        row_is_system=tuple(system_rows if system_rows is not None else [False] * values.shape[0]),
+        rows=TokenTable.from_runs([(Modality.QUERY_TEXT, rows, None)]),
+        columns=TokenTable.from_runs([(Modality.VIDEO, cols, 0)]),
     )
 
 
-def make_scores(scores, chunks=None, ids=None):
-    scores = list(scores)
-    return ImportanceScores(
-        ids=tuple(ids if ids is not None else range(len(scores))),
-        scores=np.asarray(scores, dtype=np.float64),
-        chunks=tuple(chunks if chunks is not None else [0] * len(scores)),
+def make_scores(scores, chunks=None):
+    # Video tokens with ids 0..n-1, one per score, in the given chunks.
+    n = len(scores)
+    tokens = TokenTable(
+        id=np.arange(n),
+        modality=np.full(n, Modality.VIDEO.code),
+        chunk=chunks if chunks is not None else np.zeros(n, dtype=int),
+        position=np.arange(n),
     )
+    return ImportanceScores(tokens=tokens, scores=np.asarray(scores, dtype=np.float64))
 
 
 class TestQueryImportance:
@@ -121,7 +124,7 @@ class TestTdsSelect:
     def test_output_within_candidate_buffer(self):
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 1, 2, 3, 4, 5])
         pruned = tds_select(scores, 2, self.CFG, max_chunk=5)
-        buffer_ids = {scores.ids[i] for i in np.argsort(scores.scores, kind="stable")[:4]}
+        buffer_ids = {scores.tokens.id[i] for i in np.argsort(scores.scores, kind="stable")[:4]}
         assert pruned <= buffer_ids and len(pruned) == 2
 
     def test_large_lambda_orders_by_distance(self):

@@ -114,7 +114,7 @@ class TestApplyIntra:
     def test_full_size_chunk_combined_retention(self):
         chunks = [ChunkSpec(0, 288, 50)]
         seq = build_sequence(2, chunks, 3, 16, 11)
-        video_rows = seq.embeddings[[seq.position_of(i) for i in seq.ids_of(Modality.VIDEO)]]
+        video_rows = seq.embeddings[seq.tokens.mask(Modality.VIDEO)]
         grids = [grid_from_embeddings(video_rows, frames=4)]
         rng = np.random.default_rng(0)
         scores = [AudioSaliency(scores=tuple(float(s) for s in rng.random(50)))]
@@ -125,17 +125,18 @@ class TestApplyIntra:
 
     def test_identity_settings(self):
         seq = build_sequence(1, [ChunkSpec(0, 8, 4)], 1, 8, 0)
-        grids = [grid_from_embeddings(seq.embeddings[[seq.position_of(i) for i in seq.ids_of(Modality.VIDEO)]], frames=4)]
+        grids = [grid_from_embeddings(seq.embeddings[seq.tokens.mask(Modality.VIDEO)], frames=4)]
         scores = [AudioSaliency(scores=(0.1, 0.2, 0.3, 0.4))]
         pruned, report = apply_intra(seq, 1.0, 0.0, scores, grids)
-        assert pruned.tokens == seq.tokens
+        for column in ("id", "modality", "chunk", "position"):
+            assert np.array_equal(getattr(pruned.tokens, column), getattr(seq.tokens, column))
         assert report.combined_retention == 1.0
 
     def test_composition_of_both_oracles(self):
         # One chunk: 10 audio (keep 7) + 40 video as one 4-frame window of
         # T=10 (keep 16) -> 23 of 50 audiovisual tokens survive.
         seq = build_sequence(0, [ChunkSpec(0, 40, 10)], 2, 8, 3)
-        video_rows = seq.embeddings[[seq.position_of(i) for i in seq.ids_of(Modality.VIDEO)]]
+        video_rows = seq.embeddings[seq.tokens.mask(Modality.VIDEO)]
         grids = [grid_from_embeddings(video_rows, frames=4)]
         scores = [AudioSaliency(scores=(0.5, 0.1, 0.9, 0.3, 0.2, 0.7, 0.4, 0.6, 0.05, 0.8))]
         pruned, report = apply_intra(seq, 0.7, 0.8, scores, grids)
@@ -148,22 +149,23 @@ class TestApplyIntra:
         rng = np.random.default_rng(7)
         grids, scores = [], []
         for c in range(2):
-            vids = [seq.position_of(i) for i in seq.ids_of(Modality.VIDEO) if seq.meta(i).chunk_index == c]
+            vids = seq.tokens.mask(Modality.VIDEO) & (seq.tokens.chunk == c)
             grids.append(grid_from_embeddings(seq.embeddings[vids], frames=4))
             scores.append(AudioSaliency(scores=tuple(float(s) for s in rng.random(6))))
         pruned, _ = apply_intra(seq, 0.5, 0.5, scores, grids)
-        ids = [t.id for t in pruned.tokens]
+        ids = pruned.tokens.id.tolist()
         assert ids == sorted(ids)
-        positions = [t.original_position for t in pruned.tokens]
+        positions = pruned.tokens.position.tolist()
         assert positions == sorted(positions)
 
     def test_text_tokens_never_touched(self):
         seq = build_sequence(3, [ChunkSpec(0, 4, 4)], 2, 8, 9)
-        grids = [grid_from_embeddings(seq.embeddings[[seq.position_of(i) for i in seq.ids_of(Modality.VIDEO)]], frames=2)]
+        grids = [grid_from_embeddings(seq.embeddings[seq.tokens.mask(Modality.VIDEO)], frames=2)]
         scores = [AudioSaliency(scores=(0.1, 0.4, 0.2, 0.9))]
         pruned, _ = apply_intra(seq, 0.25, 0.5, scores, grids)
-        assert pruned.ids_of(Modality.SYSTEM_TEXT) == seq.ids_of(Modality.SYSTEM_TEXT)
-        assert pruned.ids_of(Modality.QUERY_TEXT) == seq.ids_of(Modality.QUERY_TEXT)
+        for modality in (Modality.SYSTEM_TEXT, Modality.QUERY_TEXT):
+            before = seq.tokens.id[seq.tokens.mask(modality)]
+            assert np.array_equal(pruned.tokens.id[pruned.tokens.mask(modality)], before)
 
     def test_mismatched_shapes_rejected(self):
         seq = build_sequence(0, [ChunkSpec(0, 4, 2)], 1, 8, 0)

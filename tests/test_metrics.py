@@ -15,6 +15,7 @@ from avprune import (
     PruneTrace,
     Rng,
     TdsConfig,
+    TokenTable,
     ToyDecoder,
     build_sequence,
     cosine_distribution,
@@ -59,10 +60,8 @@ class TestTop20Recall:
         values = np.array([[0.6, 0.1, 0.2], [0.1, 0.4, 0.1]], dtype=np.float32)
         attn = AttentionMap(
             values=values,
-            col_ids=(10, 11, 12),
-            col_chunks=(0, 0, 0),
-            col_modalities=(Modality.AUDIO, Modality.VIDEO, Modality.VIDEO),
-            row_is_system=(True, False),
+            rows=TokenTable.from_runs([(Modality.SYSTEM_TEXT, 1, None), (Modality.QUERY_TEXT, 1, None)]),
+            columns=TokenTable.from_runs([(Modality.AUDIO, 1, 0), (Modality.VIDEO, 2, 0)]),
         )
         # Audio column, system row excluded: single entry -> full mass.
         assert top20_recall(attn, Modality.AUDIO) == 1.0
@@ -102,24 +101,19 @@ class TestRetentionPerModality:
         model = ToyDecoder(4, 2, 16, seed=4)
         sched = PruneScheduleConfig(0.0, 0.5, 0.5, 20.0, 4)
         trace = run_with_pruning(seq, model, sched, TdsConfig(0.2, 2))
-        modality_of = {t.id: t.modality for t in seq.tokens}
         n_a, n_v = 4, 8
         for rec, a_ratio, v_ratio in zip(trace.layers, *retention_per_modality(trace)):
             assert rec.n_audio == n_a and rec.n_video == n_v
             assert a_ratio == n_a / 4 and v_ratio == n_v / 8
-            n_a -= sum(1 for i in rec.pruned_ids if modality_of[i] is Modality.AUDIO)
-            n_v -= sum(1 for i in rec.pruned_ids if modality_of[i] is Modality.VIDEO)
+            pruned = seq.tokens[np.isin(seq.tokens.id, rec.pruned_ids)]
+            n_a -= pruned.count(Modality.AUDIO)
+            n_v -= pruned.count(Modality.VIDEO)
 
     def test_audio_favoring_attention_starves_video(self):
         seq = build_sequence(0, [ChunkSpec(0, 8, 4)], 2, 8, 1)
-        av = [t for t in seq.tokens if t.modality.is_audiovisual]
-        values = np.array(
-            [[1.0 if t.modality is Modality.AUDIO else 0.0 for t in av]] * 2, dtype=np.float32
-        )
-        records = [
-            AttentionRecord(layer=l, col_ids=tuple(t.id for t in av), values=values)
-            for l in range(4)
-        ]
+        av = seq.tokens[seq.tokens.is_audiovisual]
+        values = np.array([av.mask(Modality.AUDIO)] * 2, dtype=np.float32)
+        records = [AttentionRecord(layer=l, col_ids=av.id, values=values) for l in range(4)]
         sched = PruneScheduleConfig(0.0, 0.3, 0.5, 20.0, 4)
         trace = run_with_injected_attention(seq, records, sched, TdsConfig(0.2, 99))
         audio, video = retention_per_modality(trace)

@@ -7,24 +7,22 @@ from avprune import (
     InterleavedSequence,
     InvalidInput,
     Modality,
-    NotFound,
-    TokenMeta,
+    TokenTable,
     build_sequence,
-    chunk_index_of,
     synth_embeddings,
 )
 
 
 def test_minimal_ordering():
     seq = build_sequence(0, [ChunkSpec(0, 2, 1)], 1, 4, 7)
-    assert [t.modality for t in seq.tokens] == [
-        Modality.VIDEO,
-        Modality.VIDEO,
-        Modality.AUDIO,
-        Modality.QUERY_TEXT,
+    assert seq.tokens.modality.tolist() == [
+        Modality.VIDEO.code,
+        Modality.VIDEO.code,
+        Modality.AUDIO.code,
+        Modality.QUERY_TEXT.code,
     ]
-    assert [t.chunk_index for t in seq.tokens] == [0, 0, 0, None]
-    assert [t.id for t in seq.tokens] == [0, 1, 2, 3]
+    assert [r["chunk_index"] for r in seq.tokens.records()] == [0, 0, 0, None]
+    assert seq.tokens.id.tolist() == [0, 1, 2, 3]
 
 
 def test_full_size_chunks():
@@ -48,12 +46,13 @@ def test_pattern_reconstruction():
     # Filtering by modality and re-concatenating reproduces the stream.
     chunks = [ChunkSpec(0, 3, 2), ChunkSpec(1, 3, 2)]
     seq = build_sequence(2, chunks, 3, 8, 0)
-    rebuilt = [t for t in seq.tokens if t.modality is Modality.SYSTEM_TEXT]
+    tok = seq.tokens
+    rebuilt = [np.flatnonzero(tok.mask(Modality.SYSTEM_TEXT))]
     for c in range(2):
-        rebuilt += [t for t in seq.tokens if t.modality is Modality.VIDEO and t.chunk_index == c]
-        rebuilt += [t for t in seq.tokens if t.modality is Modality.AUDIO and t.chunk_index == c]
-    rebuilt += [t for t in seq.tokens if t.modality is Modality.QUERY_TEXT]
-    assert rebuilt == list(seq.tokens)
+        rebuilt.append(np.flatnonzero(tok.mask(Modality.VIDEO) & (tok.chunk == c)))
+        rebuilt.append(np.flatnonzero(tok.mask(Modality.AUDIO) & (tok.chunk == c)))
+    rebuilt.append(np.flatnonzero(tok.mask(Modality.QUERY_TEXT)))
+    assert np.concatenate(rebuilt).tolist() == list(range(seq.n))
     assert seq.n == 2 + sum(c.n_v + c.n_a for c in chunks) + 3
 
 
@@ -80,41 +79,26 @@ def test_chunk_spec_validation():
 class TestChunkIndexOf:
     def test_first_video_of_chunk_zero(self):
         seq = build_sequence(1, [ChunkSpec(0, 2, 1)], 1, 4, 0)
-        first_video = seq.ids_of(Modality.VIDEO)[0]
-        assert chunk_index_of(seq, first_video) == 0
+        assert seq.tokens.chunk[seq.tokens.mask(Modality.VIDEO)][0] == 0
 
     def test_query_token_has_none(self):
         seq = build_sequence(1, [ChunkSpec(0, 2, 1)], 1, 4, 0)
-        assert chunk_index_of(seq, seq.ids_of(Modality.QUERY_TEXT)[0]) is None
+        query = seq.tokens[seq.tokens.mask(Modality.QUERY_TEXT)]
+        assert query.chunk[0] == -1
+        assert query.records()[0]["chunk_index"] is None
 
     def test_last_audio_of_five_chunks(self):
         chunks = [ChunkSpec(i, 2, 3) for i in range(5)]
         seq = build_sequence(0, chunks, 1, 4, 0)
-        last_audio = seq.ids_of(Modality.AUDIO)[-1]
-        assert chunk_index_of(seq, last_audio) == 4
-
-    def test_unknown_id(self):
-        seq = build_sequence(0, [ChunkSpec(0, 1, 1)], 1, 4, 0)
-        with pytest.raises(NotFound):
-            chunk_index_of(seq, 999)
+        assert seq.tokens.chunk[seq.tokens.mask(Modality.AUDIO)][-1] == 4
 
 
 class TestSynthEmbeddings:
     def _tokens(self, counts):
-        metas = []
-        for modality, count in counts:
-            for _ in range(count):
-                chunk = 0 if modality.is_audiovisual else None
-                # chunk layout irrelevant here; build metas directly
-                metas.append(
-                    TokenMeta(
-                        id=len(metas),
-                        modality=modality,
-                        chunk_index=chunk,
-                        original_position=len(metas),
-                    )
-                )
-        return metas
+        # chunk layout irrelevant here; one run per modality
+        return TokenTable.from_runs(
+            (modality, count, 0 if modality.is_audiovisual else None) for modality, count in counts
+        )
 
     def test_zero_noise_disjoint_subspaces_orthogonal(self):
         tokens = self._tokens([(Modality.VIDEO, 10), (Modality.AUDIO, 10), (Modality.QUERY_TEXT, 5)])
@@ -174,26 +158,20 @@ class TestInterleavedSequence:
         seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
         keep = [0, 2, 4, 6]
         sub = seq.subsequence(keep)
-        assert [t.id for t in sub.tokens] == keep
-        assert all(sub.meta(i) == seq.meta(i) for i in keep)
-        for i in keep:
-            assert np.array_equal(sub.embeddings[sub.position_of(i)], seq.embeddings[seq.position_of(i)])
+        assert sub.tokens.id.tolist() == keep
+        for column in ("id", "modality", "chunk", "position"):
+            assert np.array_equal(getattr(sub.tokens, column), getattr(seq.tokens, column)[keep])
+        assert np.array_equal(sub.embeddings, seq.embeddings[keep])
 
     def test_layout_rejects_audio_before_video(self):
-        metas = (
-            TokenMeta(0, Modality.AUDIO, 0, 0),
-            TokenMeta(1, Modality.VIDEO, 0, 1),
-        )
+        tokens = TokenTable.from_runs([(Modality.AUDIO, 1, 0), (Modality.VIDEO, 1, 0)])
         with pytest.raises(InvalidInput):
-            InterleavedSequence(tokens=metas, embeddings=np.zeros((2, 4)))
+            InterleavedSequence(tokens=tokens, embeddings=np.zeros((2, 4)))
 
     def test_layout_rejects_av_after_query(self):
-        metas = (
-            TokenMeta(0, Modality.QUERY_TEXT, None, 0),
-            TokenMeta(1, Modality.VIDEO, 0, 1),
-        )
+        tokens = TokenTable.from_runs([(Modality.QUERY_TEXT, 1, None), (Modality.VIDEO, 1, 0)])
         with pytest.raises(InvalidInput):
-            InterleavedSequence(tokens=metas, embeddings=np.zeros((2, 4)))
+            InterleavedSequence(tokens=tokens, embeddings=np.zeros((2, 4)))
 
     def test_embeddings_are_read_only(self):
         seq = build_sequence(0, [ChunkSpec(0, 1, 1)], 1, 4, 0)
@@ -202,6 +180,48 @@ class TestInterleavedSequence:
 
     def test_token_meta_validation(self):
         with pytest.raises(InvalidInput):
-            TokenMeta(0, Modality.VIDEO, None, 0)  # AV token missing chunk
+            TokenTable.from_runs([(Modality.VIDEO, 1, None)])  # AV token missing chunk
         with pytest.raises(InvalidInput):
-            TokenMeta(0, Modality.QUERY_TEXT, 3, 0)  # text token with chunk
+            TokenTable.from_runs([(Modality.QUERY_TEXT, 1, 3)])  # text token with chunk
+
+
+class TestTokenTable:
+    def _seq(self, tokens):
+        return InterleavedSequence(tokens=tokens, embeddings=np.zeros((len(tokens), 2)))
+
+    def test_row_slice_is_a_table(self):
+        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 2, 8, 0)
+        av = seq.tokens[seq.tokens.is_audiovisual]
+        assert isinstance(av, TokenTable)
+        assert av.id.tolist() == [1, 2, 3, 4, 5]
+        assert av.count(Modality.AUDIO) == 2 and av.count(Modality.VIDEO) == 3
+        with pytest.raises(ValueError):
+            av.id[0] = 7  # columns are read-only
+
+    def test_records_are_plain_python_values(self):
+        seq = build_sequence(1, [ChunkSpec(0, 1, 1)], 1, 4, 0)
+        records = seq.tokens.records()
+        assert records[1] == {"id": 1, "modality": "video", "chunk_index": 0, "original_position": 1}
+        assert all(type(r["id"]) is int and type(r["original_position"]) is int for r in records)
+        assert records[0]["chunk_index"] is None and type(records[1]["chunk_index"]) is int
+
+    def test_layout_rejects_duplicate_ids_and_unordered_positions(self):
+        runs = TokenTable.from_runs([(Modality.VIDEO, 2, 0), (Modality.QUERY_TEXT, 1, None)])
+        dup = TokenTable(id=[0, 0, 2], modality=runs.modality, chunk=runs.chunk, position=runs.position)
+        with pytest.raises(InvalidInput, match="duplicate"):
+            self._seq(dup)
+        unordered = TokenTable(id=runs.id, modality=runs.modality, chunk=runs.chunk, position=[0, 2, 1])
+        with pytest.raises(InvalidInput, match="positions"):
+            self._seq(unordered)
+
+    def test_layout_rejects_system_after_av_and_falling_chunks(self):
+        late_system = TokenTable.from_runs([(Modality.VIDEO, 1, 0), (Modality.SYSTEM_TEXT, 1, None)])
+        with pytest.raises(InvalidInput, match="system"):
+            self._seq(late_system)
+        falling = TokenTable.from_runs([(Modality.VIDEO, 1, 1), (Modality.VIDEO, 1, 0)])
+        with pytest.raises(InvalidInput, match="non-decreasing"):
+            self._seq(falling)
+
+    def test_layout_accepts_chunk_without_video(self):
+        tokens = TokenTable.from_runs([(Modality.VIDEO, 1, 0), (Modality.AUDIO, 1, 0), (Modality.AUDIO, 1, 1)])
+        assert self._seq(tokens).max_chunk_index == 1

@@ -1,7 +1,11 @@
+import hashlib
+import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from avprune import LayerRecord, PruneTrace, SchemaError
 from avprune import tensorio
@@ -93,3 +97,116 @@ def test_trace_jsonl_requires_summary(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError):
         tensorio.read_trace_jsonl(path)
+
+
+def test_huge_shape_does_not_wrap(tmp_path):
+    # 2**62 * 4 elements wrap to 0 in int64; the header must still be refused.
+    path = tmp_path / "huge.omtn"
+    path.write_bytes(b"OMTN" + struct.pack("<II", 1, 2) + struct.pack("<2Q", 2**62, 4))
+    with pytest.raises(SchemaError, match="huge.omtn"):
+        tensorio.read_tensor(path)
+
+
+def test_rank_beyond_numpy_is_schema_error(tmp_path):
+    path = tmp_path / "deep.omtn"
+    path.write_bytes(b"OMTN" + struct.pack("<II", 1, 65) + struct.pack("<65Q", *[1] * 65) + b"\x00" * 4)
+    with pytest.raises(SchemaError, match="deep.omtn"):
+        tensorio.read_tensor(path)
+
+
+def test_ids_out_of_int64_range(tmp_path):
+    path = tmp_path / "cols.ids"
+    for text in ("-1\n", f"{2**63}\n"):
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="cols.ids"):
+            tensorio.read_ids(path)
+
+
+# Property tests: any file content gives a valid result or SchemaError, never
+# another exception. Derandomized so the suite reads the same on every run;
+# each test rewrites its one file per example, so the shared tmp_path is safe.
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3),
+    max_leaves=6,
+)
+
+ID_LINES = st.lists(st.integers(), max_size=5).map(lambda ids: "\n".join(map(str, ids)).encode())
+
+
+@st.composite
+def tensor_files(draw):
+    # Powers of two make products that wrap around in fixed-width integers.
+    wide = st.integers(0, 2**64 - 1) | st.sampled_from([2**32, 2**62, 2**63])
+    dims = draw(st.lists(st.integers(0, 4) | wide, max_size=4))
+    rank = draw(st.just(len(dims)) | st.integers(0, 2**32 - 1))
+    version = draw(st.sampled_from([1, 1, 2]))
+    header = tensorio.MAGIC + struct.pack("<II", version, rank) + struct.pack(f"<{len(dims)}Q", *dims)
+    count = math.prod(dims)
+    exact = count <= 16 and draw(st.booleans())
+    payload = draw(st.binary(min_size=4 * count, max_size=4 * count) if exact else st.binary(max_size=40))
+    blob = header + payload
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+def _read_or_schema_error(read, path):
+    try:
+        return read(path)
+    except SchemaError:
+        return None
+
+
+@FUZZ
+@given(blob=tensor_files() | st.binary(max_size=64))
+def test_read_tensor_fuzz(tmp_path, blob):
+    path = tmp_path / "fuzz.omtn"
+    path.write_bytes(blob)
+    out = _read_or_schema_error(tensorio.read_tensor, path)
+    if out is not None:
+        rank = struct.unpack_from("<I", blob, 8)[0]
+        assert out.dtype == np.float32
+        assert out.shape == struct.unpack_from(f"<{rank}Q", blob, 12)
+
+
+@FUZZ
+@given(blob=st.binary(max_size=64) | ID_LINES)
+def test_read_ids_fuzz(tmp_path, blob):
+    path = tmp_path / "fuzz.ids"
+    path.write_bytes(blob)
+    out = _read_or_schema_error(tensorio.read_ids, path)
+    if out is not None:
+        assert all(type(i) is int and 0 <= i < 2**63 for i in out)
+
+
+@st.composite
+def trace_files(draw):
+    records = [json.loads(line) for line in _trace().canonical_lines()]
+    for _ in range(draw(st.integers(0, 2))):
+        rec = records[draw(st.integers(0, len(records) - 1))]
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(JSON_VALUES)
+    lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+    summary = draw(st.just({"config_digest": "c", "digest": digest}) | JSON_VALUES)
+    lines.append(json.dumps(summary))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=8)))
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+@FUZZ
+@given(blob=trace_files() | st.binary(max_size=64))
+def test_read_trace_jsonl_fuzz(tmp_path, blob):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(blob)
+    out = _read_or_schema_error(tensorio.read_trace_jsonl, path)
+    if out is not None:
+        trace, summary = out
+        assert isinstance(trace, PruneTrace) and summary["digest"] == trace.digest
