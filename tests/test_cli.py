@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from avprune import cli, tensorio
+from avprune import LayerRecord, PruneTrace, cli, tensorio
 from avprune.cli import main
 from tests.test_metrics import constant_retention_trace, zero_schedule_trace
 
@@ -50,6 +50,11 @@ class TestCalibrate:
         code, _ = run_cli(capsys, "calibrate", "--target", "0.001", "--r0", "0.45", "--layers", "28")
         assert code == 2
 
+    def test_infinite_beta_exits_1(self, capsys):
+        argv = ["calibrate", "--target", "0.3", "--r0", "0.45", "--layers", "28", "--beta", "inf"]
+        assert main(argv) == 1
+        assert "beta" in capsys.readouterr().err
+
 
 class TestSchedule:
     def test_default_sigmoid_rows_and_mean(self, capsys):
@@ -85,6 +90,10 @@ class TestSchedule:
         rows = [ln.split(",") for ln in out.strip().splitlines() if ln[0].isdigit()]
         assert float(rows[0][1]) == pytest.approx(0.02)
         assert float(rows[26][1]) == pytest.approx(0.5)
+
+    def test_nan_beta_exits_1(self, capsys):
+        assert main(["schedule", "--beta", "nan", "--layers", "6"]) == 1
+        assert "beta" in capsys.readouterr().err
 
     def test_bad_config_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -225,6 +234,41 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_dump_replayed_with_other_layer_count_exits_4(self, capsys, small_config, tmp_path):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        code = main(argv + ["--set", "model.layers=3", "--inject", str(dump / "attention")])
+        assert code == 4
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("sequence=5", "sequence"),
+            ("tds.lambda_div=Infinity", "tds.lambda_div"),
+            ("schedule.beta=Infinity", "schedule.beta"),
+        ],
+    )
+    def test_bad_set_value_exits_1_before_any_output(self, capsys, small_config, tmp_path, override, key):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", small_config, "--out", str(out), "--set", override]) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_section_value_runs_the_default(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "simulate", "--out", str(tmp_path / "o"), "--set", "schedule={}")
+        assert code == 0
+        assert "trace_digest=1feea8ec49fc45a7" in out.splitlines()
+
+    def test_section_value_merges_like_dotted_keys(self, capsys, small_config, tmp_path):
+        outs = [
+            run_cli(capsys, "simulate", "--config", small_config, "--out", str(tmp_path / name), "--set", value)
+            for name, value in (("a", 'tds={"lambda_div":0.1}'), ("b", "tds.lambda_div=0.1"))
+        ]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
 
 class TestAnalyze:
     def test_recall_on_uniform_map(self, capsys, tmp_path):
@@ -336,6 +380,13 @@ class TestCost:
         code = main(["cost", "--trace", str(path), "--d", "8"])
         assert code == 4
         assert "trace.jsonl" in capsys.readouterr().err
+
+    def test_zero_baseline_trace_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        empty = LayerRecord(layer=0, p_l=0.0, k_l=0, pruned_ids=(), n_audio=0, n_video=0, n_text=0, selector="plain")
+        tensorio.write_trace_jsonl(path, PruneTrace(layers=(empty,)), config_digest="cfg")
+        assert main(["cost", "--trace", str(path), "--d", "8"]) == 4
+        assert "empty.jsonl" in capsys.readouterr().err
 
     def test_missing_trace_exits_4(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "cost", "--trace", str(tmp_path / "nope.jsonl"), "--d", "8")

@@ -1,6 +1,10 @@
-import pytest
+import json
+import math
 
-from avprune import InvalidInput, ScheduleKind, Selector
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avprune import InvalidInput, ScheduleKind, Selector, TdsConfig
 from avprune.config import DEFAULTS, ExperimentConfig
 
 
@@ -81,3 +85,111 @@ def test_builders_produce_consistent_objects():
     assert seq.d == model.d == 16
     assert seq.audiovisual_count == 12
     assert cfg.schedule_config().layers == model.layers == 4
+
+
+def test_typed_objects_refuse_non_finite_numbers():
+    with pytest.raises(InvalidInput, match="lambda_div"):
+        TdsConfig(lambda_div=float("nan"))
+    with pytest.raises(InvalidInput, match="lambda_div"):
+        TdsConfig(lambda_div=math.inf)
+
+
+def test_enum_errors_list_the_choices():
+    with pytest.raises(InvalidInput, match=r"schedule.kind: must be one of \['exponential', 'sigmoid'\]"):
+        ExperimentConfig.resolve({"schedule": {"kind": "step"}})
+    with pytest.raises(InvalidInput, match=r"selector: must be one of \['plain', 'random', 'tds'\]"):
+        ExperimentConfig.resolve(None, overrides={"selector": "greedy"})
+
+
+WRONG_TYPES = {
+    "schedule.beta": math.inf,
+    "schedule.t_mid": math.nan,
+    "tds.lambda_div": -math.inf,
+    "intra.audio_keep": math.nan,
+    "sequence.seed": 1.0,
+    "intra.enabled": 1,
+    "workers": True,
+    "selector": 5,
+    "schedule.p_final": 10**400,  # an int too large for a float
+}
+
+
+@pytest.mark.parametrize("path, value", WRONG_TYPES.items(), ids=list(WRONG_TYPES))
+def test_each_key_takes_the_json_type_of_its_default(path, value):
+    with pytest.raises(InvalidInput, match=path):
+        ExperimentConfig.resolve(None, overrides={path: value})
+
+
+def test_schedule_layers_are_reported_as_model_layers():
+    with pytest.raises(InvalidInput, match="model.layers"):
+        ExperimentConfig.resolve({"model": {"layers": 2}})
+
+
+def test_section_values_merge_into_the_section():
+    whole = ExperimentConfig.resolve(None, overrides={"tds": {"lambda_div": 0.1}})
+    dotted = ExperimentConfig.resolve(None, overrides={"tds.lambda_div": 0.1})
+    assert whole.raw == dotted.raw and whole.digest == dotted.digest
+    assert ExperimentConfig.resolve({"schedule": {}}).digest == ExperimentConfig.resolve().digest
+    with pytest.raises(InvalidInput, match="sequence"):
+        ExperimentConfig.resolve(None, overrides={"sequence": 5})
+
+
+def test_raw_keeps_values_as_given():
+    cfg = ExperimentConfig.resolve(None, overrides={"schedule.p_final": 0})
+    assert type(cfg.raw["schedule"]["p_final"]) is int
+    assert cfg.schedule_config().p_final == 0.0
+
+
+def test_typed_objects_are_built_once():
+    cfg = ExperimentConfig.resolve()
+    assert cfg.schedule_config() is cfg.schedule_config()
+    assert cfg.tds_config() is cfg.tds_config()
+
+
+# Property test: any document and --set map either resolves or raises
+# InvalidInput, never another exception. Derandomized like the reader fuzzers.
+
+NAMES = sorted({*DEFAULTS, *(k for v in DEFAULTS.values() if isinstance(v, dict) for k in v)})
+KEYS = st.sampled_from(NAMES) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3),
+    max_leaves=6,
+)
+# Leaves are mostly values some key accepts, so that many drawn configs resolve.
+LEAVES = st.sampled_from([0, 1, 3, 16, 32, 0.5, 0.9, True, False, "plain", "exponential"]) | JSON_VALUES
+JUNK = st.just({}) | st.dictionaries(KEYS, JSON_VALUES, max_size=1)
+
+
+def _section(default):
+    if not isinstance(default, dict):
+        return LEAVES
+    keys = st.fixed_dictionaries({}, optional={key: LEAVES for key in default})
+    return st.builds(lambda a, b: {**a, **b}, keys, JUNK) | JSON_VALUES
+
+
+DOCUMENTS = st.builds(
+    lambda a, b: {**a, **b},
+    st.fixed_dictionaries({}, optional={name: _section(v) for name, v in DEFAULTS.items()}),
+    JUNK,
+)
+PATHS = st.sampled_from(
+    [*DEFAULTS, *(f"{name}.{key}" for name, v in DEFAULTS.items() if isinstance(v, dict) for key in v)]
+) | st.lists(KEYS, min_size=1, max_size=3).map(".".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    document=DOCUMENTS,
+    overrides=st.dictionaries(PATHS, LEAVES | DOCUMENTS, max_size=3),
+)
+def test_resolve_fuzz(document, overrides):
+    try:
+        cfg = ExperimentConfig.resolve(document, overrides)
+    except InvalidInput:
+        return
+    json.dumps(cfg.raw, allow_nan=False)  # every number is finite
+    assert cfg.raw.keys() == DEFAULTS.keys()
+    assert cfg.schedule_config().layers == cfg.raw["model"]["layers"]
+    assert cfg.tds_config().lambda_div == cfg.raw["tds"]["lambda_div"]
+    assert cfg.selector.value == cfg.raw["selector"]
