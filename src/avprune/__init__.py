@@ -16,8 +16,6 @@ from .errors import (
 from .harness import (
     AttentionRecord,
     IntraPlan,
-    LayerRecord,
-    PruneTrace,
     ToyDecoder,
     make_intra_plan,
     run_with_injected_attention,
@@ -54,7 +52,7 @@ from .metrics import (
     retention_per_modality,
     top20_recall,
 )
-from .numerics import Rng, cosine, derive_seed, gaussian, pca2, softmax_row, splitmix64
+from .numerics import Rng, cosine, derive_seed, pca2, softmax_row, splitmix64
 from .schedule import (
     PruneScheduleConfig,
     RetentionTrace,
@@ -75,6 +73,7 @@ from .sequence import (
     build_sequence,
     synth_embeddings,
 )
+from .trace import LayerRecord, PruneTrace
 
 __version__ = "0.1.0"
 
@@ -117,7 +116,6 @@ __all__ = [
     "cosine_distribution",
     "cost_model",
     "derive_seed",
-    "gaussian",
     "grid_from_embeddings",
     "make_intra_plan",
     "mean_retention",

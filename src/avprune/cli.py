@@ -14,6 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,16 @@ def _build_intra_plan(cfg: ExperimentConfig, seq) -> IntraPlan | None:
 
 
 def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
+    manifest_path = path / "manifest.json"
+    if not manifest_path.exists():
+        raise InvalidInput(f"missing attention files in {path}: no manifest.json")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
+        raise SchemaError(f"{manifest_path}: not UTF-8 JSON ({exc})") from None
+    dumped = manifest.get("layers") if isinstance(manifest, dict) else None
+    if dumped != layers:
+        raise SchemaError(f"{manifest_path}: dump holds {dumped!r} layers, model.layers is {layers}")
     records = []
     for layer in range(layers):
         tensor_path = path / f"layer_{layer:04d}.omtn"
@@ -161,29 +172,24 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
     return records
 
 
-def _simulate_one(raw_config: dict, out_dir: str, dump_attention: bool, inject_dir: str | None) -> str:
-    cfg = ExperimentConfig.resolve(raw_config)
+def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inject_dir: str | None) -> str:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     seq = cfg.build_sequence()
-    sched = cfg.schedule_config()
-    tds = cfg.tds_config()
     intra = _build_intra_plan(cfg, seq)
-    selector_seed = None  # derived from the model seed inside the harness
 
     attention_out: list | None = [] if dump_attention else None
     if inject_dir is not None:
         records = _load_attention_dir(Path(inject_dir), cfg.raw["model"]["layers"])
         trace = run_with_injected_attention(
-            seq, records, sched, tds, cfg.selector, intra,
-            selector_seed=selector_seed, replay_seed=cfg.raw["model"]["seed"],
+            seq, records, cfg.schedule_config(), cfg.tds_config(), cfg.selector, intra,
+            replay_seed=cfg.raw["model"]["seed"],
         )
     else:
-        model = cfg.build_model()
         trace = run_with_pruning(
-            seq, model, sched, tds, cfg.selector, intra,
-            selector_seed=selector_seed, attention_out=attention_out,
+            seq, cfg.build_model(), cfg.schedule_config(), cfg.tds_config(), cfg.selector, intra,
+            attention_out=attention_out,
         )
 
     digest = cfg.digest
@@ -233,35 +239,26 @@ def cmd_simulate(args) -> int:
     cfg = _load_experiment(args)
     out = Path(args.out)
     if args.runs == 1:
-        digest = _simulate_one(cfg.raw, str(out), args.dump_attention, args.inject)
+        digest = _simulate_one(cfg, str(out), args.dump_attention, args.inject)
         print(f"config_digest={cfg.digest}")
         print(f"trace_digest={digest}")
         return EXIT_OK
 
-    run_configs = []
-    for i in range(args.runs):
-        raw = json.loads(cfg.canonical_json())
-        raw["sequence"]["seed"] = cfg.raw["sequence"]["seed"] + i
-        raw["model"]["seed"] = cfg.raw["model"]["seed"] + i
-        run_configs.append(raw)
+    run_configs = [
+        ExperimentConfig.resolve(
+            cfg.raw,
+            {"sequence.seed": cfg.raw["sequence"]["seed"] + i, "model.seed": cfg.raw["model"]["seed"] + i},
+        )
+        for i in range(args.runs)
+    ]
     run_dirs = [str(out / f"run_{i:04d}") for i in range(args.runs)]
+    job = partial(_simulate_one, dump_attention=args.dump_attention, inject_dir=args.inject)
     workers = pool_size(cfg.workers, args.runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            digests = list(
-                pool.map(
-                    _simulate_one,
-                    run_configs,
-                    run_dirs,
-                    [args.dump_attention] * args.runs,
-                    [args.inject] * args.runs,
-                )
-            )
+            digests = list(pool.map(job, run_configs, run_dirs))
     else:
-        digests = [
-            _simulate_one(raw, d, args.dump_attention, args.inject)
-            for raw, d in zip(run_configs, run_dirs)
-        ]
+        digests = list(map(job, run_configs, run_dirs))
     for i, digest in enumerate(digests):
         print(f"run_{i:04d} trace_digest={digest}")
     return EXIT_OK
@@ -363,6 +360,8 @@ def cmd_analyze(args) -> int:
 def cmd_cost(args) -> int:
     trace, summary = tensorio.read_trace_jsonl(args.trace)
     report = cost_model(trace, d=args.d, bytes_per_element=args.bytes)
+    if report.baseline_kv_bytes == 0:
+        raise SchemaError(f"{args.trace}: layer 0 enters with no tokens, so every cost ratio is undefined")
     obj = report.to_json_obj()
     obj["config_digest"] = summary.get("config_digest", "none")
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -1,7 +1,12 @@
-"""Experiment configuration: one JSON document, validated key by key.
+"""Experiment configuration: one JSON document, merged and checked key by key.
 
-Precedence is flag > file > default. Range violations are rejected with the
-offending key path so config errors are directly actionable. The canonical
+Precedence is flag > file > default. One merge folds the document and each
+override into a copy of ``DEFAULTS``; every leaf must have the JSON type of
+its default. Range rules belong to the typed objects built here once
+(``PruneScheduleConfig``, ``TdsConfig``, ``ChunkSpec``, the enums), and their
+errors are reported under the offending key path. Checked here are only the
+rules whose owner is too costly to build at resolve time (the sequence
+scalars, ``model.heads``) and the rules that span sections. The canonical
 resolved document also yields the config digest stamped on output files.
 """
 
@@ -9,7 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .errors import InvalidInput
@@ -40,113 +47,107 @@ def _require(cond: bool, path: str, message: str):
         raise InvalidInput(f"{path}: {message}")
 
 
-def _as_int(value, path: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
-    return value
+# The JSON type each key takes, keyed by the type of its default.
+_TYPE_RULES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    # NaN and infinities fail the bound, and so do ints too large for a float.
+    float: (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+        "a finite number",
+    ),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
 
 
-def _as_number(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+def _merge(node: dict, fragment, defaults: dict, path: str = ""):
+    """Merge ``fragment`` into ``node`` key by key; ``defaults`` gives the keys and leaf types."""
+    _require(isinstance(fragment, dict), path or "configuration", "expected an object")
+    for key, value in fragment.items():
+        where = f"{path}.{key}" if path else key
+        _require(key in defaults, where, "unknown configuration key")
+        if isinstance(defaults[key], dict):
+            _merge(node[key], value, defaults[key], where)
+        else:
+            accepts, kind = _TYPE_RULES[type(defaults[key])]
+            _require(accepts(value), where, f"expected {kind}")
+            node[key] = value
 
 
-def _as_bool(value, path: str) -> bool:
-    _require(isinstance(value, bool), path, "expected true or false")
-    return value
+@contextmanager
+def _key_paths(section: str, **paths):
+    """Prefix a typed object's "field: message" error with the field's key path."""
+    try:
+        yield
+    except InvalidInput as exc:
+        field, _, message = str(exc).partition(": ")
+        raise InvalidInput(f"{paths.get(field, f'{section}.{field}')}: {message}") from None
+
+
+def _member(kind, value: str, path: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidInput(f"{path}: must be one of {sorted(m.value for m in kind)}") from None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment settings."""
+    """Fully resolved experiment settings: the document as given plus its typed parts."""
 
     raw: dict
+    schedule: PruneScheduleConfig
+    tds: TdsConfig
+    chunk: ChunkSpec  # the counts of every chunk; build_sequence numbers them
+    selector: Selector
 
     @staticmethod
     def resolve(document: dict | None = None, overrides: dict[str, Any] | None = None) -> "ExperimentConfig":
-        """Merge defaults <- document <- dotted-path overrides, then validate."""
-        merged = json.loads(json.dumps(DEFAULTS))  # deep copy
-        for section, value in (document or {}).items():
-            if section not in merged:
-                raise InvalidInput(f"{section}: unknown configuration section")
-            if isinstance(merged[section], dict):
-                _require(isinstance(value, dict), section, "expected an object")
-                for key, sub in value.items():
-                    if key not in merged[section]:
-                        raise InvalidInput(f"{section}.{key}: unknown configuration key")
-                    merged[section][key] = sub
-            else:
-                merged[section] = value
+        """Merge defaults <- document <- dotted-path overrides, then check and build."""
+        raw = json.loads(json.dumps(DEFAULTS))  # deep copy
+        _merge(raw, document or {}, DEFAULTS)
         for path, value in (overrides or {}).items():
-            node = merged
-            parts = path.split(".")
-            for part in parts[:-1]:
-                if not isinstance(node, dict) or part not in node:
-                    raise InvalidInput(f"{path}: unknown configuration key")
-                node = node[part]
-            if not isinstance(node, dict) or parts[-1] not in node:
-                raise InvalidInput(f"{path}: unknown configuration key")
-            node[parts[-1]] = value
-        cfg = ExperimentConfig(raw=merged)
-        cfg.validate()
-        return cfg
+            for part in reversed(path.split(".")):
+                value = {part: value}
+            _merge(raw, value, DEFAULTS)
 
-    def validate(self):
-        seq = self.raw["sequence"]
-        _require(_as_int(seq["sys_len"], "sequence.sys_len") >= 0, "sequence.sys_len", "must be >= 0")
-        _require(_as_int(seq["chunks"], "sequence.chunks") >= 1, "sequence.chunks", "must be >= 1")
-        _require(_as_int(seq["n_v"], "sequence.n_v") >= 0, "sequence.n_v", "must be >= 0")
-        _require(_as_int(seq["n_a"], "sequence.n_a") >= 0, "sequence.n_a", "must be >= 0")
-        _require(seq["n_v"] + seq["n_a"] >= 1, "sequence.n_v", "chunk must hold at least one token")
-        _require(_as_int(seq["query_len"], "sequence.query_len") >= 1, "sequence.query_len", "must be >= 1")
-        _require(_as_int(seq["d"], "sequence.d") >= 2, "sequence.d", "must be >= 2")
-        _as_int(seq["seed"], "sequence.seed")
-
-        model = self.raw["model"]
-        _require(_as_int(model["layers"], "model.layers") >= 3, "model.layers", "must be >= 3")
-        _require(_as_int(model["heads"], "model.heads") >= 1, "model.heads", "must be >= 1")
-        _require(_as_int(model["d"], "model.d") >= 2, "model.d", "must be >= 2")
+        seq, model, intra = raw["sequence"], raw["model"], raw["intra"]
+        _require(seq["sys_len"] >= 0, "sequence.sys_len", "must be >= 0")
+        _require(seq["chunks"] >= 1, "sequence.chunks", "must be >= 1")
+        _require(seq["query_len"] >= 1, "sequence.query_len", "must be >= 1")
+        _require(seq["d"] >= 2, "sequence.d", "must be >= 2")
+        _require(model["heads"] >= 1, "model.heads", "must be >= 1")
         _require(model["d"] % model["heads"] == 0, "model.d", "must be divisible by model.heads")
         _require(model["d"] == seq["d"], "model.d", "must equal sequence.d")
-        _as_int(model["seed"], "model.seed")
-
-        sched = self.raw["schedule"]
-        kinds = {k.value for k in ScheduleKind}
-        _require(sched["kind"] in kinds, "schedule.kind", f"must be one of {sorted(kinds)}")
-        p_init = _as_number(sched["p_init"], "schedule.p_init")
-        p_final = _as_number(sched["p_final"], "schedule.p_final")
-        _require(0.0 <= p_init < 1.0, "schedule.p_init", "must lie in [0, 1)")
-        _require(0.0 <= p_final < 1.0, "schedule.p_final", "must lie in [0, 1)")
-        _require(p_init <= p_final, "schedule.p_init", "must not exceed schedule.p_final")
-        _require(sched["kind"] != "exponential" or p_init > 0.0, "schedule.p_init", "exponential kind needs p_init > 0")
-        _require(0.0 < _as_number(sched["t_mid"], "schedule.t_mid") < 1.0, "schedule.t_mid", "must lie in (0, 1)")
-        _require(_as_number(sched["beta"], "schedule.beta") > 0.0, "schedule.beta", "must be positive")
-
-        tds = self.raw["tds"]
-        _require(_as_number(tds["lambda_div"], "tds.lambda_div") >= 0.0, "tds.lambda_div", "must be >= 0")
-        _require(_as_int(tds["start_layer"], "tds.start_layer") >= 0, "tds.start_layer", "must be >= 0")
-
-        intra = self.raw["intra"]
-        _as_bool(intra["enabled"], "intra.enabled")
-        _require(0.0 < _as_number(intra["audio_keep"], "intra.audio_keep") <= 1.0, "intra.audio_keep", "must lie in (0, 1]")
-        _require(
-            0.0 <= _as_number(intra["video_prune_rate"], "intra.video_prune_rate") < 1.0,
-            "intra.video_prune_rate",
-            "must lie in [0, 1)",
-        )
-        _require(_as_int(intra["frames_per_chunk"], "intra.frames_per_chunk") >= 1, "intra.frames_per_chunk", "must be >= 1")
-        _require(_as_int(intra["tokens_per_frame"], "intra.tokens_per_frame") >= 1, "intra.tokens_per_frame", "must be >= 1")
-        if intra["enabled"] and seq["n_v"] > 0:
+        _require(0.0 < intra["audio_keep"] <= 1.0, "intra.audio_keep", "must lie in (0, 1]")
+        _require(0.0 <= intra["video_prune_rate"] < 1.0, "intra.video_prune_rate", "must lie in [0, 1)")
+        _require(intra["frames_per_chunk"] >= 1, "intra.frames_per_chunk", "must be >= 1")
+        _require(intra["tokens_per_frame"] >= 1, "intra.tokens_per_frame", "must be >= 1")
+        if intra["enabled"] and seq["n_v"]:
             _require(
                 intra["frames_per_chunk"] * intra["tokens_per_frame"] == seq["n_v"],
                 "intra.frames_per_chunk",
                 "frames_per_chunk * tokens_per_frame must equal sequence.n_v",
             )
+        _require(raw["workers"] >= 1, "workers", "must be >= 1")
 
-        selectors = {s.value for s in Selector}
-        _require(self.raw["selector"] in selectors, "selector", f"must be one of {sorted(selectors)}")
-        _require(_as_int(self.raw["workers"], "workers") >= 1, "workers", "must be >= 1")
-
-    # Typed accessors ------------------------------------------------------
+        s, t = raw["schedule"], raw["tds"]
+        kind = _member(ScheduleKind, s["kind"], "schedule.kind")
+        with _key_paths("schedule", layers="model.layers"):
+            schedule = PruneScheduleConfig(
+                p_init=float(s["p_init"]),
+                p_final=float(s["p_final"]),
+                t_mid=float(s["t_mid"]),
+                beta=float(s["beta"]),
+                layers=model["layers"],
+                kind=kind,
+            )
+        with _key_paths("tds"):
+            tds = TdsConfig(lambda_div=float(t["lambda_div"]), start_layer=t["start_layer"])
+        with _key_paths("sequence"):
+            chunk = ChunkSpec(index=0, n_v=seq["n_v"], n_a=seq["n_a"])
+        selector = _member(Selector, raw["selector"], "selector")
+        return ExperimentConfig(raw=raw, schedule=schedule, tds=tds, chunk=chunk, selector=selector)
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -156,31 +157,18 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
 
     @property
-    def selector(self) -> Selector:
-        return Selector(self.raw["selector"])
-
-    @property
     def workers(self) -> int:
         return self.raw["workers"]
 
     def schedule_config(self) -> PruneScheduleConfig:
-        s = self.raw["schedule"]
-        return PruneScheduleConfig(
-            p_init=float(s["p_init"]),
-            p_final=float(s["p_final"]),
-            t_mid=float(s["t_mid"]),
-            beta=float(s["beta"]),
-            layers=self.raw["model"]["layers"],
-            kind=ScheduleKind(s["kind"]),
-        )
+        return self.schedule
 
     def tds_config(self) -> TdsConfig:
-        t = self.raw["tds"]
-        return TdsConfig(lambda_div=float(t["lambda_div"]), start_layer=t["start_layer"])
+        return self.tds
 
     def build_sequence(self) -> InterleavedSequence:
         s = self.raw["sequence"]
-        chunks = [ChunkSpec(index=i, n_v=s["n_v"], n_a=s["n_a"]) for i in range(s["chunks"])]
+        chunks = [replace(self.chunk, index=i) for i in range(s["chunks"])]
         return build_sequence(s["sys_len"], chunks, s["query_len"], s["d"], s["seed"])
 
     def build_model(self) -> ToyDecoder:

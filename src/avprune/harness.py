@@ -11,8 +11,6 @@ maps captured to files instead of running the forward pass.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,6 +31,7 @@ from .intra import AudioSaliency, FrameGrid, apply_intra, grid_from_embeddings
 from .numerics import Rng, derive_seed
 from .schedule import PruneScheduleConfig, prune_ratio
 from .sequence import InterleavedSequence, Modality, TokenTable
+from .trace import LayerRecord, PruneTrace
 
 
 @dataclass(frozen=True)
@@ -107,112 +106,6 @@ def _forward_layer(
     x = x + context @ w.wo
     x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2
     return x, probs.mean(axis=0)
-
-
-@dataclass(frozen=True)
-class LayerRecord:
-    """What happened at one layer: budget, pruned ids, entering counts."""
-
-    layer: int
-    p_l: float
-    k_l: int
-    pruned_ids: tuple[int, ...]
-    n_audio: int
-    n_video: int
-    n_text: int
-    selector: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "layer": self.layer,
-            "p_l": self.p_l,
-            "k_l": self.k_l,
-            "pruned_ids": list(self.pruned_ids),
-            "n_audio": self.n_audio,
-            "n_video": self.n_video,
-            "n_text": self.n_text,
-            "selector": self.selector,
-        }
-
-    @staticmethod
-    def from_json_obj(obj) -> "LayerRecord":
-        """Record from a parsed JSON line; SchemaError names a missing or mistyped key."""
-        if not isinstance(obj, dict):
-            raise SchemaError("layer record is not a JSON object")
-        pruned = _field(obj, "pruned_ids", list)
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in pruned):
-            raise SchemaError("layer record key 'pruned_ids' must hold integers")
-        return LayerRecord(
-            layer=_field(obj, "layer", int),
-            p_l=_field(obj, "p_l", (int, float)),
-            k_l=_field(obj, "k_l", int),
-            pruned_ids=tuple(pruned),
-            n_audio=_field(obj, "n_audio", int),
-            n_video=_field(obj, "n_video", int),
-            n_text=_field(obj, "n_text", int),
-            selector=_field(obj, "selector", str),
-        )
-
-
-def _field(obj: dict, key: str, kind):
-    if key not in obj:
-        raise SchemaError(f"layer record missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(f"layer record key {key!r} has the wrong type")
-    return value
-
-
-@dataclass(frozen=True)
-class PruneTrace:
-    """Per-layer pruning record of one harness run.
-
-    Counts are the tokens *entering* each layer, so consecutive records obey
-    survivors(l+1) = survivors(l) - k_l and the pruned ids plus the final
-    survivors partition the initial audiovisual population.
-    """
-
-    layers: tuple[LayerRecord, ...]
-
-    def __post_init__(self):
-        prev: LayerRecord | None = None
-        for rec in self.layers:
-            if prev is not None:
-                if rec.n_text != prev.n_text:
-                    raise InvalidInput("text count must stay constant across layers")
-                if rec.n_audio + rec.n_video != prev.n_audio + prev.n_video - prev.k_l:
-                    raise InvalidInput("entering counts must drop by exactly k_l")
-            if len(rec.pruned_ids) != rec.k_l:
-                raise InvalidInput("pruned id list must match k_l")
-            prev = rec
-
-    @property
-    def initial_audio(self) -> int:
-        return self.layers[0].n_audio
-
-    @property
-    def initial_video(self) -> int:
-        return self.layers[0].n_video
-
-    @property
-    def final_survivors(self) -> int:
-        last = self.layers[-1]
-        return last.n_audio + last.n_video - last.k_l
-
-    @property
-    def total_pruned(self) -> int:
-        return sum(rec.k_l for rec in self.layers)
-
-    def canonical_lines(self) -> list[str]:
-        return [
-            json.dumps(rec.to_json_obj(), sort_keys=True, separators=(",", ":"))
-            for rec in self.layers
-        ]
-
-    @property
-    def digest(self) -> str:
-        payload = "\n".join(self.canonical_lines()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -298,7 +191,6 @@ def _pruning_loop(
     layer_map,
     drop_rows,
     *,
-    include_system_rows: bool,
     selector_seed: int,
     attention_out: list | None,
 ) -> PruneTrace:
@@ -307,8 +199,8 @@ def _pruning_loop(
     max_chunk = seq.max_chunk_index
     records = []
     for layer in range(sched.layers):
-        text = tokens.is_text if include_system_rows else tokens.mask(Modality.QUERY_TEXT)
-        rows, cols = np.flatnonzero(text), np.flatnonzero(tokens.is_audiovisual)
+        rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
+        cols = np.flatnonzero(tokens.is_audiovisual)
         attn = AttentionMap(
             values=layer_map(layer, tokens, rows, cols), rows=tokens[rows], columns=tokens[cols]
         )
@@ -359,7 +251,6 @@ def run_with_pruning(
     selector: Selector = Selector.TDS,
     intra: IntraPlan | None = None,
     *,
-    include_system_rows: bool = False,
     selector_seed: int | None = None,
     attention_out: list | None = None,
     full_attention_out: list | None = None,
@@ -397,7 +288,6 @@ def run_with_pruning(
         selector,
         layer_map,
         drop_rows,
-        include_system_rows=include_system_rows,
         selector_seed=selector_seed if selector_seed is not None else derive_seed(model.seed, 0x5E1EC7),
         attention_out=attention_out,
     )
@@ -411,7 +301,6 @@ def run_with_injected_attention(
     selector: Selector = Selector.TDS,
     intra: IntraPlan | None = None,
     *,
-    include_system_rows: bool = False,
     selector_seed: int | None = None,
     replay_seed: int = 0,
 ) -> PruneTrace:
@@ -455,7 +344,6 @@ def run_with_injected_attention(
         selector,
         layer_map,
         lambda keep: None,
-        include_system_rows=include_system_rows,
         selector_seed=selector_seed if selector_seed is not None else derive_seed(replay_seed, 0x5E1EC7),
         attention_out=None,
     )

@@ -10,6 +10,7 @@ holding the attention peak. All ties prune the lower token id first.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,10 +79,10 @@ class TdsConfig:
     start_layer: int = 14
 
     def __post_init__(self):
-        if self.lambda_div < 0:
-            raise InvalidInput("lambda_div must be non-negative")
-        if self.start_layer < 0:
-            raise InvalidInput("start_layer must be non-negative")
+        if not (0.0 <= self.lambda_div < math.inf):
+            raise InvalidInput("lambda_div: must be >= 0 and finite")
+        if not (self.start_layer >= 0):
+            raise InvalidInput("start_layer: must be >= 0")
 
 
 def query_importance(attn: AttentionMap) -> ImportanceScores:

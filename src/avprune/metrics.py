@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-from .harness import PruneTrace
 from .importance import AttentionMap
 from .numerics import Rng
 from .sequence import Modality
+from .trace import PruneTrace
 
 HISTOGRAM_BIN_WIDTH = 0.05  # fixed so histograms are comparable across runs
 

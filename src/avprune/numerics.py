@@ -98,11 +98,6 @@ class Rng:
         return np.array([self.gaussian() for _ in range(count)], dtype=np.float64)
 
 
-def gaussian(rng: Rng) -> float:
-    """Standard normal draw from the given generator."""
-    return rng.gaussian()
-
-
 def softmax_row(values) -> np.ndarray:
     """Probability vector from a row of scores, stable under shifts.
 

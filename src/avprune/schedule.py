@@ -34,18 +34,21 @@ class PruneScheduleConfig:
     kind: ScheduleKind = ScheduleKind.SIGMOID
 
     def __post_init__(self):
-        if not (0.0 <= self.p_init < 1.0 and 0.0 <= self.p_final < 1.0):
-            raise InvalidInput("pruning ratios must lie in [0, 1)")
-        if self.p_init > self.p_final:
-            raise InvalidInput("p_init must not exceed p_final")
+        # Negated ranges, so that NaN fails every check.
+        if not (0.0 <= self.p_init < 1.0):
+            raise InvalidInput("p_init: must lie in [0, 1)")
+        if not (0.0 <= self.p_final < 1.0):
+            raise InvalidInput("p_final: must lie in [0, 1)")
+        if not (self.p_init <= self.p_final):
+            raise InvalidInput("p_init: must not exceed p_final")
         if not (0.0 < self.t_mid < 1.0):
-            raise InvalidInput("t_mid must lie in (0, 1)")
-        if self.beta <= 0.0:
-            raise InvalidInput("beta must be positive")
-        if self.layers < 3:
-            raise InvalidInput("need at least 3 layers")
-        if self.kind is ScheduleKind.EXPONENTIAL and self.p_init <= 0.0:
-            raise InvalidInput("exponential schedule requires p_init > 0")
+            raise InvalidInput("t_mid: must lie in (0, 1)")
+        if not (0.0 < self.beta < math.inf):
+            raise InvalidInput("beta: must be positive and finite")
+        if not (self.layers >= 3):
+            raise InvalidInput("layers: must be >= 3")
+        if self.kind is ScheduleKind.EXPONENTIAL and not (self.p_init > 0.0):
+            raise InvalidInput("p_init: the exponential kind needs p_init > 0")
 
 
 @dataclass(frozen=True)

@@ -139,10 +139,14 @@ class ChunkSpec:
     n_a: int
 
     def __post_init__(self):
-        if self.index < 0:
-            raise InvalidInput("chunk index must be non-negative")
-        if self.n_v < 0 or self.n_a < 0 or self.n_v + self.n_a < 1:
-            raise InvalidInput("chunk must hold at least one token")
+        if not (self.index >= 0):
+            raise InvalidInput("index: must be >= 0")
+        if not (self.n_v >= 0):
+            raise InvalidInput("n_v: must be >= 0")
+        if not (self.n_a >= 0):
+            raise InvalidInput("n_a: must be >= 0")
+        if not (self.n_v + self.n_a >= 1):
+            raise InvalidInput("n_v: a chunk must hold at least one token")
 
 
 @dataclass(frozen=True)

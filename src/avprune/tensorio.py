@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput, SchemaError
-from .harness import LayerRecord, PruneTrace
+from .trace import LayerRecord, PruneTrace
 
 MAGIC = b"OMTN"
 VERSION = 1

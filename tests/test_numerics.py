@@ -10,7 +10,6 @@ from avprune import (
     InvalidInput,
     Rng,
     cosine,
-    gaussian,
     pca2,
     softmax_row,
     splitmix64,
@@ -72,9 +71,6 @@ class TestGaussian:
         r2 = Rng(0)
         assert first_two == [r2.gaussian(), r2.gaussian()]
         assert first_two == pytest.approx([-0.014106797381248284, -1.0085864725210538])
-
-    def test_function_wrapper_matches_method(self):
-        assert gaussian(Rng(3)) == Rng(3).gaussian()
 
     def test_moments_over_one_million_draws(self):
         draws = Rng(2024).gaussians(1_000_000)
