@@ -19,6 +19,12 @@ GOLDEN = {
     "intra": (("--set", "intra.enabled=true"), "cbf6982d056dcb35"),
     "chunks-4": (("--set", "sequence.chunks=4"), "c0aef2277e2bbb94"),
     "chunks-1": (("--set", "sequence.chunks=1"), "12db76b9825b7ddb"),
+    # d=9: d*d and the per-row block widths are odd, so a Box-Muller spare
+    # carries across weight matrices and embedding rows.
+    "odd-width": (
+        ("--set", "sequence.d=9", "--set", "model.d=9", "--set", "model.heads=3"),
+        "3f45eb2b7a724b1a",
+    ),
 }
 
 DEFAULT_OUTPUTS = {
