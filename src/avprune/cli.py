@@ -165,6 +165,12 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
             raise SchemaError(f"{tensor_path}: expected a rank-2 tensor")
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise SchemaError(f"{tensor_path}: attention values must be finite and within [0, 1]")
+        # Text rows hold part of a softmax row, so none can carry more than 1.
+        sums = values.sum(axis=1, dtype=np.float64)
+        over = np.flatnonzero(sums > 1.0 + 1e-4)
+        if over.size:
+            row = int(over[0])
+            raise SchemaError(f"{tensor_path}: text row {row} sums to {sums[row]:.6g}, above 1")
         ids = tensorio.read_ids(ids_path)
         if len(ids) != values.shape[1]:
             raise SchemaError(f"{ids_path}: {len(ids)} ids for {values.shape[1]} columns")

@@ -56,24 +56,18 @@ class ToyDecoder:
         self.heads = heads
         self.d = d
         self.seed = seed
-        rng = Rng(seed)
         scale = 1.0 / math.sqrt(d)
+        shapes = ((d, d),) * 4 + ((d, 4 * d), (4 * d, d))  # wq wk wv wo w1 w2, layer by layer
+        sizes = [rows * cols for rows, cols in shapes] * layers
+        draws = np.split(Rng(seed).gaussians(sum(sizes)), np.cumsum(sizes)[:-1])
 
-        def draw(rows: int, cols: int) -> np.ndarray:
-            w = (rng.gaussians(rows * cols) * scale).reshape(rows, cols).astype(np.float32)
+        def weight(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+            w = (g * scale).reshape(shape).astype(np.float32)
             w.setflags(write=False)
             return w
 
         self.weights = tuple(
-            _LayerWeights(
-                wq=draw(d, d),
-                wk=draw(d, d),
-                wv=draw(d, d),
-                wo=draw(d, d),
-                w1=draw(d, 4 * d),
-                w2=draw(4 * d, d),
-            )
-            for _ in range(layers)
+            _LayerWeights(*map(weight, draws[6 * i : 6 * i + 6], shapes)) for i in range(layers)
         )
 
 
@@ -148,7 +142,7 @@ def make_intra_plan(
         n_audio = np.count_nonzero(in_chunk & tokens.mask(Modality.AUDIO))
         video = in_chunk & tokens.mask(Modality.VIDEO)
         scores.append(
-            AudioSaliency(scores=tuple(rng.uniform() for _ in range(n_audio))) if n_audio else None
+            AudioSaliency(scores=tuple(rng.uniforms(n_audio).tolist())) if n_audio else None
         )
         grids.append(
             grid_from_embeddings(seq.embeddings[video], frames_per_chunk) if video.any() else None

@@ -4,10 +4,20 @@ cosine similarity, and rank-2 PCA via power iteration.
 The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
 stream on any platform or language. All other routines are pure functions.
+
+Bulk draws (``Rng.uniforms``, ``Rng.gaussians``) are lane-parallel and bit
+for bit the scalar stream. xoshiro256** is linear over GF(2), so jumping
+``_LANE`` steps ahead is a fixed 256x256 bit matrix; the stream is cut into
+lanes of ``_LANE`` consecutive draws, each lane's start state is the jump of
+the previous one, and all lanes step together as ``np.uint64`` arrays.
+Box-Muller keeps ``math.log``/``cos``/``sin`` per element, because numpy's
+transcendentals may differ from libm in the last bit; ``sqrt`` and the
+products are exact IEEE operations and run vectorised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +25,11 @@ import numpy as np
 from .errors import ConvergenceFailure, DegenerateInput, InvalidInput
 
 _MASK64 = (1 << 64) - 1
+
+# Draws per lane of the bulk kernel. Each lane costs one jump (a few
+# microseconds), each of its steps one numpy pass over all lanes.
+_LANE = 256
+_BOX_MULLER_BLOCK = 8192
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -35,6 +50,71 @@ def derive_seed(seed: int, stream: int) -> int:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def _step_lanes(state: np.ndarray, steps: int) -> np.ndarray:
+    """Advance a (4, lanes) uint64 xoshiro256** state in place ``steps`` times.
+
+    Returns the (lanes, steps) ``s[1]`` words that each step's output
+    scrambles, so the scrambling can run once over all of them.
+    """
+    s0, s1, s2, s3 = state
+    seen = np.empty((state.shape[1], steps), dtype=np.uint64)
+    t = np.empty_like(s0)
+    for j in range(steps):
+        seen[:, j] = s1
+        np.left_shift(s1, 17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.right_shift(s3, 19, out=t)  # s3 = rotl(s3, 45)
+        s3 <<= 45
+        s3 |= t
+    return seen
+
+
+@functools.cache
+def _lane_jump() -> np.ndarray:
+    """Byte tables of the bit matrix that advances a state ``_LANE`` steps.
+
+    Entry ``[p, v]`` is the image of the state bits ``v`` at byte ``p`` of
+    the little-endian state, so a jump is 32 lookups XORed together. Built
+    once per process, on first use.
+    """
+    bit = np.arange(256)
+    basis = np.zeros((4, 256), dtype=np.uint64)
+    basis[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    _step_lanes(basis, _LANE)
+    images = basis.T.reshape(32, 8, 4)  # image of bit 8p + b at [p, b]
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for b in range(8):
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ images[:, b, None, :]
+    table.setflags(write=False)
+    return table
+
+
+def _lane_uniforms(state: list[int], out: np.ndarray) -> list[int]:
+    """Fill ``out`` (whole lanes) with uniform() draws from ``state``; return the state after."""
+    lanes = len(out) // _LANE
+    table = _lane_jump()
+    byte = np.arange(32)
+    starts = np.empty((lanes + 1, 4), dtype="<u8")
+    starts[0] = state
+    for k in range(lanes):
+        starts[k + 1] = np.bitwise_xor.reduce(table[byte, starts[k].view(np.uint8)], axis=0)
+    x = _step_lanes(starts[:lanes].T.copy(), _LANE).ravel()  # lane after lane
+    # ((rotl(s1 * 5, 7) * 9) >> 11) + 1, as next_u64() and uniform() form it.
+    x *= 5
+    t = x >> 57
+    x <<= 7
+    x |= t
+    x *= 9
+    x >>= 11
+    x += 1
+    np.multiply(x, 2.0**-53, out=out)
+    return starts[lanes].tolist()
 
 
 class Rng:
@@ -93,9 +173,43 @@ class Rng:
         self._gauss_spare = radius * math.sin(theta)
         return radius * math.cos(theta)
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """``count`` draws identical to repeated uniform(), as float64."""
+        if count < 0:
+            raise InvalidInput(f"uniforms() requires count >= 0, got {count}")
+        out = np.empty(count)
+        bulk = count - count % _LANE
+        if bulk:
+            self._s = _lane_uniforms(self._s, out[:bulk])
+        out[bulk:] = [self.uniform() for _ in range(count - bulk)]
+        return out
+
     def gaussians(self, count: int) -> np.ndarray:
-        """Batch of standard normal draws, identical to repeated gaussian()."""
-        return np.array([self.gaussian() for _ in range(count)], dtype=np.float64)
+        """``count`` draws identical to repeated gaussian(), spare included."""
+        if count < 0:
+            raise InvalidInput(f"gaussians() requires count >= 0, got {count}")
+        head = []
+        if count and self._gauss_spare is not None:
+            head = [self._gauss_spare]
+            self._gauss_spare = None
+        pairs = (count - len(head) + 1) // 2
+        u = self.uniforms(2 * pairs).reshape(pairs, 2)
+        z = np.empty((pairs, 2))
+        # Blocks bound the Python float lists that the libm calls go through.
+        for lo in range(0, pairs, _BOX_MULLER_BLOCK):
+            hi = min(lo + _BOX_MULLER_BLOCK, pairs)
+            radius = np.fromiter(map(math.log, u[lo:hi, 0].tolist()), np.float64, hi - lo)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            theta = (u[lo:hi, 1] * (2.0 * math.pi)).tolist()
+            z[lo:hi, 0] = np.fromiter(map(math.cos, theta), np.float64, hi - lo)
+            z[lo:hi, 1] = np.fromiter(map(math.sin, theta), np.float64, hi - lo)
+            z[lo:hi] *= radius[:, None]
+        z = z.ravel()
+        if (count - len(head)) % 2:
+            self._gauss_spare = float(z[-1])
+            z = z[:-1]
+        return np.concatenate((head, z)) if head else z
 
 
 def softmax_row(values) -> np.ndarray:

@@ -247,21 +247,25 @@ def synth_embeddings(
 
     k = subspace_dim
     text_width = min(k, d - 2 * k)
+    # 2k == d: no disjoint room left, spread text everywhere
+    text = (2 * k, 2 * k + text_width) if text_width else (0, d)
     blocks = {
         Modality.VIDEO: (0, k),
         Modality.AUDIO: (k, 2 * k),
-        Modality.SYSTEM_TEXT: (2 * k, 2 * k + text_width),
-        Modality.QUERY_TEXT: (2 * k, 2 * k + text_width),
+        Modality.SYSTEM_TEXT: text,
+        Modality.QUERY_TEXT: text,
     }
 
-    rng = Rng(seed)
+    spans = [blocks[MODALITIES[code]] for code in tokens.modality.tolist()]
+    # Row by row: the row's block draws, then its d noise draws.
+    draws = Rng(seed).gaussians(sum(hi - lo + d for lo, hi in spans))
     rows = np.zeros((len(tokens), d), dtype=np.float64)
-    for i, code in enumerate(tokens.modality.tolist()):
-        lo, hi = blocks[MODALITIES[code]]
-        if hi == lo:  # 2k == d: no disjoint room left, spread text everywhere
-            lo, hi = 0, d
-        rows[i, lo:hi] = 1.0 + rng.gaussians(hi - lo)
-        rows[i] += noise_scale * rng.gaussians(d)
+    at = 0
+    for i, (lo, hi) in enumerate(spans):
+        mid = at + hi - lo
+        rows[i, lo:hi] = 1.0 + draws[at:mid]
+        rows[i] += noise_scale * draws[mid : mid + d]
+        at = mid + d
 
     if rotate:
         rows = rows @ _orthogonal_matrix(d, derive_seed(seed, 0x0707)).T

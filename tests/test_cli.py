@@ -227,6 +227,21 @@ class TestSimulate:
         assert code == 4
         assert "layer_0001.omtn" in capsys.readouterr().err
 
+    def test_injected_row_sum_above_one_exits_4(self, capsys, small_config, tmp_path):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        layer = dump / "attention" / "layer_0001.omtn"
+        values = tensorio.read_tensor(layer)
+        scaled = values / values.max()  # still within [0, 1], but no longer a softmax share
+        assert scaled.sum(axis=1).max() > 1.0 + 1e-4
+        tensorio.write_tensor(layer, scaled)
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        code = main(argv + ["--inject", str(dump / "attention")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "layer_0001.omtn" in err and "row" in err
+
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "--config", small_config, "--out", str(tmp_path / "w"),

@@ -1,9 +1,14 @@
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import avprune
 from avprune import (
     ConvergenceFailure,
     DegenerateInput,
@@ -14,6 +19,7 @@ from avprune import (
     softmax_row,
     splitmix64,
 )
+from avprune.numerics import _LANE
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -76,6 +82,51 @@ class TestGaussian:
         draws = Rng(2024).gaussians(1_000_000)
         assert -0.005 <= float(draws.mean()) <= 0.005
         assert 0.99 <= float(draws.var()) <= 1.01
+
+
+# Counts at the seams of the lane-parallel kernel: none, one, odd, around one
+# lane and over several lanes with a partial tail.
+BULK_COUNTS = st.sampled_from([0, 1, 2, 7, _LANE - 1, _LANE, _LANE + 1, 2 * _LANE, 5 * _LANE + 3])
+
+
+class TestBulkDraws:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), n=BULK_COUNTS, spare=st.booleans())
+    def test_bulk_draws_continue_the_scalar_stream(self, seed, n, spare):
+        bulk, scalar = Rng(seed), Rng(seed)
+        if spare:  # leave a pending Box-Muller spare on both
+            assert bulk.gaussian() == scalar.gaussian()
+        expected = np.array([scalar.gaussian() for _ in range(n)], dtype=np.float64)
+        assert bulk.gaussians(n).tobytes() == expected.tobytes()
+        assert bulk.gaussian() == scalar.gaussian()
+        assert bulk.next_u64() == scalar.next_u64()
+
+        expected = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        assert bulk.uniforms(n).tobytes() == expected.tobytes()
+        assert bulk.next_u64() == scalar.next_u64()
+        assert bulk.gaussian() == scalar.gaussian()
+
+    def test_decoder_sized_draws_are_pinned(self):
+        # sha256 of the scalar stream's 368,832 draws (one default simulate).
+        draws = Rng(1).gaussians(368_832)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "35107271acf58093228692919762c46bd3095d02c9c3c8deb16db860a42934cc"
+        )
+
+    def test_jump_table_is_built_on_first_use_not_at_import(self):
+        src = str(Path(avprune.__file__).parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r});"
+            "import avprune.numerics as n; from avprune.cli import main;"
+            "print(n._lane_jump.cache_info().currsize)"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("method", ["gaussians", "uniforms"])
+    def test_negative_count_rejected(self, method):
+        with pytest.raises(InvalidInput):
+            getattr(Rng(3), method)(-2)
 
 
 class TestSoftmax:
