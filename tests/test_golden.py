@@ -2,11 +2,14 @@
 
 Each config runs ``simulate --dump-attention`` and then replays the dump
 with ``--inject``; both must read the pinned trace digest. The default run's
-output files are pinned by sha256 as well, so a refactor that changes a byte
-of any artifact fails here rather than drifting unnoticed.
+output files, its dump's manifest and first layer, and the reports that
+``schedule``, ``analyze`` and ``cost`` write are pinned by sha256 as well, so
+a refactor that changes a byte of any artifact fails here rather than
+drifting unnoticed.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -58,3 +61,53 @@ def test_default_outputs_are_pinned(capsys, tmp_path):
     assert _trace_digest(capsys, ["simulate", "--out", str(tmp_path)]) == GOLDEN["default"][1]
     for name, prefix in DEFAULT_OUTPUTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == prefix, name
+
+
+SCHEDULE_DOCUMENT = {"model": {"layers": 12}, "schedule": {"kind": "exponential", "p_init": 0.02, "p_final": 0.5}}
+
+# Files of the default dump, then the reports over it, keyed by the file the
+# report is written to; these pin every text the CLI formats.
+DUMP_OUTPUTS = {
+    "attention/manifest.json": "c7ea72ca120a4753",
+    "attention/layer_0000.omtn": "205982007b19ad62",
+    "attention/layer_0000.ids": "1b61ceebc7cc01bb",
+}
+
+REPORT_OUTPUTS = {
+    "schedule.csv": "3fcb3f1ddb3bf64d",
+    "pca.csv": "14c2d829b46a39c8",
+    "retention.csv": "ae53d66466108cd9",
+    "recall.json": "95ed0a013f87524a",
+    "cosine-av.csv": "336c8ef90c16b5a7",
+    "cost.json": "22b6246990486b8a",
+}
+
+
+def _report_argv(run, reports):
+    return {
+        "schedule.csv": ["schedule", "--config", str(reports / "schedule.json")],
+        "pca.csv": ["analyze", "--metric", "pca", "--embeddings", str(run / "embeddings.omtn")],
+        "retention.csv": ["analyze", "--metric", "retention", "--trace", str(run / "trace.jsonl")],
+        "recall.json": ["analyze", "--metric", "recall", "--attention", str(run / "attention/layer_0010.omtn")],
+        "cosine-av.csv": [
+            "analyze", "--metric", "cosine", "--pair", "AV", "--seed", "3",
+            "--embeddings", str(run / "embeddings.omtn"), "--tokens", str(run / "tokens.jsonl"),
+        ],
+        "cost.json": ["cost", "--trace", str(run / "trace.jsonl"), "--d", "32"],
+    }
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def test_dump_and_report_outputs_are_pinned(capsys, tmp_path):
+    run, reports = tmp_path / "run", tmp_path / "reports"
+    assert _trace_digest(capsys, ["simulate", "--out", str(run), "--dump-attention"]) == GOLDEN["default"][1]
+    for name, prefix in DUMP_OUTPUTS.items():
+        assert _sha(run / name) == prefix, name
+    reports.mkdir()
+    (reports / "schedule.json").write_text(json.dumps(SCHEDULE_DOCUMENT))
+    for name, argv in _report_argv(run, reports).items():
+        assert main([*argv, "--out", str(reports / name)]) == 0, name
+        assert _sha(reports / name) == REPORT_OUTPUTS[name], name
