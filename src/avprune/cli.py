@@ -1,14 +1,14 @@
 """Command-line front end: calibrate, schedule, simulate, analyze, cost.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible calibration,
-3 I/O failure, 4 file-schema mismatch. All commands are deterministic given
-config and seeds; re-running overwrites outputs byte-identically.
+3 I/O failure (every failed output write is one), 4 file-schema mismatch (so
+is an analyze/cost input that cannot be read). All commands are deterministic
+given config and seeds; re-running overwrites outputs byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -68,6 +68,38 @@ def _load_experiment(args) -> ExperimentConfig:
     return ExperimentConfig.resolve(document, overrides)
 
 
+def _csv(comment: str, header: str, rows, footer=()) -> str:
+    """A report: a ``# comment`` line, the column header, the rows, then ``# footer`` lines."""
+    lines = [f"# {comment}", header, *rows, *(f"# {line}" for line in footer)]
+    return "\n".join(lines) + "\n"
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _retention_csv(trace, digest: str) -> str:
+    audio, video = retention_per_modality(trace)
+    rows = (f"{l},{a:.9f},{v:.9f}" for l, (a, v) in enumerate(zip(audio, video)))
+    return _csv(f"config_digest={digest}", "layer,audio_retention,video_retention", rows)
+
+
+def _emit(out: str | None, text: str) -> None:
+    """Write a report to ``--out``, or to stdout when none is given."""
+    if out:
+        tensorio.write_artifact(out, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _read_inputs(read, *args):
+    """Call a reader; an input file that cannot be opened is a schema error naming it."""
+    try:
+        return read(*args)
+    except OSError as exc:
+        raise SchemaError(f"{exc.filename}: cannot read ({exc.strerror})") from None
+
+
 # ---------------------------------------------------------------- calibrate
 
 
@@ -94,36 +126,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.config:
-        cfg = ExperimentConfig.resolve(load_config_file(args.config))
-        sched = cfg.schedule_config()
-        header_digest = cfg.digest
-    else:
-        sched = PruneScheduleConfig(
-            p_init=args.p_init,
-            p_final=args.p_final,
-            t_mid=args.t_mid,
-            beta=args.beta,
-            layers=args.layers,
-            kind=ScheduleKind(args.kind),
-        )
-        params = {
-            "kind": sched.kind.value, "p_init": sched.p_init, "p_final": sched.p_final,
-            "t_mid": sched.t_mid, "beta": sched.beta, "layers": sched.layers, "r0": args.r0,
-        }
-        header_digest = hashlib.sha256(
-            json.dumps(params, sort_keys=True).encode("utf-8")
-        ).hexdigest()[:16]
+    flags = {f"schedule.{k}": getattr(args, k) for k in ("kind", "p_init", "p_final", "t_mid", "beta")}
+    flags["model.layers"] = args.layers
+    document = load_config_file(args.config) if args.config else None
+    cfg = ExperimentConfig.resolve(document, {k: v for k, v in flags.items() if v is not None})
+    sched = cfg.schedule_config()
     trace = retention_trace(sched, args.r0)
-    lines = [f"# config_digest={header_digest}", "layer,prune_ratio,retention"]
-    for l, r in enumerate(trace.values):
-        lines.append(f"{l},{prune_ratio(l, sched):.9f},{r:.9f}")
-    lines.append(f"# mean_retention={trace.mean:.9f}")
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    rows = (f"{l},{prune_ratio(l, sched):.9f},{r:.9f}" for l, r in enumerate(trace.values))
+    footer = [f"mean_retention={trace.mean:.9f}"]
+    _emit(args.out, _csv(f"config_digest={cfg.digest}", "layer,prune_ratio,retention", rows, footer))
     return EXIT_OK
 
 
@@ -181,6 +192,7 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
 def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inject_dir: str | None) -> str:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    attn_dir = out / "attention"
 
     seq = cfg.build_sequence()
     intra = _build_intra_plan(cfg, seq)
@@ -198,39 +210,25 @@ def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inj
             attention_out=attention_out,
         )
 
+    # manifest.json commits a dump to the run files beside it: drop the old
+    # one before any of them change, and write it last, only with a new dump.
+    (attn_dir / "manifest.json").unlink(missing_ok=True)
+
     digest = cfg.digest
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
-        json.dump({"config_digest": digest, "config": cfg.raw}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
+    tensorio.write_artifact(out / "config.json", _json({"config_digest": digest, "config": cfg.raw}))
     tensorio.write_trace_jsonl(out / "trace.jsonl", trace, digest)
-
-    audio, video = retention_per_modality(trace)
-    lines = [f"# config_digest={digest}", "layer,audio_retention,video_retention"]
-    lines += [f"{l},{a:.9f},{v:.9f}" for l, (a, v) in enumerate(zip(audio, video))]
-    (out / "retention.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    with open(out / "tokens.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config_digest": digest}, sort_keys=True) + "\n")
-        for rec in seq.tokens.records():
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
+    tensorio.write_artifact(out / "retention.csv", _retention_csv(trace, digest))
+    tokens = [{"config_digest": digest}, *seq.tokens.records()]
+    tensorio.write_artifact(out / "tokens.jsonl", "".join(json.dumps(t, sort_keys=True) + "\n" for t in tokens))
     tensorio.write_tensor(out / "embeddings.omtn", seq.embeddings)
 
     if attention_out is not None:
-        attn_dir = out / "attention"
         attn_dir.mkdir(exist_ok=True)
         for rec in attention_out:
             tensorio.write_tensor(attn_dir / f"layer_{rec.layer:04d}.omtn", rec.values)
             tensorio.write_ids(attn_dir / f"layer_{rec.layer:04d}.ids", rec.col_ids)
-        with open(attn_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"config_digest": digest, "layers": len(attention_out)},
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
+        manifest = {"config_digest": digest, "layers": len(attention_out)}
+        tensorio.write_artifact(attn_dir / "manifest.json", _json(manifest))
     return trace.digest
 
 
@@ -284,10 +282,7 @@ def _analyze_recall(args) -> str:
 
 def _analyze_retention(args) -> str:
     trace, summary = tensorio.read_trace_jsonl(args.trace)
-    audio, video = retention_per_modality(trace)
-    lines = [f"# config_digest={summary.get('config_digest', 'none')}", "layer,audio_retention,video_retention"]
-    lines += [f"{l},{a:.9f},{v:.9f}" for l, (a, v) in enumerate(zip(audio, video))]
-    return "\n".join(lines) + "\n"
+    return _retention_csv(trace, summary.get("config_digest", "none"))
 
 
 def _read_token_modalities(path) -> list[Modality]:
@@ -321,19 +316,15 @@ def _analyze_cosine(args) -> str:
         emb, modalities, PairKind(args.pair), sample_cap=args.cap, rng=Rng(args.seed)
     )
     edges = hist.bin_edges
-    lines = [f"# pair_kind={args.pair} pairs_used={hist.pairs_used}", "bin_lo,bin_hi,count"]
-    lines += [
-        f"{edges[i]:.2f},{edges[i + 1]:.2f},{c}" for i, c in enumerate(hist.counts)
-    ]
-    return "\n".join(lines) + "\n"
+    rows = (f"{edges[i]:.2f},{edges[i + 1]:.2f},{c}" for i, c in enumerate(hist.counts))
+    return _csv(f"pair_kind={args.pair} pairs_used={hist.pairs_used}", "bin_lo,bin_hi,count", rows)
 
 
 def _analyze_pca(args) -> str:
     emb = tensorio.read_tensor(args.embeddings)
     projection, (ev1, ev2) = pca2(emb)
-    lines = [f"# eigenvalues={ev1:.9f},{ev2:.9f}", "axis1,axis2"]
-    lines += [f"{row[0]:.9f},{row[1]:.9f}" for row in projection]
-    return "\n".join(lines) + "\n"
+    rows = (f"{row[0]:.9f},{row[1]:.9f}" for row in projection)
+    return _csv(f"eigenvalues={ev1:.9f},{ev2:.9f}", "axis1,axis2", rows)
 
 
 def cmd_analyze(args) -> int:
@@ -352,11 +343,7 @@ def cmd_analyze(args) -> int:
     for name in required[args.metric]:
         if getattr(args, name) is None:
             raise SchemaError(f"--metric {args.metric} requires --{name}")
-    out = handlers[args.metric](args)
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _emit(args.out, _read_inputs(handlers[args.metric], args))
     return EXIT_OK
 
 
@@ -364,17 +351,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    trace, summary = tensorio.read_trace_jsonl(args.trace)
+    trace, summary = _read_inputs(tensorio.read_trace_jsonl, args.trace)
     report = cost_model(trace, d=args.d, bytes_per_element=args.bytes)
     if report.baseline_kv_bytes == 0:
         raise SchemaError(f"{args.trace}: layer 0 enters with no tokens, so every cost ratio is undefined")
     obj = report.to_json_obj()
     obj["config_digest"] = summary.get("config_digest", "none")
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _json(obj))
     return EXIT_OK
 
 
@@ -398,12 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sch = sub.add_parser("schedule", help="tabulate (layer, p_l, r_l) as CSV")
     sch.add_argument("--config")
-    sch.add_argument("--kind", choices=[k.value for k in ScheduleKind], default="sigmoid")
-    sch.add_argument("--p-init", dest="p_init", type=float, default=0.0)
-    sch.add_argument("--p-final", dest="p_final", type=float, default=0.2)
-    sch.add_argument("--t-mid", dest="t_mid", type=float, default=0.5)
-    sch.add_argument("--beta", type=float, default=20.0)
-    sch.add_argument("--layers", type=int, default=28)
+    # Unset flags leave the --config file's values (or the defaults) in place.
+    sch.add_argument("--kind", choices=[k.value for k in ScheduleKind])
+    sch.add_argument("--p-init", dest="p_init", type=float)
+    sch.add_argument("--p-final", dest="p_final", type=float)
+    sch.add_argument("--t-mid", dest="t_mid", type=float)
+    sch.add_argument("--beta", type=float)
+    sch.add_argument("--layers", type=int)
     sch.add_argument("--r0", type=float, default=0.45)
     sch.add_argument("--out")
     sch.set_defaults(func=cmd_schedule)
@@ -442,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    schema_exit = {"analyze", "cost"}
     try:
         return args.func(args)
     except Infeasible as exc:
@@ -456,7 +439,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA if args.command in schema_exit else EXIT_IO
+        return EXIT_IO
 
 
 def entrypoint():  # console-script shim

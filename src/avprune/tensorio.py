@@ -3,13 +3,15 @@
 Tensor format, bit-exact: magic "OMTN", then u32-LE version (=1), u32-LE
 rank, one u64-LE per dimension, then the data as little-endian IEEE-754
 float32 in row-major order. Id sidecars are plain text, one decimal token id
-per line in column order.
+per line in column order. Every file the package writes goes through
+``write_artifact``, so it appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -22,13 +24,27 @@ MAGIC = b"OMTN"
 VERSION = 1
 
 
+def write_artifact(path, data: str | bytes) -> None:
+    """Write ``data`` (``str`` as UTF-8) to ``path`` through a sibling ``<name>.tmp`` and a rename.
+
+    A reader sees the old file or the new one, never a part. If the write or
+    the rename fails, the temp file is removed and the error re-raised.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensor(path, array) -> None:
     arr = np.ascontiguousarray(array, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
+    header = MAGIC + struct.pack(f"<II{arr.ndim}Q", VERSION, arr.ndim, *arr.shape)
+    write_artifact(path, header + arr.tobytes(order="C"))
 
 
 def read_tensor(path) -> np.ndarray:
@@ -54,7 +70,7 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_ids(path, ids) -> None:
-    Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="ascii")
+    write_artifact(path, "".join(f"{i}\n" for i in ids))
 
 
 def read_ids(path) -> tuple[int, ...]:
@@ -75,7 +91,7 @@ def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:
         sort_keys=True,
         separators=(",", ":"),
     )
-    Path(path).write_text("\n".join(lines + [summary]) + "\n", encoding="utf-8")
+    write_artifact(path, "\n".join(lines + [summary]) + "\n")
 
 
 def read_trace_jsonl(path) -> tuple[PruneTrace, dict]:

@@ -101,6 +101,23 @@ class TestSchedule:
         code, _ = run_cli(capsys, "schedule", "--config", str(bad))
         assert code == 1
 
+    def test_flags_override_the_config_file(self, capsys, small_config, tmp_path):
+        code, out = run_cli(capsys, "schedule", "--config", small_config, "--p-final", "0.9", "--layers", "3")
+        assert code == 0
+        assert len([ln for ln in out.splitlines() if ln[0].isdigit()]) == 3
+        same = dict(SMALL_CONFIG, schedule={"p_final": 0.9}, model=dict(SMALL_CONFIG["model"], layers=3))
+        path = tmp_path / "same.json"
+        path.write_text(json.dumps(same))
+        assert run_cli(capsys, "schedule", "--config", str(path)) == (0, out)
+
+    def test_header_is_the_config_digest(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "simulate", "--out", str(tmp_path))
+        assert code == 0
+        config_digest = out.splitlines()[0]
+        code, out = run_cli(capsys, "schedule")
+        assert code == 0
+        assert out.splitlines()[0] == f"# {config_digest}"
+
 
 class TestSimulate:
     def test_deterministic_rerun_overwrites_byte_identically(self, capsys, small_config, tmp_path):
@@ -249,6 +266,15 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_stale_dump_is_not_replayed(self, capsys, small_config, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", small_config, "--out", out, "--dump-attention"]) == 0
+        other = ["simulate", "--config", small_config, "--set", "schedule.p_final=0.3"]
+        assert main([*other, "--out", out]) == 0
+        capsys.readouterr()
+        assert main([*other, "--out", str(tmp_path / "x"), "--inject", f"{out}/attention"]) == 1
+        assert "no manifest.json" in capsys.readouterr().err
+
     def test_dump_replayed_with_other_layer_count_exits_4(self, capsys, small_config, tmp_path):
         dump = tmp_path / "dump"
         assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
@@ -333,6 +359,10 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", "--metric", "recall")
         assert code == 4
 
+    def test_missing_input_file_exits_4(self, capsys, tmp_path):
+        assert main(["analyze", "--metric", "pca", "--embeddings", str(tmp_path / "nope.omtn")]) == 4
+        assert "nope.omtn" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["5", "{bad", '{"modality": ["audio"]}'])
     def test_malformed_tokens_file_exits_4(self, capsys, tmp_path, line):
         emb = tmp_path / "emb.omtn"
@@ -406,3 +436,20 @@ class TestCost:
     def test_missing_trace_exits_4(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "cost", "--trace", str(tmp_path / "nope.jsonl"), "--d", "8")
         assert code == 4
+
+
+class TestOutputWrites:
+    @pytest.mark.parametrize("command", ["schedule", "analyze", "cost"])
+    def test_failed_out_write_exits_3(self, capsys, tmp_path, command):
+        emb, trace = tmp_path / "emb.omtn", tmp_path / "trace.jsonl"
+        tensorio.write_tensor(emb, np.eye(3, dtype=np.float32))
+        tensorio.write_trace_jsonl(trace, zero_schedule_trace(), config_digest="cfg")
+        argv = {
+            "schedule": ["schedule"],
+            "analyze": ["analyze", "--metric", "pca", "--embeddings", str(emb)],
+            "cost": ["cost", "--trace", str(trace), "--d", "8"],
+        }[command]
+        missing = tmp_path / "missing"
+        assert main([*argv, "--out", str(missing / "report")]) == 3
+        assert "missing" in capsys.readouterr().err
+        assert not missing.exists()

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,3 +212,65 @@ def test_read_trace_jsonl_fuzz(tmp_path, blob):
     if out is not None:
         trace, summary = out
         assert isinstance(trace, PruneTrace) and summary["digest"] == trace.digest
+
+
+@pytest.mark.parametrize("data", ["text é\n", b"\x00OMTN\xff"], ids=["str", "bytes"])
+def test_write_artifact_round_trip(tmp_path, data):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"an older, longer file")
+    tensorio.write_artifact(path, data)
+    assert path.read_bytes() == (data.encode("utf-8") if isinstance(data, str) else data)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_failed_write_artifact_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"old bytes\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(tensorio.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        tensorio.write_trace_jsonl(path, _trace(), "cfg")
+    assert path.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _is_write_mode(mode) -> bool:
+    """A mode the scan cannot read counts as a write."""
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def _write_calls(node, function=None):
+    """(function, line, call) for each call under ``node`` that can write a file."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _write_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            # Builtin open(path, mode), or Path.open(mode) / os.open(path, flags).
+            modes = [kw.value for kw in child.keywords if kw.arg == "mode"]
+            modes += child.args[1:2] if isinstance(func, ast.Name) else child.args[:1]
+            if name in ("write_text", "write_bytes") or (name == "open" and any(map(_is_write_mode, modes))):
+                found.append((function, child.lineno, name))
+        found += _write_calls(child, function)
+    return found
+
+
+def test_write_artifact_is_the_only_write_path():
+    package = Path(tensorio.__file__).parent
+    offenders = [
+        f"{source.name}:{line}: {call}( in {function}"
+        for source in sorted(package.glob("*.py"))
+        for function, line, call in _write_calls(ast.parse(source.read_text(encoding="utf-8")))
+        if (source.name, function) != ("tensorio.py", "write_artifact")
+    ]
+    assert offenders == []
+    scanned = _write_calls(ast.parse(Path(tensorio.__file__).read_text(encoding="utf-8")))
+    assert [(f, c) for f, _, c in scanned] == [("write_artifact", "open")]
