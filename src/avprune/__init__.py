@@ -52,7 +52,7 @@ from .metrics import (
     retention_per_modality,
     top20_recall,
 )
-from .numerics import Rng, cosine, derive_seed, pca2, softmax_row, splitmix64
+from .numerics import Rng, cosine, derive_seed, pca2, splitmix64
 from .schedule import (
     PruneScheduleConfig,
     RetentionTrace,
@@ -132,7 +132,6 @@ __all__ = [
     "run_with_pruning",
     "sigmoid_value",
     "sinusoidal_positions",
-    "softmax_row",
     "splitmix64",
     "synth_embeddings",
     "tds_select",

@@ -1,9 +1,10 @@
 """Command-line front end: calibrate, schedule, simulate, analyze, cost.
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible calibration,
-3 I/O failure (every failed output write is one), 4 file-schema mismatch (so
-is an analyze/cost input that cannot be read). All commands are deterministic
-given config and seeds; re-running overwrites outputs byte-identically.
+Exit codes: 0 success, 1 configuration error (so is an unreadable --config
+file), 2 infeasible calibration, 3 I/O failure (every failed output write is
+one), 4 file-schema mismatch (so is an analyze/cost input that cannot be
+read). All commands are deterministic given config and seeds; re-running
+overwrites outputs byte-identically.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def cmd_schedule(args) -> int:
     flags["model.layers"] = args.layers
     document = load_config_file(args.config) if args.config else None
     cfg = ExperimentConfig.resolve(document, {k: v for k, v in flags.items() if v is not None})
-    sched = cfg.schedule_config()
+    sched = cfg.schedule
     trace = retention_trace(sched, args.r0)
     rows = (f"{l},{prune_ratio(l, sched):.9f},{r:.9f}" for l, r in enumerate(trace.values))
     footer = [f"mean_retention={trace.mean:.9f}"]
@@ -197,17 +198,17 @@ def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inj
     seq = cfg.build_sequence()
     intra = _build_intra_plan(cfg, seq)
 
-    attention_out: list | None = [] if dump_attention else None
+    dumped: list[AttentionRecord] = []
+    observer = dumped.append if dump_attention else None
     if inject_dir is not None:
         records = _load_attention_dir(Path(inject_dir), cfg.raw["model"]["layers"])
         trace = run_with_injected_attention(
-            seq, records, cfg.schedule_config(), cfg.tds_config(), cfg.selector, intra,
-            replay_seed=cfg.raw["model"]["seed"],
+            seq, records, cfg.schedule, cfg.tds, cfg.selector, intra,
+            replay_seed=cfg.raw["model"]["seed"], observer=observer,
         )
     else:
         trace = run_with_pruning(
-            seq, cfg.build_model(), cfg.schedule_config(), cfg.tds_config(), cfg.selector, intra,
-            attention_out=attention_out,
+            seq, cfg.build_model(), cfg.schedule, cfg.tds, cfg.selector, intra, observer=observer
         )
 
     # manifest.json commits a dump to the run files beside it: drop the old
@@ -222,12 +223,12 @@ def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inj
     tensorio.write_artifact(out / "tokens.jsonl", "".join(json.dumps(t, sort_keys=True) + "\n" for t in tokens))
     tensorio.write_tensor(out / "embeddings.omtn", seq.embeddings)
 
-    if attention_out is not None:
+    if dump_attention:
         attn_dir.mkdir(exist_ok=True)
-        for rec in attention_out:
+        for rec in dumped:
             tensorio.write_tensor(attn_dir / f"layer_{rec.layer:04d}.omtn", rec.values)
             tensorio.write_ids(attn_dir / f"layer_{rec.layer:04d}.ids", rec.col_ids)
-        manifest = {"config_digest": digest, "layers": len(attention_out)}
+        manifest = {"config_digest": digest, "layers": len(dumped)}
         tensorio.write_artifact(attn_dir / "manifest.json", _json(manifest))
     return trace.digest
 
@@ -444,3 +445,7 @@ def main(argv=None) -> int:
 
 def entrypoint():  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -160,12 +160,6 @@ class ExperimentConfig:
     def workers(self) -> int:
         return self.raw["workers"]
 
-    def schedule_config(self) -> PruneScheduleConfig:
-        return self.schedule
-
-    def tds_config(self) -> TdsConfig:
-        return self.tds
-
     def build_sequence(self) -> InterleavedSequence:
         s = self.raw["sequence"]
         chunks = [replace(self.chunk, index=i) for i in range(s["chunks"])]
@@ -180,8 +174,10 @@ def load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: not valid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
+        raise InvalidInput(f"{path}: not UTF-8 JSON ({exc})") from None
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot read ({exc.strerror})") from None
     if not isinstance(document, dict):
         raise InvalidInput(f"{path}: top level must be a JSON object")
     return document

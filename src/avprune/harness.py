@@ -104,11 +104,14 @@ def _forward_layer(
 
 @dataclass(frozen=True)
 class AttentionRecord:
-    """One layer's restricted text-to-audiovisual map, ready for dump/replay."""
+    """One layer's restricted text-to-audiovisual map: what a run observes, dumps and replays."""
 
     layer: int
-    col_ids: np.ndarray | tuple[int, ...]  # token id of each column
+    col_ids: np.ndarray  # int64 token id of each column
     values: np.ndarray  # (text rows, AV cols) float32
+
+    def __post_init__(self):
+        object.__setattr__(self, "col_ids", np.asarray(self.col_ids, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -183,11 +186,16 @@ def _pruning_loop(
     tds: TdsConfig,
     selector: Selector,
     layer_map,
-    drop_rows,
     *,
     selector_seed: int,
-    attention_out: list | None,
+    observer=None,
 ) -> PruneTrace:
+    """Score, select and prune layer by layer.
+
+    ``layer_map(layer, tokens, rows, cols)`` returns the layer's attention
+    from text rows ``rows`` to audiovisual columns ``cols`` of the survivors
+    ``tokens``; ``observer``, if given, receives each layer's AttentionRecord.
+    """
     tokens = seq.tokens
     selector_rng = Rng(selector_seed)
     max_chunk = seq.max_chunk_index
@@ -198,10 +206,8 @@ def _pruning_loop(
         attn = AttentionMap(
             values=layer_map(layer, tokens, rows, cols), rows=tokens[rows], columns=tokens[cols]
         )
-        if attention_out is not None:
-            attention_out.append(
-                AttentionRecord(layer=layer, col_ids=attn.columns.id, values=attn.values)
-            )
+        if observer is not None:
+            observer(AttentionRecord(layer=layer, col_ids=attn.columns.id, values=attn.values))
         n_audio, n_video = tokens.count(Modality.AUDIO), tokens.count(Modality.VIDEO)
         n_text = len(tokens) - n_audio - n_video
         p_l = prune_ratio(layer, sched)
@@ -210,9 +216,7 @@ def _pruning_loop(
         pruned: set[int] = set()
         if k_l > 0:
             pruned = _select(attn, effective, k_l, tds, max_chunk, selector_rng)
-            keep = ~np.isin(tokens.id, list(pruned))
-            drop_rows(keep)
-            tokens = tokens[keep]
+            tokens = tokens[~np.isin(tokens.id, list(pruned))]
         records.append(
             LayerRecord(
                 layer=layer,
@@ -246,13 +250,12 @@ def run_with_pruning(
     intra: IntraPlan | None = None,
     *,
     selector_seed: int | None = None,
-    attention_out: list | None = None,
-    full_attention_out: list | None = None,
+    observer=None,
 ) -> PruneTrace:
     """Forward the toy decoder, pruning scheduled budgets between layers.
 
-    Optional sinks: ``attention_out`` collects the restricted per-layer maps
-    (the dump format), ``full_attention_out`` the full head-averaged maps.
+    ``observer``, if given, is called with each layer's AttentionRecord (the
+    dump format), e.g. ``observer=records.append``.
     """
     if sched.layers != model.layers:
         raise InvalidInput("schedule and model layer counts differ")
@@ -263,17 +266,14 @@ def run_with_pruning(
 
     working = _apply_intra_plan(seq, intra)
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.position, model.d)
+    held = working.tokens.id  # token id of each row of x
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        nonlocal x
+        nonlocal x, held
+        x = x[np.isin(held, tokens.id)]  # drop the rows pruned since the last layer; ids are unique
+        held = tokens.id
         x, avg = _forward_layer(x, model.weights[layer], model.heads)
-        if full_attention_out is not None:
-            full_attention_out.append(avg)
         return avg[np.ix_(rows, cols)]
-
-    def drop_rows(keep: np.ndarray):
-        nonlocal x
-        x = x[keep]
 
     return _pruning_loop(
         working,
@@ -281,9 +281,8 @@ def run_with_pruning(
         tds,
         selector,
         layer_map,
-        drop_rows,
         selector_seed=selector_seed if selector_seed is not None else derive_seed(model.seed, 0x5E1EC7),
-        attention_out=attention_out,
+        observer=observer,
     )
 
 
@@ -297,6 +296,7 @@ def run_with_injected_attention(
     *,
     selector_seed: int | None = None,
     replay_seed: int = 0,
+    observer=None,
 ) -> PruneTrace:
     """Replay externally captured attention maps through the same pipeline.
 
@@ -304,7 +304,8 @@ def run_with_injected_attention(
     token id, so each record must cover every audiovisual survivor entering
     its layer (missing ids or a wrong row count raise SchemaError).
     ``replay_seed`` seeds the random selector when no explicit seed is given,
-    standing in for the model seed of a forward run.
+    standing in for the model seed of a forward run. ``observer`` sees the
+    replayed maps restricted to each layer's survivors, as in a forward run.
     """
     maps = list(maps)
     if len(maps) < sched.layers:
@@ -317,7 +318,7 @@ def run_with_injected_attention(
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         rec = maps[layer]
-        rec_ids = np.asarray(rec.col_ids, dtype=np.int64)
+        rec_ids = rec.col_ids
         want = tokens.id[cols]
         missing = want[~np.isin(want, rec_ids)]
         if missing.size:
@@ -337,7 +338,6 @@ def run_with_injected_attention(
         tds,
         selector,
         layer_map,
-        lambda keep: None,
         selector_seed=selector_seed if selector_seed is not None else derive_seed(replay_seed, 0x5E1EC7),
-        attention_out=None,
+        observer=observer,
     )

@@ -1,5 +1,5 @@
-"""Deterministic numeric kernel: seeded PRNG, Gaussian draws, stable softmax,
-cosine similarity, and rank-2 PCA via power iteration.
+"""Deterministic numeric kernel: seeded PRNG, Gaussian draws, cosine
+similarity, and rank-2 PCA via power iteration.
 
 The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
@@ -210,21 +210,6 @@ class Rng:
             self._gauss_spare = float(z[-1])
             z = z[:-1]
         return np.concatenate((head, z)) if head else z
-
-
-def softmax_row(values) -> np.ndarray:
-    """Probability vector from a row of scores, stable under shifts.
-
-    Uses max-subtraction so arbitrarily large inputs cannot overflow, which
-    also makes the result invariant under adding a constant to every entry.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInput("softmax_row expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInput("softmax_row requires finite inputs")
-    weights = np.exp(v - v.max())
-    return weights / weights.sum()
 
 
 def cosine(u, v) -> float:

@@ -28,7 +28,8 @@ def write_artifact(path, data: str | bytes) -> None:
     """Write ``data`` (``str`` as UTF-8) to ``path`` through a sibling ``<name>.tmp`` and a rename.
 
     A reader sees the old file or the new one, never a part. If the write or
-    the rename fails, the temp file is removed and the error re-raised.
+    the rename fails, the temp file is removed and the error re-raised; an
+    ``OSError`` then names ``path``, not the temp file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -36,8 +37,10 @@ def write_artifact(path, data: str | bytes) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

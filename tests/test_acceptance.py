@@ -37,6 +37,7 @@ from avprune import (
     video_ttm,
 )
 from avprune.cli import main
+from tests.test_harness import oracle_maps
 from tests.test_metrics import constant_retention_trace
 
 
@@ -191,11 +192,11 @@ def test_criterion_5_harness_structural_invariants(tmp_path):
                 else None
             )
             dumped: list[AttentionRecord] = []
-            full_maps: list[np.ndarray] = []
             trace = run_with_pruning(
                 seq, model, cfg["sched"], cfg["tds"], cfg["selector"], intra,
-                attention_out=dumped, full_attention_out=full_maps,
+                observer=dumped.append,
             )
+            full_maps = oracle_maps(seq, model, trace, dumped, intra)
 
             # Text tokens survive every layer.
             text_ids = set(seq.tokens.id[seq.tokens.is_text].tolist())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avprune
 from avprune import LayerRecord, PruneTrace, cli, tensorio
 from avprune.cli import main
 from tests.test_metrics import constant_retention_trace, zero_schedule_trace
@@ -101,6 +106,18 @@ class TestSchedule:
         code, _ = run_cli(capsys, "schedule", "--config", str(bad))
         assert code == 1
 
+    @pytest.mark.parametrize("blob", [b"\xff{}", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+    def test_undecodable_config_file_exits_1(self, capsys, tmp_path, blob):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        assert main(["schedule", "--config", str(bad)]) == 1
+        assert f"{bad}: not UTF-8 JSON" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_1_naming_it(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        assert main(["schedule", "--config", str(missing)]) == 1
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+
     def test_flags_override_the_config_file(self, capsys, small_config, tmp_path):
         code, out = run_cli(capsys, "schedule", "--config", small_config, "--p-final", "0.9", "--layers", "3")
         assert code == 0
@@ -145,6 +162,34 @@ class TestSimulate:
         digest2 = [ln for ln in out2.splitlines() if ln.startswith("trace_digest=")][0]
         assert digest == digest2
         assert (a / "trace.jsonl").read_bytes() == (b / "trace.jsonl").read_bytes()
+
+    def test_replayed_dump_redumps_the_same_maps(self, capsys, small_config, tmp_path):
+        a, b, c = (tmp_path / name for name in "abc")
+        sim = ["simulate", "--config", small_config]
+        digests = []
+        for out, extra in ((a, []), (b, ["--inject", str(a / "attention")]), (c, ["--inject", str(b / "attention")])):
+            code, text = run_cli(capsys, *sim, "--out", str(out), "--dump-attention", *extra)
+            assert code == 0
+            digests.append([ln for ln in text.splitlines() if ln.startswith("trace_digest=")])
+        assert digests[0] == digests[1] == digests[2]
+        layer_files = sorted(p.name for p in (a / "attention").glob("layer_*"))
+        assert len(layer_files) == 2 * SMALL_CONFIG["model"]["layers"]
+        assert sorted(p.name for p in (b / "attention").glob("layer_*")) == layer_files
+        for name in layer_files:
+            assert (b / "attention" / name).read_bytes() == (a / "attention" / name).read_bytes()
+
+    def test_missing_config_file_exits_1_naming_it(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_module_runs_the_cli(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(avprune.__file__).parents[1]))
+        argv = [sys.executable, "-m", "avprune.cli", "simulate", "--config", str(tmp_path / "absent.json")]
+        done = subprocess.run([*argv, "--out", str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "absent.json: cannot read" in done.stderr
 
     def test_random_selector_stable(self, capsys, small_config, tmp_path):
         outs = []
@@ -453,3 +498,9 @@ class TestOutputWrites:
         assert main([*argv, "--out", str(missing / "report")]) == 3
         assert "missing" in capsys.readouterr().err
         assert not missing.exists()
+
+    def test_failed_write_names_the_target(self, capsys, tmp_path):
+        assert main(["schedule", "--out", str(tmp_path / "missing" / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "x.csv" in err and ".tmp" not in err
+        assert not (tmp_path / "missing").exists()

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avprune import InvalidInput, ScheduleKind, Selector, TdsConfig
+from avprune import InvalidInput, PruneScheduleConfig, ScheduleKind, Selector, TdsConfig
 from avprune.config import DEFAULTS, ExperimentConfig
 
 
@@ -17,7 +18,7 @@ def test_defaults_resolve_and_validate():
     assert cfg.raw["intra"]["audio_keep"] == 0.7
     assert cfg.raw["intra"]["video_prune_rate"] == 0.8
     assert cfg.selector is Selector.TDS
-    assert cfg.schedule_config().kind is ScheduleKind.SIGMOID
+    assert cfg.schedule.kind is ScheduleKind.SIGMOID
 
 
 def test_file_overrides_defaults_and_flags_override_file():
@@ -84,7 +85,7 @@ def test_builders_produce_consistent_objects():
     model = cfg.build_model()
     assert seq.d == model.d == 16
     assert seq.audiovisual_count == 12
-    assert cfg.schedule_config().layers == model.layers == 4
+    assert cfg.schedule.layers == model.layers == 4
 
 
 def test_typed_objects_refuse_non_finite_numbers():
@@ -137,13 +138,14 @@ def test_section_values_merge_into_the_section():
 def test_raw_keeps_values_as_given():
     cfg = ExperimentConfig.resolve(None, overrides={"schedule.p_final": 0})
     assert type(cfg.raw["schedule"]["p_final"]) is int
-    assert cfg.schedule_config().p_final == 0.0
+    assert cfg.schedule.p_final == 0.0
 
 
 def test_typed_objects_are_built_once():
+    # resolve builds them and keeps them as fields; nothing rebuilds them on access.
     cfg = ExperimentConfig.resolve()
-    assert cfg.schedule_config() is cfg.schedule_config()
-    assert cfg.tds_config() is cfg.tds_config()
+    assert {"schedule", "tds"} <= {f.name for f in dataclasses.fields(cfg)}
+    assert isinstance(cfg.schedule, PruneScheduleConfig) and isinstance(cfg.tds, TdsConfig)
 
 
 # Property test: any document and --set map either resolves or raises
@@ -190,6 +192,6 @@ def test_resolve_fuzz(document, overrides):
         return
     json.dumps(cfg.raw, allow_nan=False)  # every number is finite
     assert cfg.raw.keys() == DEFAULTS.keys()
-    assert cfg.schedule_config().layers == cfg.raw["model"]["layers"]
-    assert cfg.tds_config().lambda_div == cfg.raw["tds"]["lambda_div"]
+    assert cfg.schedule.layers == cfg.raw["model"]["layers"]
+    assert cfg.tds.lambda_div == cfg.raw["tds"]["lambda_div"]
     assert cfg.selector.value == cfg.raw["selector"]

@@ -20,8 +20,36 @@ from avprune import (
     run_with_injected_attention,
     run_with_pruning,
 )
+from avprune.harness import _apply_intra_plan, _forward_layer, sinusoidal_positions
 
 TDS = TdsConfig(lambda_div=0.2, start_layer=2)
+
+
+def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
+    """Full head-averaged map of every layer, rebuilt from the trace's survivors.
+
+    Each map is ``_forward_layer`` over the tokens that entered its layer.
+    Its query-rows x audiovisual-columns slice must equal, bit for bit, the
+    AttentionRecord the run handed its observer, so what the tests check on
+    these maps is what the run computed.
+    """
+    working = _apply_intra_plan(seq, intra)
+    tokens = working.tokens
+    x = working.embeddings.astype(np.float32) + sinusoidal_positions(tokens.position, model.d)
+    assert [obs.layer for obs in observed] == [rec.layer for rec in trace.layers]
+    maps = []
+    for rec, obs in zip(trace.layers, observed):
+        x, avg = _forward_layer(x, model.weights[rec.layer], model.heads)
+        rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
+        cols = np.flatnonzero(tokens.is_audiovisual)
+        assert np.array_equal(obs.col_ids, tokens.id[cols])
+        expected = avg[np.ix_(rows, cols)]
+        assert obs.values.dtype == expected.dtype and obs.values.shape == expected.shape
+        assert obs.values.tobytes() == expected.tobytes()
+        maps.append(avg)
+        keep = ~np.isin(tokens.id, rec.pruned_ids)
+        x, tokens = x[keep], tokens[keep]
+    return maps
 
 
 def small_setup(layers=4, heads=2, d=16, p_final=0.5, seed=3, chunks=None):
@@ -80,8 +108,9 @@ class TestRunWithPruning:
 
     def test_causal_zeros_and_row_sums(self):
         seq, model, sched = small_setup()
-        full_maps: list[np.ndarray] = []
-        run_with_pruning(seq, model, sched, TDS, full_attention_out=full_maps)
+        observed: list[AttentionRecord] = []
+        trace = run_with_pruning(seq, model, sched, TDS, observer=observed.append)
+        full_maps = oracle_maps(seq, model, trace, observed)
         assert len(full_maps) == 4
         for avg in full_maps:
             n = avg.shape[0]
@@ -118,11 +147,10 @@ class TestRunWithPruning:
         # Survivors' hidden states at layer l+1 must be exactly what the
         # layer computes on the full layer-l output minus the pruned rows:
         # removal never feeds back into the layer that decided it.
-        from avprune.harness import _forward_layer, sinusoidal_positions
-
         seq, model, sched = small_setup(layers=3, p_final=0.6)
-        full_maps: list[np.ndarray] = []
-        trace = run_with_pruning(seq, model, sched, TDS, full_attention_out=full_maps)
+        observed: list[AttentionRecord] = []
+        trace = run_with_pruning(seq, model, sched, TDS, observer=observed.append)
+        full_maps = oracle_maps(seq, model, trace, observed)
         first_prune = next(rec.layer for rec in trace.layers if rec.k_l > 0)
 
         x = seq.embeddings.astype(np.float32) + sinusoidal_positions(seq.tokens.position, model.d)
@@ -163,17 +191,23 @@ class TestInjectedAttention:
     def test_round_trip_reproduces_digest(self):
         seq, model, sched = small_setup()
         dumped: list[AttentionRecord] = []
-        original = run_with_pruning(seq, model, sched, TDS, attention_out=dumped)
+        original = run_with_pruning(seq, model, sched, TDS, observer=dumped.append)
+        redumped: list[AttentionRecord] = []
         replayed = run_with_injected_attention(
-            seq, dumped, sched, TDS, replay_seed=model.seed
+            seq, dumped, sched, TDS, replay_seed=model.seed, observer=redumped.append
         )
         assert replayed.digest == original.digest
         assert replayed == original
+        # Replay observes the maps it replayed, so its dump is the forward dump.
+        assert [r.layer for r in redumped] == [r.layer for r in dumped]
+        for a, b in zip(dumped, redumped):
+            assert np.array_equal(a.col_ids, b.col_ids)
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_round_trip_with_random_selector(self):
         seq, model, sched = small_setup()
         dumped: list[AttentionRecord] = []
-        original = run_with_pruning(seq, model, sched, TDS, Selector.RANDOM, attention_out=dumped)
+        original = run_with_pruning(seq, model, sched, TDS, Selector.RANDOM, observer=dumped.append)
         replayed = run_with_injected_attention(
             seq, dumped, sched, TDS, Selector.RANDOM, replay_seed=model.seed
         )
@@ -199,6 +233,11 @@ class TestInjectedAttention:
             records.append(AttentionRecord(layer=l, col_ids=av_ids, values=values))
         trace = run_with_injected_attention(seq, records, sched, TDS, Selector.PLAIN)
         assert all(favored not in rec.pruned_ids for rec in trace.layers)
+
+    def test_record_ids_are_int64(self):
+        rec = AttentionRecord(layer=0, col_ids=(5, 2), values=np.zeros((1, 2), dtype=np.float32))
+        assert rec.col_ids.dtype == np.int64
+        assert rec.col_ids.tolist() == [5, 2]
 
     def test_missing_layer_rejected(self):
         seq, _, sched = small_setup()

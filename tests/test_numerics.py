@@ -16,12 +16,9 @@ from avprune import (
     Rng,
     cosine,
     pca2,
-    softmax_row,
     splitmix64,
 )
 from avprune.numerics import _LANE
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 class TestSplitmix:
@@ -127,43 +124,6 @@ class TestBulkDraws:
     def test_negative_count_rejected(self, method):
         with pytest.raises(InvalidInput):
             getattr(Rng(3), method)(-2)
-
-
-class TestSoftmax:
-    def test_symmetric_pair(self):
-        assert softmax_row([0.0, 0.0]) == pytest.approx([0.5, 0.5])
-
-    def test_known_values(self):
-        # exp(i)/sum(exp(1..3)) evaluated directly
-        out = softmax_row([1.0, 2.0, 3.0])
-        assert out == pytest.approx([0.09003057, 0.24472847, 0.66524096], abs=1e-5)
-
-    def test_sums_to_one(self):
-        out = softmax_row(np.linspace(-50, 50, 301))
-        assert abs(out.sum() - 1.0) < 1e-6
-
-    @given(st.lists(finite_floats, min_size=1, max_size=20), finite_floats)
-    def test_shift_invariance(self, values, shift):
-        base = softmax_row(values)
-        shifted = softmax_row([v + shift for v in values])
-        assert np.allclose(base, shifted, atol=1e-12)
-
-    @given(st.lists(finite_floats, min_size=2, max_size=20))
-    def test_monotonicity(self, values):
-        # Non-strict: underflow can tie far-apart inputs at probability 0.
-        out = softmax_row(values)
-        for i in range(len(values)):
-            for j in range(len(values)):
-                if values[i] < values[j]:
-                    assert out[i] <= out[j]
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidInput):
-            softmax_row([])
-        with pytest.raises(InvalidInput):
-            softmax_row([1.0, float("nan")])
-        with pytest.raises(InvalidInput):
-            softmax_row([1.0, float("inf")])
 
 
 class TestCosine:
