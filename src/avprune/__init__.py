@@ -15,9 +15,7 @@ from .errors import (
 )
 from .harness import (
     AttentionRecord,
-    IntraPlan,
     ToyDecoder,
-    make_intra_plan,
     run_with_injected_attention,
     run_with_pruning,
     sinusoidal_positions,
@@ -34,12 +32,11 @@ from .importance import (
     tds_select,
 )
 from .intra import (
-    AudioSaliency,
-    FrameGrid,
+    IntraPlan,
     IntraReport,
     apply_intra,
     audio_intra_prune,
-    grid_from_embeddings,
+    make_intra_plan,
     round_half_away,
     video_ttm,
 )
@@ -80,13 +77,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionMap",
     "AttentionRecord",
-    "AudioSaliency",
     "ChunkSpec",
     "ConvergenceFailure",
     "CosineHistogram",
     "CostReport",
     "DegenerateInput",
-    "FrameGrid",
     "ImportanceScores",
     "Infeasible",
     "InterleavedSequence",
@@ -116,7 +111,6 @@ __all__ = [
     "cosine_distribution",
     "cost_model",
     "derive_seed",
-    "grid_from_embeddings",
     "make_intra_plan",
     "mean_retention",
     "pca2",

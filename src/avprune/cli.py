@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 configuration error (so is an unreadable --config
 file), 2 infeasible calibration, 3 I/O failure (every failed output write is
 one), 4 file-schema mismatch (so is an analyze/cost input that cannot be
-read). All commands are deterministic given config and seeds; re-running
-overwrites outputs byte-identically.
+read, or an analyze input with no defined result). All commands are
+deterministic given config and seeds; re-running overwrites outputs
+byte-identically.
 """
 
 from __future__ import annotations
@@ -21,15 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config_file
-from .errors import Infeasible, InvalidInput, SchemaError
-from .harness import (
-    AttentionRecord,
-    IntraPlan,
-    make_intra_plan,
-    run_with_injected_attention,
-    run_with_pruning,
-)
+from .errors import ConvergenceFailure, DegenerateInput, Infeasible, InvalidInput, SchemaError
+from .harness import AttentionRecord, run_with_injected_attention, run_with_pruning
 from .importance import Selector
+from .intra import IntraPlan, make_intra_plan
 from .metrics import PairKind, cosine_distribution, cost_model, retention_per_modality, top20_recall
 from .numerics import Rng, pca2
 from .schedule import (
@@ -344,7 +340,11 @@ def cmd_analyze(args) -> int:
     for name in required[args.metric]:
         if getattr(args, name) is None:
             raise SchemaError(f"--metric {args.metric} requires --{name}")
-    _emit(args.out, _read_inputs(handlers[args.metric], args))
+    try:
+        report = _read_inputs(handlers[args.metric], args)
+    except (DegenerateInput, ConvergenceFailure) as exc:  # a readable input with no defined result
+        raise SchemaError(f"{getattr(args, required[args.metric][0])}: {exc}") from None
+    _emit(args.out, report)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .importance import (
     random_select,
     tds_select,
 )
-from .intra import AudioSaliency, FrameGrid, apply_intra, grid_from_embeddings
+from .intra import IntraPlan, apply_intra
 from .numerics import Rng, derive_seed
 from .schedule import PruneScheduleConfig, prune_ratio
 from .sequence import InterleavedSequence, Modality, TokenTable
@@ -114,50 +114,6 @@ class AttentionRecord:
         object.__setattr__(self, "col_ids", np.asarray(self.col_ids, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class IntraPlan:
-    """Intra-pruning parameters plus the per-chunk inputs they consume."""
-
-    audio_keep: float
-    video_prune_rate: float
-    scores: tuple[AudioSaliency | None, ...]
-    grids: tuple[FrameGrid | None, ...]
-
-
-def make_intra_plan(
-    seq: InterleavedSequence,
-    audio_keep: float,
-    video_prune_rate: float,
-    frames_per_chunk: int,
-    seed: int,
-) -> IntraPlan:
-    """Synthesize intra-pruning inputs for a sequence.
-
-    Audio saliency is seeded-uniform (the real audio encoder is out of
-    scope); video grids are views of the sequence's own video embeddings.
-    """
-    rng = Rng(derive_seed(seed, 0x1A7D10))
-    tokens = seq.tokens
-    scores: list[AudioSaliency | None] = []
-    grids: list[FrameGrid | None] = []
-    for c in range(seq.max_chunk_index + 1):
-        in_chunk = tokens.chunk == c
-        n_audio = np.count_nonzero(in_chunk & tokens.mask(Modality.AUDIO))
-        video = in_chunk & tokens.mask(Modality.VIDEO)
-        scores.append(
-            AudioSaliency(scores=tuple(rng.uniforms(n_audio).tolist())) if n_audio else None
-        )
-        grids.append(
-            grid_from_embeddings(seq.embeddings[video], frames_per_chunk) if video.any() else None
-        )
-    return IntraPlan(
-        audio_keep=audio_keep,
-        video_prune_rate=video_prune_rate,
-        scores=tuple(scores),
-        grids=tuple(grids),
-    )
-
-
 def _effective_selector(selector: Selector, layer: int, tds: TdsConfig) -> Selector:
     if selector is Selector.TDS and layer < tds.start_layer:
         return Selector.PLAIN
@@ -233,12 +189,7 @@ def _pruning_loop(
 
 
 def _apply_intra_plan(seq: InterleavedSequence, intra: IntraPlan | None) -> InterleavedSequence:
-    if intra is None:
-        return seq
-    pruned, _ = apply_intra(
-        seq, intra.audio_keep, intra.video_prune_rate, intra.scores, intra.grids
-    )
-    return pruned
+    return seq if intra is None else apply_intra(seq, intra)[0]
 
 
 def run_with_pruning(
@@ -302,7 +253,8 @@ def run_with_injected_attention(
 
     ``maps`` holds one AttentionRecord per layer; columns are re-indexed by
     token id, so each record must cover every audiovisual survivor entering
-    its layer (missing ids or a wrong row count raise SchemaError).
+    its layer, and layer 0's must hold exactly those ids (otherwise, or on a
+    wrong row count, SchemaError).
     ``replay_seed`` seeds the random selector when no explicit seed is given,
     standing in for the model seed of a forward run. ``observer`` sees the
     replayed maps restricted to each layer's survivors, as in a forward run.
@@ -320,6 +272,12 @@ def run_with_injected_attention(
         rec = maps[layer]
         rec_ids = rec.col_ids
         want = tokens.id[cols]
+        if layer == 0 and not np.array_equal(np.unique(rec_ids), np.sort(want)):
+            raise SchemaError(
+                f"layer 0: the attention columns ({rec_ids.size}) are not the {want.size} "
+                f"audiovisual tokens entering it (chunks={seq.max_chunk_index + 1}, intra="
+                f"{'on' if intra else 'off'}); replay under the dump's sequence and intra settings"
+            )
         missing = want[~np.isin(want, rec_ids)]
         if missing.size:
             raise SchemaError(f"layer {layer}: no attention column for token id {missing[0]}")

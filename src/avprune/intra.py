@@ -1,10 +1,12 @@
-"""Modality-specific pruning applied before any decoder layer runs.
+"""Modality-specific pruning applied to the token table before any decoder layer runs.
 
-Audio keeps the top-k tokens by encoder saliency. Video runs temporal token
-merging style pruning: within every window of 4 consecutive frames the first
-frame is kept whole and tokens of the remaining frames are pruned in order of
-cosine similarity to their spatial counterpart in the window's first frame.
-Text tokens are never touched.
+Each rule returns a boolean keep mask over the rows it is given. Audio keeps
+the top-k tokens by encoder saliency. Video runs temporal token merging
+(TTM) style pruning: within every window of ``WINDOW`` consecutive frames
+the first frame is kept whole and tokens of the remaining frames are pruned
+in order of cosine similarity to their spatial counterpart in the window's
+first frame. ``apply_intra`` runs both per chunk on one keep mask over the
+sequence's rows; text tokens are never touched.
 """
 
 from __future__ import annotations
@@ -14,48 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidInput
-from .numerics import cosine
+from .errors import InvalidInput
+from .numerics import Rng, derive_seed
 from .sequence import InterleavedSequence, Modality
+
+WINDOW = 4  # frames per TTM window
 
 
 def round_half_away(x: float) -> int:
     """round() with halves away from zero, for cross-language determinism."""
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-
-
-@dataclass(frozen=True)
-class AudioSaliency:
-    """Encoder saliency per audio token of one chunk."""
-
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(not math.isfinite(s) or s < 0 for s in self.scores):
-            raise InvalidInput("saliency scores must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class FrameGrid:
-    """Spatial token embeddings of one chunk's frames, each frame (T, d)."""
-
-    frames: tuple[np.ndarray, ...]
-    window_size: int = 4
-
-    def __post_init__(self):
-        if self.window_size < 2:
-            raise InvalidInput("window_size must be at least 2")
-        shapes = {f.shape for f in self.frames}
-        if len(shapes) > 1:
-            raise InvalidInput("all frames must share the same (T, d) shape")
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.frames)
-
-    @property
-    def tokens_per_frame(self) -> int:
-        return int(self.frames[0].shape[0]) if self.frames else 0
 
 
 @dataclass(frozen=True)
@@ -68,131 +38,126 @@ class IntraReport:
     video_retained: int
 
     @property
-    def audio_retention(self) -> float:
-        return self.audio_retained / self.audio_total if self.audio_total else 1.0
-
-    @property
-    def video_retention(self) -> float:
-        return self.video_retained / self.video_total if self.video_total else 1.0
-
-    @property
     def combined_retention(self) -> float:
         total = self.audio_total + self.video_total
         kept = self.audio_retained + self.video_retained
         return kept / total if total else 1.0
 
 
-def audio_intra_prune(saliency: AudioSaliency, keep_ratio: float) -> set[int]:
-    """Indices of the round(keep_ratio * n) highest-saliency audio tokens.
+@dataclass(frozen=True)
+class IntraPlan:
+    """Intra-pruning settings plus one saliency score per audio token, in stream order."""
 
-    Score ties retain the lower index.
-    """
-    scores = saliency.scores
-    if not scores:
-        raise InvalidInput("cannot prune an empty score list")
-    if not (0.0 < keep_ratio <= 1.0):
-        raise InvalidInput("keep_ratio must lie in (0, 1]")
-    keep = round_half_away(keep_ratio * len(scores))
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return set(order[:keep])
+    audio_keep: float
+    video_prune_rate: float
+    frames_per_chunk: int
+    saliency: np.ndarray
 
 
-def video_ttm(grid: FrameGrid, prune_rate: float) -> set[tuple[int, int]]:
-    """Retained (frame, token) indices after windowed similarity pruning.
-
-    Per window the first frame survives whole; each remaining token is scored
-    by cosine similarity to the same spatial slot of the window's first frame
-    (zero vectors score 0), and the round(prune_rate * candidates) most
-    similar are dropped, ties dropping the higher (frame, token) index first.
-    A trailing partial window follows the same rule over its leftover frames.
-    """
-    if grid.frame_count == 0:
-        raise InvalidInput("frame grid is empty")
-    if not (0.0 <= prune_rate < 1.0):
-        raise InvalidInput("prune_rate must lie in [0, 1)")
-
-    t_per_frame = grid.tokens_per_frame
-    retained: set[tuple[int, int]] = set()
-    for start in range(0, grid.frame_count, grid.window_size):
-        window = range(start, min(start + grid.window_size, grid.frame_count))
-        anchor = grid.frames[start]
-        retained.update((start, t) for t in range(t_per_frame))
-        candidates = []
-        for f in window:
-            if f == start:
-                continue
-            for t in range(t_per_frame):
-                try:
-                    sim = cosine(grid.frames[f][t], anchor[t])
-                except DegenerateInput:
-                    sim = 0.0
-                candidates.append((sim, f, t))
-        drop = round_half_away(prune_rate * len(candidates))
-        candidates.sort(key=lambda c: (-c[0], -c[1], -c[2]))
-        retained.update((f, t) for _, f, t in candidates[drop:])
-    return retained
-
-
-def apply_intra(
+def make_intra_plan(
     seq: InterleavedSequence,
     audio_keep: float,
     video_prune_rate: float,
-    audio_scores,
-    grids,
-) -> tuple[InterleavedSequence, IntraReport]:
-    """Prune each chunk's audio and video tokens; text is untouched.
+    frames_per_chunk: int,
+    seed: int,
+) -> IntraPlan:
+    """Synthesize intra-pruning inputs for a sequence.
 
-    ``audio_scores`` and ``grids`` are indexed by chunk; an entry may be None
-    only when the chunk has no tokens of that modality. Stream order and all
+    Audio saliency is seeded-uniform (the real audio encoder is out of
+    scope); video frames are the sequence's own video embeddings.
+    """
+    saliency = Rng(derive_seed(seed, 0x1A7D10)).uniforms(seq.tokens.count(Modality.AUDIO))
+    return IntraPlan(audio_keep, video_prune_rate, frames_per_chunk, saliency)
+
+
+def audio_intra_prune(scores, keep_ratio: float) -> np.ndarray:
+    """Keep mask of the round(keep_ratio * n) highest saliency scores.
+
+    Score ties retain the lower index.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise InvalidInput("cannot prune an empty score list")
+    if not (0.0 < keep_ratio <= 1.0):
+        raise InvalidInput("keep_ratio must lie in (0, 1]")
+    keep = np.zeros(scores.size, dtype=bool)
+    order = np.lexsort((np.arange(scores.size), -scores))
+    keep[order[: round_half_away(keep_ratio * scores.size)]] = True
+    return keep
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise dot products as a batched (1, d) @ (d, 1) matmul, which rounds
+    # exactly as the 1-D ``a @ b`` and ``np.linalg.norm`` of numerics.cosine.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def video_ttm(frames, prune_rate: float) -> np.ndarray:
+    """Frame-major keep mask of an (F, T, d) frame array after windowed similarity pruning.
+
+    Per window the first frame survives whole; each remaining token is scored
+    by cosine similarity to the same spatial slot of the window's first frame
+    (zero vectors score 0, equal vectors 1), and the round(prune_rate *
+    candidates) most similar are dropped, ties dropping the higher (frame,
+    token) index first. A trailing partial window follows the same rule over
+    its leftover frames.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[0] == 0:
+        raise InvalidInput("frames must be a non-empty (F, T, d) array")
+    if not (0.0 <= prune_rate < 1.0):
+        raise InvalidInput("prune_rate must lie in [0, 1)")
+
+    n_frames, t_per, _ = frames.shape
+    norms = np.sqrt(_dots(frames, frames))
+    keep = np.ones(n_frames * t_per, dtype=bool)
+    for start in range(0, n_frames, WINDOW):
+        rest, anchor = frames[start + 1 : start + WINDOW], frames[start]
+        rest_norms, anchor_norms = norms[start + 1 : start + WINDOW], norms[start]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.fmin(1.0, np.fmax(-1.0, _dots(rest, anchor) / (rest_norms * anchor_norms)))
+        sims[(rest == anchor).all(axis=2)] = 1.0
+        sims[(rest_norms == 0.0) | (anchor_norms == 0.0)] = 0.0
+        # Flat candidate index is frame-major, so descending index is the (-f, -t) tie-break.
+        order = np.lexsort((-np.arange(sims.size), -sims.ravel()))
+        keep[(start + 1) * t_per + order[: round_half_away(prune_rate * sims.size)]] = False
+    return keep
+
+
+def apply_intra(seq: InterleavedSequence, plan: IntraPlan) -> tuple[InterleavedSequence, IntraReport]:
+    """Prune each chunk's audio and video rows of ``seq``; text is untouched.
+
+    Audio rows keep by ``plan.saliency``; each chunk's video rows, in stream
+    order, are its ``plan.frames_per_chunk`` frames. Stream order and all
     surviving token metadata are preserved.
     """
-    n_chunks = seq.max_chunk_index + 1
-    audio_scores = list(audio_scores)
-    grids = list(grids)
-    if len(audio_scores) != n_chunks or len(grids) != n_chunks:
-        raise InvalidInput(f"need scores and grids for all {n_chunks} chunks")
-
     tokens = seq.tokens
+    audio, video = tokens.mask(Modality.AUDIO), tokens.mask(Modality.VIDEO)
+    saliency = np.asarray(plan.saliency, dtype=np.float64)
+    n_audio = int(np.count_nonzero(audio))
+    if saliency.shape != (n_audio,):
+        raise InvalidInput(f"need one saliency score per audio token, {n_audio}; got {saliency.shape}")
+    if not np.all(np.isfinite(saliency) & (saliency >= 0.0)):
+        raise InvalidInput("saliency scores must be finite and non-negative")
+
     keep = tokens.is_text.copy()
-    audio_total = audio_kept = video_total = video_kept = 0
-
-    for c in range(n_chunks):
+    for c in range(seq.max_chunk_index + 1):
         in_chunk = tokens.chunk == c
-        audio_rows = np.flatnonzero(in_chunk & tokens.mask(Modality.AUDIO))
-        audio_total += audio_rows.size
-        if audio_rows.size:
-            saliency = audio_scores[c]
-            if saliency is None or len(saliency.scores) != audio_rows.size:
-                raise InvalidInput(f"chunk {c}: saliency length mismatch")
-            kept = audio_intra_prune(saliency, audio_keep)
-            audio_kept += len(kept)
-            keep[audio_rows[list(kept)]] = True
-
-        video_rows = np.flatnonzero(in_chunk & tokens.mask(Modality.VIDEO))
-        video_total += video_rows.size
-        if video_rows.size:
-            grid = grids[c]
-            if grid is None or grid.frame_count * grid.tokens_per_frame != video_rows.size:
-                raise InvalidInput(f"chunk {c}: frame grid does not cover the video tokens")
-            kept_ft = video_ttm(grid, video_prune_rate)
-            video_kept += len(kept_ft)
-            t_per = grid.tokens_per_frame
-            keep[video_rows[[f * t_per + t for f, t in kept_ft]]] = True
+        rows = np.flatnonzero(in_chunk & audio)
+        if rows.size:
+            keep[rows] = audio_intra_prune(saliency[in_chunk[audio]], plan.audio_keep)
+        rows = np.flatnonzero(in_chunk & video)
+        if rows.size:
+            n_frames = plan.frames_per_chunk
+            if n_frames < 1 or rows.size % n_frames:
+                raise InvalidInput(f"chunk {c}: {rows.size} video tokens do not split into {n_frames} frames")
+            frames = seq.embeddings[rows].reshape(n_frames, -1, seq.d)
+            keep[rows] = video_ttm(frames, plan.video_prune_rate)
 
     report = IntraReport(
-        audio_total=audio_total,
-        audio_retained=audio_kept,
-        video_total=video_total,
-        video_retained=video_kept,
+        audio_total=n_audio,
+        audio_retained=int(np.count_nonzero(keep & audio)),
+        video_total=int(np.count_nonzero(video)),
+        video_retained=int(np.count_nonzero(keep & video)),
     )
     return seq.subsequence(tokens.id[keep]), report
-
-
-def grid_from_embeddings(video_rows: np.ndarray, frames: int) -> FrameGrid:
-    """Frame grid view of a chunk's video embedding rows, frame-major order."""
-    n, d = video_rows.shape
-    if frames < 1 or n % frames != 0:
-        raise InvalidInput(f"{n} video tokens do not split into {frames} frames")
-    t_per = n // frames
-    stacked = np.asarray(video_rows, dtype=np.float64).reshape(frames, t_per, d)
-    return FrameGrid(frames=tuple(stacked[f] for f in range(frames)))

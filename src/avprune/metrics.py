@@ -112,7 +112,8 @@ def cosine_distribution(
     """Histogram of pairwise cosines for one pair kind (AA, VV, or AV).
 
     All pairs are used when they fit under ``sample_cap``; otherwise a
-    uniform sample of distinct pairs is drawn from ``rng``.
+    uniform sample of distinct pairs is drawn from ``rng``. A zero or
+    non-finite row among those of the pair kind raises DegenerateInput.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     modalities = list(modalities)
@@ -123,7 +124,13 @@ def cosine_distribution(
         if len(group) < 2:
             raise InvalidInput(f"{pair_kind.value} needs at least 2 tokens per modality")
 
-    unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    read = np.concatenate(need)
+    norms = np.linalg.norm(emb[read], axis=1)
+    bad = read[~np.isfinite(norms) | (norms == 0.0)]
+    if bad.size:
+        raise DegenerateInput(f"row {bad[0]} is zero or not finite, so its cosines are undefined")
+    unit = np.zeros_like(emb)
+    unit[read] = emb[read] / norms[:, None]
 
     if pair_kind is PairKind.AV:
         n_pairs = len(audio) * len(video)

@@ -11,9 +11,9 @@ import pytest
 
 from avprune import (
     AttentionRecord,
-    AudioSaliency,
     ChunkSpec,
     ImportanceScores,
+    IntraPlan,
     Modality,
     PruneScheduleConfig,
     Rng,
@@ -25,7 +25,6 @@ from avprune import (
     build_sequence,
     cost_model,
     derive_seed,
-    grid_from_embeddings,
     make_intra_plan,
     plain_select,
     run_with_injected_attention,
@@ -86,17 +85,15 @@ def test_criterion_3_intra_pruning_arithmetic():
     with criterion(3, "intra defaults give 0.444 +/- 0.002 combined and exactly 0.40 video"):
         seq = build_sequence(2, [ChunkSpec(0, 288, 50)], 3, 16, seed=21)
         rng = Rng(derive_seed(21, 0xACC3))
-        scores = [AudioSaliency(scores=tuple(rng.uniform() for _ in range(50)))]
-        video_rows = seq.embeddings[seq.tokens.mask(Modality.VIDEO)]
-        grids = [grid_from_embeddings(video_rows, frames=4)]
-        _, report = apply_intra(seq, audio_keep=0.7, video_prune_rate=0.8, audio_scores=scores, grids=grids)
+        plan = IntraPlan(
+            audio_keep=0.7, video_prune_rate=0.8, frames_per_chunk=4, saliency=rng.uniforms(50)
+        )
+        _, report = apply_intra(seq, plan)
         assert abs(report.combined_retention - 0.444) <= 0.002
 
-        one_window = grid_from_embeddings(
-            np.array([[rng.gaussian() for _ in range(6)] for _ in range(40)]), frames=4
-        )
+        one_window = rng.gaussians(40 * 6).reshape(4, 10, 6)
         retained = video_ttm(one_window, prune_rate=0.8)
-        assert len(retained) / 40 == 0.40
+        assert np.count_nonzero(retained) / 40 == 0.40
 
 
 def _brute_force_tds(scores, chunks, ids, k, lam, max_chunk):

@@ -329,6 +329,26 @@ class TestSimulate:
         assert code == 4
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def default_dump(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("default")
+        assert main(["simulate", "--out", str(out), "--dump-attention"]) == 0
+        return out / "attention"
+
+    @pytest.mark.parametrize(
+        "override, entering, settings",
+        [("intra.enabled=true", 300, "chunks=2, intra=on"), ("sequence.chunks=1", 338, "chunks=1, intra=off")],
+    )
+    def test_replay_under_another_layout_names_layer_0(
+        self, capsys, tmp_path, default_dump, override, entering, settings
+    ):
+        capsys.readouterr()
+        argv = ["simulate", "--out", str(tmp_path / "x"), "--set", override, "--inject", str(default_dump)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: layer 0: the attention columns (676) are not the {entering} ")
+        assert f"({settings})" in err
+
     @pytest.mark.parametrize(
         "override, key",
         [
@@ -417,6 +437,32 @@ class TestAnalyze:
         code = main(["analyze", "--metric", "cosine", "--embeddings", str(emb), "--tokens", str(tokens)])
         assert code == 4
         assert "tokens.jsonl" in capsys.readouterr().err
+
+    def test_recall_of_an_all_zero_map_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "zero.omtn"
+        tensorio.write_tensor(path, np.zeros((3, 5), dtype=np.float32))
+        assert main(["analyze", "--metric", "recall", "--attention", str(path)]) == 4
+        assert f"error: {path}: attention submatrix has no mass" in capsys.readouterr().err
+
+    def test_pca_of_a_nan_row_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "emb.omtn"
+        emb = np.random.default_rng(0).normal(size=(30, 4)).astype(np.float32)
+        emb[3] = np.nan
+        tensorio.write_tensor(path, emb)
+        assert main(["analyze", "--metric", "pca", "--embeddings", str(path)]) == 4
+        assert f"error: {path}: power iteration did not converge" in capsys.readouterr().err
+
+    def test_cosine_with_a_zero_row_exits_4(self, capsys, tmp_path):
+        emb, tokens, out = tmp_path / "emb.omtn", tmp_path / "tokens.jsonl", tmp_path / "hist.csv"
+        rows = np.random.default_rng(0).normal(size=(30, 4)).astype(np.float32)
+        rows[5] = 0.0
+        tensorio.write_tensor(emb, rows)
+        modalities = ["video"] * 27 + ["audio"] * 3
+        tokens.write_text("".join(json.dumps({"modality": m}) + "\n" for m in modalities))
+        argv = ["analyze", "--metric", "cosine", "--pair", "VV", "--embeddings", str(emb), "--tokens", str(tokens)]
+        assert main([*argv, "--out", str(out)]) == 4
+        assert f"error: {emb}: row 5 is zero or not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schema_mismatch_exits_4(self, capsys, tmp_path):
         emb = tmp_path / "emb.omtn"

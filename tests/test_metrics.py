@@ -190,6 +190,17 @@ class TestCosineDistribution:
         with pytest.raises(InvalidInput):
             cosine_distribution(emb, [Modality.AUDIO, Modality.VIDEO], PairKind.AA)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_undefined_rows_of_the_pair_kind_are_degenerate(self, bad):
+        emb = np.random.default_rng(1).normal(size=(6, 3))
+        emb[4] = bad  # a video row
+        modalities = self._modalities(3, 3)
+        with pytest.raises(DegenerateInput, match="row 4"):
+            cosine_distribution(emb, modalities, PairKind.VV)
+        with pytest.raises(DegenerateInput, match="row 4"):
+            cosine_distribution(emb, modalities, PairKind.AV)
+        assert cosine_distribution(emb, modalities, PairKind.AA).pairs_used == 3  # row 4 unread
+
 
 def constant_retention_trace(layers, n0_av, later_av, n_text=0):
     # Layer 0 enters with n0_av and prunes down to later_av in one step.
