@@ -325,6 +325,8 @@ def _analyze_pca(args) -> str:
 
 
 def cmd_analyze(args) -> int:
+    if args.cap < 1:
+        raise InvalidInput(f"--cap must be at least 1, got {args.cap}")
     handlers = {
         "recall": _analyze_recall,
         "retention": _analyze_retention,
@@ -342,7 +344,7 @@ def cmd_analyze(args) -> int:
             raise SchemaError(f"--metric {args.metric} requires --{name}")
     try:
         report = _read_inputs(handlers[args.metric], args)
-    except (DegenerateInput, ConvergenceFailure) as exc:  # a readable input with no defined result
+    except (InvalidInput, DegenerateInput, ConvergenceFailure) as exc:  # too small, or no defined result
         raise SchemaError(f"{getattr(args, required[args.metric][0])}: {exc}") from None
     _emit(args.out, report)
     return EXIT_OK

@@ -143,7 +143,6 @@ def random_select(ids, k: int, rng: Rng) -> set[int]:
     """Uniform sample of k ids without replacement; clamps oversized budgets."""
     pool = [int(i) for i in ids]
     k = min(max(k, 0), len(pool))
-    for i in range(k):
-        j = i + rng.below(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
+    for i, t in enumerate(rng.belows(len(pool) - np.arange(k)).tolist()):
+        pool[i], pool[i + t] = pool[i + t], pool[i]
     return set(pool[:k])

@@ -20,6 +20,11 @@ from .sequence import Modality
 from .trace import PruneTrace
 
 HISTOGRAM_BIN_WIDTH = 0.05  # fixed so histograms are comparable across runs
+# Blocks bound peak memory: the rows gathered for one block of dot products,
+# and the temporaries of one belows() call. A belows() call costs one numpy
+# pass per lane step whatever its length, so its blocks are larger.
+_PAIR_BLOCK = 4096
+_DRAW_BLOCK = 16384
 
 
 def top20_recall(
@@ -88,18 +93,17 @@ class CosineHistogram:
         return -1.0 + HISTOGRAM_BIN_WIDTH * np.arange(n + 1)
 
 
-def _bin_of(value: float) -> int:
-    n_bins = round(2.0 / HISTOGRAM_BIN_WIDTH)
-    return min(max(int((value + 1.0) // HISTOGRAM_BIN_WIDTH), 0), n_bins - 1)
-
-
-def _sample_distinct(n_total: int, k: int, rng: Rng) -> list[int]:
-    # Floyd's algorithm: k distinct uniform draws from range(n_total).
+def _sample_distinct(n_total: int, k: int, rng: Rng) -> np.ndarray:
+    # Floyd's algorithm: k distinct uniform draws from range(n_total). The
+    # bounds are drawn a block at a time; only the membership step is sequential.
     chosen: set[int] = set()
-    for j in range(n_total - k, n_total):
-        t = rng.below(j + 1)
-        chosen.add(j if t in chosen else t)
-    return sorted(chosen)
+    for lo in range(n_total - k, n_total, _DRAW_BLOCK):
+        bounds = np.arange(lo + 1, min(lo + _DRAW_BLOCK, n_total) + 1)
+        for j, t in enumerate(rng.belows(bounds).tolist(), lo):
+            chosen.add(j if t in chosen else t)
+    picks = np.fromiter(chosen, np.int64, k)
+    picks.sort()
+    return picks
 
 
 def cosine_distribution(
@@ -115,10 +119,14 @@ def cosine_distribution(
     uniform sample of distinct pairs is drawn from ``rng``. A zero or
     non-finite row among those of the pair kind raises DegenerateInput.
     """
+    if sample_cap < 1:
+        raise InvalidInput(f"sample_cap must be at least 1, got {sample_cap}")
     emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 2:
+        raise InvalidInput(f"embeddings must be one row per token, got a rank-{emb.ndim} tensor")
     modalities = list(modalities)
-    audio = [i for i, m in enumerate(modalities) if m is Modality.AUDIO]
-    video = [i for i, m in enumerate(modalities) if m is Modality.VIDEO]
+    audio = np.flatnonzero([m is Modality.AUDIO for m in modalities])
+    video = np.flatnonzero([m is Modality.VIDEO for m in modalities])
     need = {PairKind.AA: (audio,), PairKind.VV: (video,), PairKind.AV: (audio, video)}[pair_kind]
     for group in need:
         if len(group) < 2:
@@ -132,40 +140,32 @@ def cosine_distribution(
     unit = np.zeros_like(emb)
     unit[read] = emb[read] / norms[:, None]
 
-    if pair_kind is PairKind.AV:
-        n_pairs = len(audio) * len(video)
-
-        def unrank(p: int) -> tuple[int, int]:
-            return audio[p // len(video)], video[p % len(video)]
-
-    else:
-        group = need[0]
-        n = len(group)
-        n_pairs = n * (n - 1) // 2
-
-        def unrank(p: int) -> tuple[int, int]:
-            # Triangular unranking of pair p among i < j; the discriminant
-            # is a perfect square at row boundaries, so floor is exact.
-            i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * p)) // 2)
-            j = p - i * (2 * n - i - 1) // 2 + i + 1
-            return group[i], group[j]
-
+    n = len(need[0])
+    n_pairs = n * len(video) if pair_kind is PairKind.AV else n * (n - 1) // 2
     if n_pairs <= sample_cap:
-        picks = range(n_pairs)
+        picks = np.arange(n_pairs)
     else:
         if rng is None:
             raise InvalidInput("sampling above the cap requires an rng")
         picks = _sample_distinct(n_pairs, sample_cap, rng)
 
     n_bins = round(2.0 / HISTOGRAM_BIN_WIDTH)
-    counts = [0] * n_bins
-    used = 0
-    for p in picks:
-        i, j = unrank(p)
-        c = min(1.0, max(-1.0, float(unit[i] @ unit[j])))
-        counts[_bin_of(c)] += 1
-        used += 1
-    return CosineHistogram(counts=tuple(counts), pairs_used=used)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for lo in range(0, len(picks), _PAIR_BLOCK):
+        p = picks[lo : lo + _PAIR_BLOCK]
+        if pair_kind is PairKind.AV:
+            i, j = audio[p // len(video)], video[p % len(video)]
+        else:
+            # Triangular unranking of pair p among i < j; the discriminant
+            # is a perfect square at row boundaries, so floor is exact.
+            row = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * p)) // 2).astype(np.int64)
+            i, j = need[0][row], need[0][p - row * (2 * n - row - 1) // 2 + row + 1]
+        # Stacked (1,d)@(d,1) products round as the 1-D dot; einsum or a
+        # Gram gemm would sum in another order.
+        c = np.clip((unit[i][:, None, :] @ unit[j][:, :, None]).ravel(), -1.0, 1.0)
+        bins = np.clip((c + 1.0) // HISTOGRAM_BIN_WIDTH, 0, n_bins - 1).astype(np.int64)
+        counts += np.bincount(bins, minlength=n_bins)
+    return CosineHistogram(counts=tuple(counts.tolist()), pairs_used=len(picks))
 
 
 @dataclass(frozen=True)

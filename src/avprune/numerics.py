@@ -5,11 +5,12 @@ The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
 stream on any platform or language. All other routines are pure functions.
 
-Bulk draws (``Rng.uniforms``, ``Rng.gaussians``) are lane-parallel and bit
-for bit the scalar stream. xoshiro256** is linear over GF(2), so jumping
-``_LANE`` steps ahead is a fixed 256x256 bit matrix; the stream is cut into
-lanes of ``_LANE`` consecutive draws, each lane's start state is the jump of
-the previous one, and all lanes step together as ``np.uint64`` arrays.
+Bulk draws (``Rng.uniforms``, ``Rng.gaussians``, ``Rng.belows``) are
+lane-parallel and bit for bit the scalar stream. xoshiro256** is linear over
+GF(2), so jumping ``_LANE`` steps ahead is a fixed 256x256 bit matrix; the
+stream is cut into lanes of ``_LANE`` consecutive draws, each lane's start
+state is the jump of the previous one, and all lanes step together as
+``np.uint64`` arrays.
 Box-Muller keeps ``math.log``/``cos``/``sin`` per element, because numpy's
 transcendentals may differ from libm in the last bit; ``sqrt`` and the
 products are exact IEEE operations and run vectorised.
@@ -95,9 +96,8 @@ def _lane_jump() -> np.ndarray:
     return table
 
 
-def _lane_uniforms(state: list[int], out: np.ndarray) -> list[int]:
-    """Fill ``out`` (whole lanes) with uniform() draws from ``state``; return the state after."""
-    lanes = len(out) // _LANE
+def _lane_outputs(state: list[int], lanes: int) -> tuple[np.ndarray, list[int]]:
+    """``lanes * _LANE`` next_u64() outputs from ``state`` as uint64, and the state after."""
     table = _lane_jump()
     byte = np.arange(32)
     starts = np.empty((lanes + 1, 4), dtype="<u8")
@@ -105,16 +105,13 @@ def _lane_uniforms(state: list[int], out: np.ndarray) -> list[int]:
     for k in range(lanes):
         starts[k + 1] = np.bitwise_xor.reduce(table[byte, starts[k].view(np.uint8)], axis=0)
     x = _step_lanes(starts[:lanes].T.copy(), _LANE).ravel()  # lane after lane
-    # ((rotl(s1 * 5, 7) * 9) >> 11) + 1, as next_u64() and uniform() form it.
+    # rotl(s1 * 5, 7) * 9, as next_u64() forms it.
     x *= 5
     t = x >> 57
     x <<= 7
     x |= t
     x *= 9
-    x >>= 11
-    x += 1
-    np.multiply(x, 2.0**-53, out=out)
-    return starts[lanes].tolist()
+    return x, starts[lanes].tolist()
 
 
 class Rng:
@@ -173,16 +170,44 @@ class Rng:
         self._gauss_spare = radius * math.sin(theta)
         return radius * math.cos(theta)
 
+    def _outputs(self, count: int) -> np.ndarray:
+        """``count`` next_u64() outputs as uint64: whole lanes in bulk, the tail scalar."""
+        lanes, tail = divmod(count, _LANE)
+        bulk = np.empty(0, dtype=np.uint64)
+        if lanes:
+            bulk, self._s = _lane_outputs(self._s, lanes)
+        if not tail:
+            return bulk
+        return np.concatenate((bulk, np.fromiter((self.next_u64() for _ in range(tail)), np.uint64, tail)))
+
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` draws identical to repeated uniform(), as float64."""
         if count < 0:
             raise InvalidInput(f"uniforms() requires count >= 0, got {count}")
-        out = np.empty(count)
-        bulk = count - count % _LANE
-        if bulk:
-            self._s = _lane_uniforms(self._s, out[:bulk])
-        out[bulk:] = [self.uniform() for _ in range(count - bulk)]
-        return out
+        x = self._outputs(count)
+        x >>= 11
+        x += 1
+        return x * 2.0**-53
+
+    def belows(self, ns) -> np.ndarray:
+        """Draws identical to ``[self.below(n) for n in ns]``, as int64."""
+        n = np.asarray(ns)
+        if n.size and (n.dtype.kind not in "iu" or n.min() < 1 or n.max() >= 1 << 63):
+            raise InvalidInput("belows() requires every n in [1, 2**63)")
+        n = n.astype(np.uint64)
+        # below() rejects x >= 2**64 - r with r = 2**64 mod n; for r > 0 that
+        # is x > ~r, and for r == 0 nothing is rejected, as ~r is the top.
+        top = 0 - n
+        top %= n
+        np.invert(top, out=top)
+        x = self._outputs(len(n))
+        p = 0
+        while (bad := np.flatnonzero(x[p:] > top[p:])).size:
+            p += int(bad[0])  # draw p is rejected: every later draw shifts by one
+            x[p:-1] = x[p + 1 :]
+            x[-1] = self.next_u64()
+        x %= n
+        return x.view(np.int64)  # every draw is below n < 2**63
 
     def gaussians(self, count: int) -> np.ndarray:
         """``count`` draws identical to repeated gaussian(), spare included."""

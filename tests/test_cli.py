@@ -464,6 +464,45 @@ class TestAnalyze:
         assert f"error: {emb}: row 5 is zero or not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_1(self, capsys, tmp_path, cap):
+        emb, tokens, out = tmp_path / "emb.omtn", tmp_path / "tokens.jsonl", tmp_path / "hist.csv"
+        tensorio.write_tensor(emb, np.random.default_rng(0).normal(size=(4, 3)).astype(np.float32))
+        tokens.write_text(json.dumps({"modality": "video"}) + "\n" * 4)
+        argv = ["analyze", "--metric", "cosine", "--pair", "VV", "--embeddings", str(emb), "--tokens", str(tokens)]
+        assert main([*argv, f"--cap={cap}", "--out", str(out)]) == 1
+        assert f"error: --cap must be at least 1, got {cap}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_recall_of_an_empty_map_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "empty.omtn"
+        tensorio.write_tensor(path, np.zeros((0, 5), dtype=np.float32))
+        assert main(["analyze", "--metric", "recall", "--attention", str(path)]) == 4
+        assert f"error: {path}: empty attention submatrix" in capsys.readouterr().err
+
+    def test_cosine_with_one_audio_row_exits_4(self, capsys, tmp_path):
+        emb, tokens = tmp_path / "emb.omtn", tmp_path / "tokens.jsonl"
+        tensorio.write_tensor(emb, np.random.default_rng(0).normal(size=(4, 3)).astype(np.float32))
+        tokens.write_text("".join(json.dumps({"modality": m}) + "\n" for m in ["audio", "video", "video", "video"]))
+        argv = ["analyze", "--metric", "cosine", "--pair", "AA", "--embeddings", str(emb), "--tokens", str(tokens)]
+        assert main(argv) == 4
+        assert f"error: {emb}: AA needs at least 2 tokens per modality" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 2)])
+    def test_cosine_of_embeddings_not_a_matrix_exits_4(self, capsys, tmp_path, shape):
+        emb, tokens = tmp_path / "emb.omtn", tmp_path / "tokens.jsonl"
+        tensorio.write_tensor(emb, np.ones(shape, dtype=np.float32))
+        tokens.write_text("".join(json.dumps({"modality": m}) + "\n" for m in ["audio", "audio", "video", "video"]))
+        argv = ["analyze", "--metric", "cosine", "--embeddings", str(emb), "--tokens", str(tokens)]
+        assert main(argv) == 4
+        assert f"error: {emb}: embeddings must be one row per token, got a rank-{len(shape)}" in capsys.readouterr().err
+
+    def test_pca_of_two_rows_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "emb.omtn"
+        tensorio.write_tensor(path, np.random.default_rng(0).normal(size=(2, 4)).astype(np.float32))
+        assert main(["analyze", "--metric", "pca", "--embeddings", str(path)]) == 4
+        assert f"error: {path}: pca2 expects a matrix with at least 3 rows" in capsys.readouterr().err
+
     def test_schema_mismatch_exits_4(self, capsys, tmp_path):
         emb = tmp_path / "emb.omtn"
         tokens = tmp_path / "tokens.jsonl"

@@ -79,6 +79,8 @@ REPORT_OUTPUTS = {
     "retention.csv": "ae53d66466108cd9",
     "recall.json": "95ed0a013f87524a",
     "cosine-av.csv": "336c8ef90c16b5a7",
+    # VV has 165,600 pairs, past the default cap, so this pins the sampled path.
+    "cosine-vv.csv": "4a6ab96f147c81b1",
     "cost.json": "22b6246990486b8a",
 }
 
@@ -91,6 +93,10 @@ def _report_argv(run, reports):
         "recall.json": ["analyze", "--metric", "recall", "--attention", str(run / "attention/layer_0010.omtn")],
         "cosine-av.csv": [
             "analyze", "--metric", "cosine", "--pair", "AV", "--seed", "3",
+            "--embeddings", str(run / "embeddings.omtn"), "--tokens", str(run / "tokens.jsonl"),
+        ],
+        "cosine-vv.csv": [
+            "analyze", "--metric", "cosine", "--pair", "VV", "--seed", "3",
             "--embeddings", str(run / "embeddings.omtn"), "--tokens", str(run / "tokens.jsonl"),
         ],
         "cost.json": ["cost", "--trace", str(run / "trace.jsonl"), "--d", "32"],

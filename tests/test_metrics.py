@@ -1,6 +1,9 @@
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avprune import (
     AttentionMap,
@@ -25,6 +28,47 @@ from avprune import (
     run_with_pruning,
     top20_recall,
 )
+from avprune.metrics import HISTOGRAM_BIN_WIDTH
+
+
+def scalar_sample_distinct(n_total, k, rng):
+    """Reference Floyd sampling, one scalar ``below`` per pick."""
+    chosen = set()
+    for j in range(n_total - k, n_total):
+        t = rng.below(j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
+
+
+def scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=100_000, rng=None):
+    """Reference histogram, pair by pair: (counts, pairs_used)."""
+    audio = [i for i, m in enumerate(modalities) if m is Modality.AUDIO]
+    video = [i for i, m in enumerate(modalities) if m is Modality.VIDEO]
+    read = audio + video
+    unit = np.zeros_like(emb)
+    unit[read] = emb[read] / np.linalg.norm(emb[read], axis=1)[:, None]
+    if pair_kind is PairKind.AV:
+        n_pairs = len(audio) * len(video)
+
+        def unrank(p):
+            return audio[p // len(video)], video[p % len(video)]
+
+    else:
+        group = audio if pair_kind is PairKind.AA else video
+        n = len(group)
+        n_pairs = n * (n - 1) // 2
+
+        def unrank(p):
+            i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * p)) // 2)
+            return group[i], group[p - i * (2 * n - i - 1) // 2 + i + 1]
+
+    picks = range(n_pairs) if n_pairs <= sample_cap else scalar_sample_distinct(n_pairs, sample_cap, rng)
+    counts = [0] * 40
+    for p in picks:
+        i, j = unrank(p)
+        c = min(1.0, max(-1.0, float(unit[i] @ unit[j])))
+        counts[min(max(int((c + 1.0) // HISTOGRAM_BIN_WIDTH), 0), 39)] += 1
+    return tuple(counts), len(picks)
 
 
 class TestTop20Recall:
@@ -200,6 +244,44 @@ class TestCosineDistribution:
         with pytest.raises(DegenerateInput, match="row 4"):
             cosine_distribution(emb, modalities, PairKind.AV)
         assert cosine_distribution(emb, modalities, PairKind.AA).pairs_used == 3  # row 4 unread
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        emb = np.random.default_rng(2).normal(size=(4, 3))
+        with pytest.raises(InvalidInput, match="sample_cap"):
+            cosine_distribution(emb, self._modalities(2, 2), PairKind.AV, sample_cap=cap, rng=Rng(0))
+
+
+@st.composite
+def cosine_layouts(draw):
+    """Embeddings with interleaved modalities, duplicated rows and integer rows."""
+    n_audio, n_video, n_text = draw(st.integers(2, 300)), draw(st.integers(2, 300)), draw(st.integers(0, 5))
+    d = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    emb = rng.normal(size=(n_audio + n_video + n_text, d))
+    if draw(st.booleans()):
+        emb = np.round(emb * 2.0)  # integer rows put cosines on bin edges
+        emb[~emb.any(axis=1), 0] = 1.0
+    for _ in range(draw(st.integers(0, 20))):  # copy (or scale) one row onto another
+        src, dst = rng.integers(len(emb), size=2)
+        emb[dst] = emb[src] * draw(st.sampled_from([1.0, 2.0, -1.0]))
+    modalities = [Modality.AUDIO] * n_audio + [Modality.VIDEO] * n_video + [Modality.QUERY_TEXT] * n_text
+    order = rng.permutation(len(modalities))
+    return emb, [modalities[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    layout=cosine_layouts(),
+    pair_kind=st.sampled_from(list(PairKind)),
+    cap=st.integers(1, 3000) | st.just(100_000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_cosine_distribution_matches_the_scalar_loop(layout, pair_kind, cap, seed):
+    emb, modalities = layout
+    hist = cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
+    expected = scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
+    assert (hist.counts, hist.pairs_used) == expected
 
 
 def constant_retention_trace(layers, n0_av, later_av, n_text=0):

@@ -126,6 +126,39 @@ class TestBulkDraws:
             getattr(Rng(3), method)(-2)
 
 
+# Bounds that never reject in practice, bounds in [2**62, 2**63) that reject
+# up to half of all draws, and bounds spread over the whole range.
+BELOW_RANGES = st.sampled_from([(1, 1000), (2**62, 2**63), (1, 2**63)])
+
+
+class TestBelows:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=BULK_COUNTS | st.sampled_from([3 * _LANE - 5, 700]),
+        bounds=BELOW_RANGES,
+        sub_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bulk_bounded_draws_continue_the_scalar_stream(self, seed, n, bounds, sub_seed):
+        ns = np.random.default_rng(sub_seed).integers(*bounds, size=n, dtype=np.int64)
+        bulk, scalar = Rng(seed), Rng(seed)
+        got = bulk.belows(ns)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar.below(int(b)) for b in ns]
+        assert bulk._s == scalar._s
+        assert bulk.below(7) == scalar.below(7)
+
+    @pytest.mark.parametrize("ns", [[0], [-1], [5, 0, 3], [2**63], [2**64], [1.0]])
+    def test_bounds_outside_the_range_rejected(self, ns):
+        with pytest.raises(InvalidInput):
+            Rng(3).belows(ns)
+
+    def test_empty(self):
+        rng = Rng(3)
+        assert rng.belows([]).tolist() == []
+        assert rng.next_u64() == Rng(3).next_u64()
+
+
 class TestCosine:
     def test_orthogonal(self):
         assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
