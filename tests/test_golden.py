@@ -28,6 +28,9 @@ GOLDEN = {
         ("--set", "sequence.d=9", "--set", "model.d=9", "--set", "model.heads=3"),
         "3f45eb2b7a724b1a",
     ),
+    # Computing the context in row blocks moves this digest: OpenBLAS rounds a
+    # product by a path chosen from its size, so the layer must stay one call.
+    "seed-6": (("--set", "sequence.seed=6", "--set", "model.seed=7"), "4a358ab73c0db034"),
 }
 
 DEFAULT_OUTPUTS = {
