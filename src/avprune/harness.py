@@ -81,25 +81,30 @@ def sinusoidal_positions(positions, d: int) -> np.ndarray:
 
 
 def _forward_layer(
-    x: np.ndarray, w: _LayerWeights, heads: int
+    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer; returns (new hidden states, head-averaged probs)."""
+    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``, default all)."""
     n, d = x.shape
     head_dim = d // heads
     q = (x @ w.wq).reshape(n, heads, head_dim).transpose(1, 0, 2)
     k = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 0, 2)
     v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
 
-    scores = q @ k.transpose(0, 2, 1) / np.float32(math.sqrt(head_dim))
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    scores[:, mask] = -np.inf  # exp(-inf) = 0: causal entries are exact zeros
-    probs = np.exp(scores - scores.max(axis=2, keepdims=True))
+    # One (heads, n, n) buffer goes from scores to probs in place.
+    probs = q @ k.transpose(0, 2, 1)
+    probs /= np.float32(math.sqrt(head_dim))
+    col = np.arange(n)
+    np.copyto(probs, -np.inf, where=col > col[:, None])  # exp(-inf) = 0: causal entries are exact zeros
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
 
+    # One full-size call, never row blocks: OpenBLAS picks its sgemm path from
+    # M*N*K, so a block's row count would change the rounding of the context.
     context = (probs @ v).transpose(1, 0, 2).reshape(n, d)
     x = x + context @ w.wo
     x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2
-    return x, probs.mean(axis=0)
+    return x, (probs if rows is None else probs[:, rows]).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,8 @@ def run_with_pruning(
         nonlocal x, held
         x = x[np.isin(held, tokens.id)]  # drop the rows pruned since the last layer; ids are unique
         held = tokens.id
-        x, avg = _forward_layer(x, model.weights[layer], model.heads)
-        return avg[np.ix_(rows, cols)]
+        x, avg = _forward_layer(x, model.weights[layer], model.heads, rows)
+        return avg[:, cols]
 
     return _pruning_loop(
         working,

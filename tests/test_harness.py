@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,26 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
     return maps
 
 
+def reference_forward_layer(x, w, heads):
+    """Bit reference for ``_forward_layer``: out-of-place softmax, full head average."""
+    n, d = x.shape
+    head_dim = d // heads
+    q = (x @ w.wq).reshape(n, heads, head_dim).transpose(1, 0, 2)
+    k = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 0, 2)
+    v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
+
+    scores = q @ k.transpose(0, 2, 1) / np.float32(math.sqrt(head_dim))
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    scores[:, mask] = -np.inf
+    probs = np.exp(scores - scores.max(axis=2, keepdims=True))
+    probs /= probs.sum(axis=2, keepdims=True)
+
+    context = (probs @ v).transpose(1, 0, 2).reshape(n, d)
+    x = x + context @ w.wo
+    x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2
+    return x, probs.mean(axis=0)
+
+
 def small_setup(layers=4, heads=2, d=16, p_final=0.5, seed=3, chunks=None):
     chunks = chunks or [ChunkSpec(0, 8, 4)]
     seq = build_sequence(2, chunks, 3, d, seed)
@@ -72,6 +95,41 @@ class TestToyDecoder:
     def test_dimension_check(self):
         with pytest.raises(InvalidInput):
             ToyDecoder(2, 3, 8, seed=0)
+
+
+ROW_SETS = {
+    "all": lambda n: None,
+    "last-8": lambda n: np.arange(max(n - 8, 0), n),
+    "middle": lambda n: np.arange(n // 4, max(3 * n // 4, n // 4 + 1), 3),
+}
+
+
+class TestForwardLayer:
+    @pytest.mark.parametrize("rows", list(ROW_SETS))
+    @pytest.mark.parametrize("d, heads", [(32, 4), (9, 3), (32, 32)])
+    @pytest.mark.parametrize("n", [1, 2, 9, 177, 178, 400, 688])
+    def test_matches_the_reference_bit_for_bit(self, n, d, heads, rows):
+        w = ToyDecoder(1, heads, d, seed=n).weights[0]
+        x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
+        want_x, want_avg = reference_forward_layer(x, w, heads)
+        picked = ROW_SETS[rows](n)
+        got_x, got_avg = _forward_layer(x, w, heads, picked)
+        assert got_x.tobytes() == want_x.tobytes()
+        want_rows = want_avg if picked is None else want_avg[picked]
+        assert got_avg.shape == want_rows.shape
+        assert got_avg.tobytes() == want_rows.tobytes()
+
+    def test_peak_memory_is_about_one_score_tensor(self):
+        n, d, heads = 1364, 32, 4
+        w = ToyDecoder(1, heads, d, seed=0).weights[0]
+        x = np.random.default_rng(0).standard_normal((n, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _forward_layer(x, w, heads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * heads * n * n * 4
 
 
 class TestRunWithPruning:
