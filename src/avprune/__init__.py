@@ -21,7 +21,6 @@ from .harness import (
     sinusoidal_positions,
 )
 from .importance import (
-    AttentionMap,
     ImportanceScores,
     Selector,
     TdsConfig,
@@ -75,7 +74,6 @@ from .trace import LayerRecord, PruneTrace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionMap",
     "AttentionRecord",
     "ChunkSpec",
     "ConvergenceFailure",

@@ -19,8 +19,6 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .config import ExperimentConfig, load_config_file
 from .errors import ConvergenceFailure, DegenerateInput, Infeasible, InvalidInput, SchemaError
 from .harness import AttentionRecord, run_with_injected_attention, run_with_pruning
@@ -168,21 +166,11 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
         ids_path = path / f"layer_{layer:04d}.ids"
         if not tensor_path.exists() or not ids_path.exists():
             raise InvalidInput(f"missing attention files for layer {layer} in {path}")
-        values = tensorio.read_tensor(tensor_path)
-        if values.ndim != 2:
-            raise SchemaError(f"{tensor_path}: expected a rank-2 tensor")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise SchemaError(f"{tensor_path}: attention values must be finite and within [0, 1]")
-        # Text rows hold part of a softmax row, so none can carry more than 1.
-        sums = values.sum(axis=1, dtype=np.float64)
-        over = np.flatnonzero(sums > 1.0 + 1e-4)
-        if over.size:
-            row = int(over[0])
-            raise SchemaError(f"{tensor_path}: text row {row} sums to {sums[row]:.6g}, above 1")
-        ids = tensorio.read_ids(ids_path)
-        if len(ids) != values.shape[1]:
-            raise SchemaError(f"{ids_path}: {len(ids)} ids for {values.shape[1]} columns")
-        records.append(AttentionRecord(layer=layer, col_ids=ids, values=values))
+        values, ids = tensorio.read_tensor(tensor_path), tensorio.read_ids(ids_path)
+        try:
+            records.append(AttentionRecord(layer=layer, col_ids=ids, values=values))
+        except SchemaError as exc:
+            raise SchemaError(f"{tensor_path}: {exc}") from None
     return records
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import InvalidInput, SchemaError
 from .importance import (
-    AttentionMap,
     Selector,
     TdsConfig,
     plain_select,
@@ -109,14 +108,42 @@ def _forward_layer(
 
 @dataclass(frozen=True)
 class AttentionRecord:
-    """One layer's restricted text-to-audiovisual map: what a run observes, dumps and replays."""
+    """One layer's text-to-audiovisual attention: what a run observes, dumps and replays.
+
+    The only attention-map type, and the only place its rules live. The
+    values are post-softmax probabilities of the text rows restricted to the
+    audiovisual columns, so each lies in [0, 1] and a row sums to at most
+    one; each column's token id appears once. Breaking a rule is a
+    SchemaError naming the layer.
+    """
 
     layer: int
     col_ids: np.ndarray  # int64 token id of each column
-    values: np.ndarray  # (text rows, AV cols) float32
+    values: np.ndarray  # (text rows, AV cols) float32, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "col_ids", np.asarray(self.col_ids, dtype=np.int64))
+        ids = np.asarray(self.col_ids, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float32).view()
+        values.setflags(write=False)  # on a view, so the caller's array stays writable
+        object.__setattr__(self, "col_ids", ids)
+        object.__setattr__(self, "values", values)
+        where = f"layer {self.layer}"
+        if values.ndim != 2:
+            raise SchemaError(f"{where}: attention values form a rank-{values.ndim} tensor, not a matrix")
+        if ids.shape != (values.shape[1],):
+            raise SchemaError(f"{where}: {ids.size} ids for {values.shape[1]} columns")
+        # Sorted neighbours find a repeat about ten times faster than np.unique.
+        ordered = np.sort(ids)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise SchemaError(f"{where}: token id {repeated[0]} names more than one column")
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails both comparisons
+            raise SchemaError(f"{where}: attention values must be finite and within [0, 1]")
+        # Text rows hold part of a softmax row, so none can carry more than 1.
+        sums = values.sum(axis=1, dtype=np.float64)
+        over = np.flatnonzero(sums > 1.0 + 1e-4)
+        if over.size:
+            raise SchemaError(f"{where}: text row {over[0]} sums to {sums[over[0]]:.6g}, above 1")
 
 
 def _effective_selector(selector: Selector, layer: int, tds: TdsConfig) -> Selector:
@@ -126,7 +153,8 @@ def _effective_selector(selector: Selector, layer: int, tds: TdsConfig) -> Selec
 
 
 def _select(
-    attn: AttentionMap,
+    values: np.ndarray,
+    columns: TokenTable,
     effective: Selector,
     k_l: int,
     tds: TdsConfig,
@@ -134,8 +162,8 @@ def _select(
     selector_rng: Rng,
 ) -> set[int]:
     if effective is Selector.RANDOM:
-        return random_select(attn.columns.id, k_l, selector_rng)
-    scores = query_importance(attn)
+        return random_select(columns.id, k_l, selector_rng)
+    scores = query_importance(values, columns)
     if effective is Selector.TDS:
         return tds_select(scores, k_l, tds, max_chunk)
     return plain_select(scores, k_l)
@@ -164,11 +192,9 @@ def _pruning_loop(
     for layer in range(sched.layers):
         rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
         cols = np.flatnonzero(tokens.is_audiovisual)
-        attn = AttentionMap(
-            values=layer_map(layer, tokens, rows, cols), rows=tokens[rows], columns=tokens[cols]
-        )
+        values, columns = layer_map(layer, tokens, rows, cols), tokens[cols]
         if observer is not None:
-            observer(AttentionRecord(layer=layer, col_ids=attn.columns.id, values=attn.values))
+            observer(AttentionRecord(layer=layer, col_ids=columns.id, values=values))
         n_audio, n_video = tokens.count(Modality.AUDIO), tokens.count(Modality.VIDEO)
         n_text = len(tokens) - n_audio - n_video
         p_l = prune_ratio(layer, sched)
@@ -176,7 +202,7 @@ def _pruning_loop(
         effective = _effective_selector(selector, layer, tds)
         pruned: set[int] = set()
         if k_l > 0:
-            pruned = _select(attn, effective, k_l, tds, max_chunk, selector_rng)
+            pruned = _select(values, columns, effective, k_l, tds, max_chunk, selector_rng)
             tokens = tokens[~np.isin(tokens.id, list(pruned))]
         records.append(
             LayerRecord(
@@ -274,26 +300,24 @@ def run_with_injected_attention(
     working = _apply_intra_plan(seq, intra)
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # The record checked its own rules; what is left depends on this run.
         rec = maps[layer]
-        rec_ids = rec.col_ids
         want = tokens.id[cols]
-        if layer == 0 and not np.array_equal(np.unique(rec_ids), np.sort(want)):
+        if layer == 0 and not np.array_equal(np.sort(rec.col_ids), np.sort(want)):
             raise SchemaError(
-                f"layer 0: the attention columns ({rec_ids.size}) are not the {want.size} "
+                f"layer 0: the attention columns ({rec.col_ids.size}) are not the {want.size} "
                 f"audiovisual tokens entering it (chunks={seq.max_chunk_index + 1}, intra="
                 f"{'on' if intra else 'off'}); replay under the dump's sequence and intra settings"
             )
-        missing = want[~np.isin(want, rec_ids)]
+        missing = want[~np.isin(want, rec.col_ids)]
         if missing.size:
             raise SchemaError(f"layer {layer}: no attention column for token id {missing[0]}")
-        values = np.asarray(rec.values, dtype=np.float32)
-        if values.ndim != 2 or values.shape[0] != len(rows):
+        if rec.values.shape[0] != len(rows):
             raise SchemaError(
-                f"layer {layer}: expected {len(rows)} text rows, got {values.shape[0]}"
+                f"layer {layer}: expected {len(rows)} text rows, got {rec.values.shape[0]}"
             )
-        # Each wanted id's column in the record; a repeated id takes its last column.
-        order = np.argsort(rec_ids, kind="stable")
-        return values[:, order[np.searchsorted(rec_ids, want, side="right", sorter=order) - 1]]
+        order = np.argsort(rec.col_ids)
+        return rec.values[:, order[np.searchsorted(rec.col_ids, want, sorter=order)]]
 
     return _pruning_loop(
         working,

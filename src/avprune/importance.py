@@ -28,30 +28,6 @@ class Selector(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AttentionMap:
-    """Text rows of a head-averaged attention map, restricted to AV columns.
-
-    Values are the original post-softmax probabilities: the row-sum-to-one
-    invariant holds for full rows before restriction, so restricted rows sum
-    to at most one. ``rows`` and ``columns`` are the slices of the token
-    table the matrix is indexed by, so scores tie back to ids and chunks.
-    """
-
-    values: np.ndarray  # (text rows, surviving AV columns), float32
-    rows: TokenTable
-    columns: TokenTable
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float32)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (len(self.rows), len(self.columns)):
-            raise InvalidInput("row and column tokens must match the value matrix shape")
-        if vals.size and float(vals.min()) < 0.0:
-            raise InvalidInput("attention values must be non-negative")
-
-
-@dataclass(frozen=True)
 class ImportanceScores:
     """Importance score per surviving audiovisual token of ``tokens``."""
 
@@ -85,12 +61,12 @@ class TdsConfig:
             raise InvalidInput("start_layer: must be >= 0")
 
 
-def query_importance(attn: AttentionMap) -> ImportanceScores:
-    """Column mean of the attention map over its text rows."""
-    if attn.values.shape[0] == 0:
+def query_importance(values: np.ndarray, columns: TokenTable) -> ImportanceScores:
+    """Column mean over the text rows of an attention map onto ``columns``."""
+    values = np.asarray(values)
+    if values.shape[0] == 0:
         raise InvalidInput("attention map has no text rows")
-    scores = attn.values.mean(axis=0, dtype=np.float64)
-    return ImportanceScores(tokens=attn.columns, scores=scores)
+    return ImportanceScores(tokens=columns, scores=values.mean(axis=0, dtype=np.float64))
 
 
 def prune_count(n_audio: int, n_video: int, p_l: float) -> int:

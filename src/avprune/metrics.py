@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-from .importance import AttentionMap
 from .numerics import Rng
 from .sequence import Modality
 from .trace import PruneTrace
@@ -27,30 +26,21 @@ _PAIR_BLOCK = 4096
 _DRAW_BLOCK = 16384
 
 
-def top20_recall(
-    attn: AttentionMap | np.ndarray,
-    modality: Modality | None = None,
-    *,
-    exclude_system: bool = True,
-    per_row: bool = False,
-) -> float:
+def top20_recall(attn: np.ndarray, *, per_row: bool = False) -> float:
     """Share of attention mass held by the top 20% largest entries.
 
-    The submatrix (optionally restricted to one modality's columns, with
-    system rows dropped) is flattened and the ceil(0.2 * E) largest of its E
-    entries are summed against the total. ``per_row`` instead applies the
-    rule within each row and averages the per-row shares.
+    The matrix is flattened and the ceil(0.2 * E) largest of its E entries
+    are summed against the total. ``per_row`` instead applies the rule within
+    each row and averages the per-row shares. Any non-negative scale is
+    accepted, since the share does not depend on it.
     """
-    if isinstance(attn, AttentionMap):
-        values = np.asarray(attn.values, dtype=np.float64)
-        if modality is not None:
-            values = values[:, attn.columns.mask(modality)]
-        if exclude_system:
-            values = values[~attn.rows.mask(Modality.SYSTEM_TEXT)]
-    else:
-        values = np.asarray(attn, dtype=np.float64)
+    values = np.asarray(attn, dtype=np.float64)
+    if values.ndim != 2:
+        raise InvalidInput(f"attention must be a matrix, got a rank-{values.ndim} tensor")
     if values.size == 0:
         raise InvalidInput("empty attention submatrix")
+    if not np.all(np.isfinite(values)) or values.min() < 0.0:
+        raise InvalidInput("attention must be finite and non-negative")
     if not per_row:
         return _mass_share(values.ravel())
     return float(np.mean([_mass_share(row) for row in values]))

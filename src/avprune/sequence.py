@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
-from .numerics import Rng, derive_seed
+from .numerics import Rng
 
 
 class Modality(enum.Enum):
@@ -222,8 +222,6 @@ def synth_embeddings(
     subspace_dim: int,
     noise_scale: float,
     seed: int,
-    *,
-    rotate: bool = False,
 ) -> np.ndarray:
     """Synthetic per-modality embeddings in disjoint subspaces.
 
@@ -234,9 +232,6 @@ def synth_embeddings(
     so cosine similarity is a plain dot product. The mean offset keeps
     intra-modal similarities broadly positive while cross-modal pairs sit
     near zero, matching how real encoder embeddings cluster by modality.
-
-    With ``rotate=True`` a seeded orthogonal rotation is applied to every
-    row; cosines are preserved, the subspaces just stop being axis-aligned.
     """
     if subspace_dim < 1:
         raise InvalidInput("subspace_dim must be >= 1")
@@ -267,29 +262,10 @@ def synth_embeddings(
         rows[i] += noise_scale * draws[mid : mid + d]
         at = mid + d
 
-    if rotate:
-        rows = rows @ _orthogonal_matrix(d, derive_seed(seed, 0x0707)).T
-
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateInput("zero-norm embedding row; increase noise_scale")
     return rows / norms[:, None]
-
-
-def _orthogonal_matrix(d: int, seed: int) -> np.ndarray:
-    # Gram-Schmidt on a seeded Gaussian matrix; rows are orthonormal.
-    rng = Rng(seed)
-    q = np.zeros((d, d))
-    for i in range(d):
-        v = rng.gaussians(d)
-        for j in range(i):
-            v -= (v @ q[j]) * q[j]
-        n = float(np.linalg.norm(v))
-        if n < 1e-12:  # essentially impossible; retry with fresh draws
-            v = rng.gaussians(d)
-            n = float(np.linalg.norm(v))
-        q[i] = v / n
-    return q
 
 
 def default_subspace_dim(d: int) -> int:

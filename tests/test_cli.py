@@ -304,6 +304,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "layer_0001.omtn" in err and "row" in err
 
+    def test_injected_repeated_id_exits_4(self, capsys, small_config, tmp_path):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        layer, ids_path = dump / "attention" / "layer_0001.omtn", dump / "attention" / "layer_0001.ids"
+        ids = tensorio.read_ids(ids_path)
+        values = tensorio.read_tensor(layer)
+        tensorio.write_ids(ids_path, np.append(ids, ids[0]))
+        tensorio.write_tensor(layer, np.hstack([values, np.zeros((values.shape[0], 1), np.float32)]))
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        assert main(argv + ["--inject", str(dump / "attention")]) == 4
+        err = capsys.readouterr().err
+        assert f"layer_0001.omtn: layer 1: token id {ids[0]} names more than one column" in err
+
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "--config", small_config, "--out", str(tmp_path / "w"),
@@ -473,6 +487,24 @@ class TestAnalyze:
         assert main([*argv, f"--cap={cap}", "--out", str(out)]) == 1
         assert f"error: --cap must be at least 1, got {cap}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, per_row, message",
+        [
+            (np.array([[0.2, np.nan], [np.inf, 0.1]]), False, "must be finite and non-negative"),
+            (np.array([[0.5, -0.4], [0.3, 0.2]]), False, "must be finite and non-negative"),
+            (np.array([0.5, 0.3, 0.2]), True, "must be a matrix, got a rank-1 tensor"),
+        ],
+        ids=["non-finite", "negative", "rank-1"],
+    )
+    def test_recall_of_an_invalid_map_exits_4(self, capsys, tmp_path, values, per_row, message):
+        path = tmp_path / "bad.omtn"
+        tensorio.write_tensor(path, values.astype(np.float32))
+        argv = ["analyze", "--metric", "recall", "--attention", str(path), *(["--per-row"] if per_row else [])]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert f"error: {path}: attention {message}" in captured.err
+        assert captured.out == ""
 
     def test_recall_of_an_empty_map_exits_4(self, capsys, tmp_path):
         path = tmp_path / "empty.omtn"

@@ -234,14 +234,15 @@ class TestRunWithPruning:
 
 
 class TestInjectedAttention:
-    def _uniform_records(self, seq, layers, value=1.0):
+    def _uniform_records(self, seq, layers):
+        # Each text row spreads its mass evenly, so it sums to one.
         av_ids = tuple(seq.tokens.id[seq.tokens.is_audiovisual].tolist())
         rows = seq.tokens.count(Modality.QUERY_TEXT)
         return [
             AttentionRecord(
                 layer=l,
                 col_ids=av_ids,
-                values=np.full((rows, len(av_ids)), value, dtype=np.float32),
+                values=np.full((rows, len(av_ids)), 1.0 / len(av_ids), dtype=np.float32),
             )
             for l in range(layers)
         ]
@@ -293,9 +294,38 @@ class TestInjectedAttention:
         assert all(favored not in rec.pruned_ids for rec in trace.layers)
 
     def test_record_ids_are_int64(self):
-        rec = AttentionRecord(layer=0, col_ids=(5, 2), values=np.zeros((1, 2), dtype=np.float32))
+        values = np.zeros((1, 2), dtype=np.float32)
+        rec = AttentionRecord(layer=0, col_ids=(5, 2), values=values)
         assert rec.col_ids.dtype == np.int64
         assert rec.col_ids.tolist() == [5, 2]
+        assert not rec.values.flags.writeable and values.flags.writeable
+
+    BAD_RECORDS = {
+        "extra-id": r"layer 20: 13 ids for 12 columns",
+        "repeated-id": r"layer 20: token id \d+ names more than one column",
+        "nan": r"layer 20: attention values must be finite and within \[0, 1\]",
+        "above-one": r"layer 20: attention values must be finite and within \[0, 1\]",
+        "row-sum": r"layer 20: text row 1 sums to 1\.01, above 1",
+    }
+
+    @pytest.mark.parametrize("bad", BAD_RECORDS)
+    def test_bad_record_is_schema_error_naming_the_layer(self, bad):
+        seq, _, _ = small_setup()
+        rec = self._uniform_records(seq, 1)[0]
+        ids, values = rec.col_ids.tolist(), rec.values.copy()
+        if bad == "extra-id":
+            ids = [max(ids) + 1, *ids]
+        elif bad == "repeated-id":
+            ids = [*ids, ids[3]]
+            values = np.hstack([values, np.zeros((values.shape[0], 1), dtype=np.float32)])
+        elif bad == "nan":
+            values[0, 2] = np.nan
+        elif bad == "above-one":
+            values[1, 0] = 1.5
+        else:
+            values[1] = 1.01 / values.shape[1]
+        with pytest.raises(SchemaError, match=self.BAD_RECORDS[bad]):
+            AttentionRecord(layer=20, col_ids=ids, values=values)
 
     def test_missing_layer_rejected(self):
         seq, _, sched = small_setup()

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avprune import (
-    AttentionMap,
     ImportanceScores,
     InvalidInput,
     Modality,
@@ -19,14 +18,9 @@ from avprune import (
 
 
 def make_map(values):
-    # Query-text rows over video columns of chunk 0.
+    # Query-text rows over video columns of chunk 0: (values, columns).
     values = np.asarray(values, dtype=np.float32)
-    rows, cols = values.shape
-    return AttentionMap(
-        values=values,
-        rows=TokenTable.from_runs([(Modality.QUERY_TEXT, rows, None)]),
-        columns=TokenTable.from_runs([(Modality.VIDEO, cols, 0)]),
-    )
+    return values, TokenTable.from_runs([(Modality.VIDEO, values.shape[1], 0)])
 
 
 def make_scores(scores, chunks=None):
@@ -43,22 +37,22 @@ def make_scores(scores, chunks=None):
 
 class TestQueryImportance:
     def test_uniform_attention(self):
-        out = query_importance(make_map(np.full((3, 5), 0.2)))
+        out = query_importance(*make_map(np.full((3, 5), 0.2)))
         assert np.allclose(out.scores, 0.2)
 
     def test_column_mean_oracle(self):
-        out = query_importance(make_map([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]))
+        out = query_importance(*make_map([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]))
         assert out.scores == pytest.approx([0.3, 0.45, 0.25])
 
     def test_duplicated_rows_leave_scores_unchanged(self):
         rows = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]], dtype=np.float32)
-        once = query_importance(make_map(rows))
-        twice = query_importance(make_map(np.vstack([rows, rows])))
+        once = query_importance(*make_map(rows))
+        twice = query_importance(*make_map(np.vstack([rows, rows])))
         assert np.allclose(once.scores, twice.scores)
 
     def test_zero_rows_rejected(self):
         with pytest.raises(InvalidInput):
-            query_importance(make_map(np.zeros((0, 4), dtype=np.float32)))
+            query_importance(*make_map(np.zeros((0, 4), dtype=np.float32)))
 
 
 class TestPruneCount:
