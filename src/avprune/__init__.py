@@ -48,7 +48,7 @@ from .metrics import (
     retention_per_modality,
     top20_recall,
 )
-from .numerics import Rng, cosine, derive_seed, pca2, splitmix64
+from .numerics import Rng, derive_seed, pca2, splitmix64
 from .schedule import (
     PruneScheduleConfig,
     RetentionTrace,
@@ -105,7 +105,6 @@ __all__ = [
     "calibrate_p_final",
     "calibrate_p_final_bisection",
     "calibrate_p_final_closed_form",
-    "cosine",
     "cosine_distribution",
     "cost_model",
     "derive_seed",

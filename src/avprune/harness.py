@@ -146,29 +146,6 @@ class AttentionRecord:
             raise SchemaError(f"{where}: text row {over[0]} sums to {sums[over[0]]:.6g}, above 1")
 
 
-def _effective_selector(selector: Selector, layer: int, tds: TdsConfig) -> Selector:
-    if selector is Selector.TDS and layer < tds.start_layer:
-        return Selector.PLAIN
-    return selector
-
-
-def _select(
-    values: np.ndarray,
-    columns: TokenTable,
-    effective: Selector,
-    k_l: int,
-    tds: TdsConfig,
-    max_chunk: int,
-    selector_rng: Rng,
-) -> set[int]:
-    if effective is Selector.RANDOM:
-        return random_select(columns.id, k_l, selector_rng)
-    scores = query_importance(values, columns)
-    if effective is Selector.TDS:
-        return tds_select(scores, k_l, tds, max_chunk)
-    return plain_select(scores, k_l)
-
-
 def _pruning_loop(
     seq: InterleavedSequence,
     sched: PruneScheduleConfig,
@@ -199,17 +176,22 @@ def _pruning_loop(
         n_text = len(tokens) - n_audio - n_video
         p_l = prune_ratio(layer, sched)
         k_l = prune_count(n_audio, n_video, p_l)
-        effective = _effective_selector(selector, layer, tds)
-        pruned: set[int] = set()
+        effective = Selector.PLAIN if selector is Selector.TDS and layer < tds.start_layer else selector
+        pruned = np.empty(0, dtype=np.int64)
         if k_l > 0:
-            pruned = _select(values, columns, effective, k_l, tds, max_chunk, selector_rng)
-            tokens = tokens[~np.isin(tokens.id, list(pruned))]
+            if effective is Selector.RANDOM:
+                pruned = random_select(columns.id, k_l, selector_rng)
+            elif effective is Selector.TDS:
+                pruned = tds_select(query_importance(values, columns), k_l, tds, max_chunk)
+            else:
+                pruned = plain_select(query_importance(values, columns), k_l)
+            tokens = tokens[~np.isin(tokens.id, pruned)]
         records.append(
             LayerRecord(
                 layer=layer,
                 p_l=p_l,
                 k_l=k_l,
-                pruned_ids=tuple(sorted(pruned)),
+                pruned_ids=tuple(pruned.tolist()),
                 n_audio=n_audio,
                 n_video=n_video,
                 n_text=n_text,

@@ -81,8 +81,8 @@ def _ascending(scores: ImportanceScores) -> np.ndarray:
     return np.lexsort((scores.tokens.id, scores.scores))
 
 
-def plain_select(scores: ImportanceScores, k: int) -> set[int]:
-    """Ids of the k lowest-importance tokens; ties prune the lower id first."""
+def plain_select(scores: ImportanceScores, k: int) -> np.ndarray:
+    """Ascending ids of the k lowest-importance tokens; ties prune the lower id first."""
     if k > len(scores):
         warnings.warn(
             f"pruning budget {k} exceeds the {len(scores)} surviving tokens; clamping",
@@ -90,13 +90,11 @@ def plain_select(scores: ImportanceScores, k: int) -> set[int]:
             stacklevel=2,
         )
         k = len(scores)
-    if k <= 0:
-        return set()
-    return set(scores.tokens.id[_ascending(scores)[:k]].tolist())
+    return np.sort(scores.tokens.id[_ascending(scores)[: max(k, 0)]])
 
 
-def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int) -> set[int]:
-    """Diversity-aware selection over a 2k candidate buffer.
+def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int) -> np.ndarray:
+    """Ascending ids pruned by diversity-aware selection over a 2k candidate buffer.
 
     The key chunk is the one holding the highest-importance token; buffer
     entries get a bonus of lambda_div times their normalized chunk distance
@@ -105,20 +103,20 @@ def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int)
     (max_chunk = 0) degenerates to plain selection.
     """
     k = min(k, len(scores))
-    if k <= 0:
-        return set()
     ids, chunks, vals = scores.tokens.id, scores.tokens.chunk, scores.scores
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
     key_chunk = chunks[np.lexsort((ids, -vals))[0]]
     buffer = _ascending(scores)[: 2 * k]
     distance = np.abs(key_chunk - chunks[buffer]) / max_chunk if max_chunk > 0 else 0.0
     rescored = vals[buffer] + cfg.lambda_div * distance
-    return set(ids[buffer][np.lexsort((ids[buffer], rescored))[:k]].tolist())
+    return np.sort(ids[buffer][np.lexsort((ids[buffer], rescored))[:k]])
 
 
-def random_select(ids, k: int, rng: Rng) -> set[int]:
-    """Uniform sample of k ids without replacement; clamps oversized budgets."""
-    pool = [int(i) for i in ids]
+def random_select(ids, k: int, rng: Rng) -> np.ndarray:
+    """Ascending uniform sample of k ids without replacement; clamps oversized budgets."""
+    pool = np.array(ids, dtype=np.int64)
     k = min(max(k, 0), len(pool))
     for i, t in enumerate(rng.belows(len(pool) - np.arange(k)).tolist()):
         pool[i], pool[i + t] = pool[i + t], pool[i]
-    return set(pool[:k])
+    return np.sort(pool[:k])

@@ -88,7 +88,7 @@ def audio_intra_prune(scores, keep_ratio: float) -> np.ndarray:
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Row-wise dot products as a batched (1, d) @ (d, 1) matmul, which rounds
-    # exactly as the 1-D ``a @ b`` and ``np.linalg.norm`` of numerics.cosine.
+    # exactly as a 1-D ``a @ b`` and ``np.linalg.norm`` (the scalar cosine rule).
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -160,4 +160,4 @@ def apply_intra(seq: InterleavedSequence, plan: IntraPlan) -> tuple[InterleavedS
         video_total=int(np.count_nonzero(video)),
         video_retained=int(np.count_nonzero(keep & video)),
     )
-    return seq.subsequence(tokens.id[keep]), report
+    return seq.subsequence(keep), report

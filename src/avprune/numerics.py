@@ -1,5 +1,5 @@
-"""Deterministic numeric kernel: seeded PRNG, Gaussian draws, cosine
-similarity, and rank-2 PCA via power iteration.
+"""Deterministic numeric kernel: seeded PRNG, Gaussian draws, and rank-2
+PCA via power iteration.
 
 The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
@@ -235,21 +235,6 @@ class Rng:
             self._gauss_spare = float(z[-1])
             z = z[:-1]
         return np.concatenate((head, z)) if head else z
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity clamped to [-1, 1] against rounding."""
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
-        raise InvalidInput("cosine expects two equal-length 1-D vectors")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInput("cosine undefined for a zero vector")
-    if np.array_equal(a, b):  # identical inputs are exactly parallel
-        return 1.0
-    return float(min(1.0, max(-1.0, float(a @ b) / (na * nb))))
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:

@@ -210,9 +210,11 @@ class InterleavedSequence:
     def max_chunk_index(self) -> int:
         return int(self.tokens.chunk.max(initial=0))
 
-    def subsequence(self, keep_ids) -> "InterleavedSequence":
-        """New sequence retaining only the given ids, in original order."""
-        keep = np.isin(self.tokens.id, np.fromiter(keep_ids, dtype=np.int64))
+    def subsequence(self, keep: np.ndarray) -> "InterleavedSequence":
+        """New sequence retaining the rows where the boolean mask ``keep`` is true, in original order."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (self.n,):
+            raise InvalidInput(f"keep must be a boolean mask over the {self.n} tokens")
         return InterleavedSequence(tokens=self.tokens[keep], embeddings=self.embeddings[keep])
 
 

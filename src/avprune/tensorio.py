@@ -12,16 +12,19 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput, SchemaError
-from .trace import LayerRecord, PruneTrace
+from .errors import SchemaError
+from .trace import LayerRecord, PruneTrace, RecordError
 
 MAGIC = b"OMTN"
 VERSION = 1
+# Decimal ids without sign, space or leading zero, one per line; 19 digits hold 2**63 - 1.
+_ID_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,18})\n)*(?:0|[1-9][0-9]{0,18})?")
 
 
 def write_artifact(path, data: str | bytes) -> None:
@@ -77,11 +80,15 @@ def write_ids(path, ids) -> None:
 
 
 def read_ids(path) -> tuple[int, ...]:
+    """Ids of a sidecar whose every line is the decimal form of one id; else SchemaError."""
     try:
-        ids = tuple(int(line) for line in Path(path).read_text(encoding="ascii").split())
+        text = Path(path).read_bytes().decode("ascii")  # no newline translation
     except ValueError as exc:
         raise SchemaError(f"{path}: malformed id list ({exc})") from None
-    if not all(0 <= i < 2**63 for i in ids):
+    if not _ID_LINES.fullmatch(text):
+        raise SchemaError(f"{path}: malformed id list (each line must be one decimal id)")
+    ids = tuple(map(int, text.split()))
+    if max(ids, default=0) >= 2**63:
         raise SchemaError(f"{path}: token ids must lie in [0, 2**63)")
     return ids
 
@@ -100,8 +107,9 @@ def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:
 def read_trace_jsonl(path) -> tuple[PruneTrace, dict]:
     """Parse a trace file; returns (trace, summary). Verifies the digest."""
     try:
-        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-        objs = [json.loads(ln) for ln in lines]
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        numbers = [n for n, ln in enumerate(lines, 1) if ln.strip()]  # the file line of each object
+        objs = [json.loads(lines[n - 1]) for n in numbers]
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
         raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
     if len(objs) < 2:
@@ -110,15 +118,15 @@ def read_trace_jsonl(path) -> tuple[PruneTrace, dict]:
     if not isinstance(summary, dict) or not isinstance(summary.get("digest"), str):
         raise SchemaError(f"{path}: final line is not a summary object")
     layers = []
-    for number, obj in enumerate(records, 1):
+    for number, obj in zip(numbers, records):
         try:
             layers.append(LayerRecord.from_json_obj(obj))
         except SchemaError as exc:
             raise SchemaError(f"{path}: line {number}: {exc}") from None
     try:
         trace = PruneTrace(layers=tuple(layers))
-    except InvalidInput as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    except RecordError as exc:
+        raise SchemaError(f"{path}: line {numbers[exc.index]}: {exc.rule}") from None
     if trace.digest != summary["digest"]:
         raise SchemaError(f"{path}: stored digest does not match the records")
     return trace, summary

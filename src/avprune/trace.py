@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidInput, SchemaError
+from .importance import Selector
 
 
 @dataclass(frozen=True)
@@ -67,28 +68,47 @@ def _field(obj: dict, key: str, kind):
     return value
 
 
+class RecordError(InvalidInput):
+    """A trace rule broken by the record at ``index``."""
+
+    def __init__(self, index: int, rule: str):
+        super().__init__(f"layer record {index}: {rule}")
+        self.index, self.rule = index, rule
+
+
 @dataclass(frozen=True)
 class PruneTrace:
     """Per-layer pruning record of one harness run.
 
     Counts are the tokens *entering* each layer, so consecutive records obey
     survivors(l+1) = survivors(l) - k_l and the pruned ids plus the final
-    survivors partition the initial audiovisual population.
+    survivors partition the initial audiovisual population. Construction
+    checks each record against the rules listed in ``__post_init__`` and
+    raises RecordError for the first one broken.
     """
 
     layers: tuple[LayerRecord, ...]
 
     def __post_init__(self):
-        prev: LayerRecord | None = None
-        for rec in self.layers:
-            if prev is not None:
-                if rec.n_text != prev.n_text:
-                    raise InvalidInput("text count must stay constant across layers")
-                if rec.n_audio + rec.n_video != prev.n_audio + prev.n_video - prev.k_l:
-                    raise InvalidInput("entering counts must drop by exactly k_l")
-            if len(rec.pruned_ids) != rec.k_l:
-                raise InvalidInput("pruned id list must match k_l")
-            prev = rec
+        pruned: set[int] = set()
+        for index, rec in enumerate(self.layers):
+            prev = self.layers[index - 1] if index else None
+            entering, ids = rec.n_audio + rec.n_video, set(rec.pruned_ids)
+            for broken, rule in (
+                (rec.layer != index, f"labeled layer {rec.layer}"),
+                (min(rec.k_l, rec.n_audio, rec.n_video, rec.n_text) < 0, "counts must be >= 0"),
+                (not 0.0 <= rec.p_l < 1.0, f"p_l {rec.p_l} must be finite and in [0, 1)"),  # NaN fails
+                (rec.k_l > entering, f"k_l {rec.k_l} exceeds the {entering} audiovisual tokens"),
+                (len(rec.pruned_ids) != rec.k_l, "pruned id list must match k_l"),
+                (len(ids) != rec.k_l or min(ids, default=0) < 0, "pruned ids must be distinct and >= 0"),
+                (not ids.isdisjoint(pruned), "a pruned id was already pruned at an earlier layer"),
+                (rec.selector not in {s.value for s in Selector}, f"unknown selector {rec.selector!r}"),
+                (prev and rec.n_text != prev.n_text, "text count must stay constant across layers"),
+                (prev and entering != prev.n_audio + prev.n_video - prev.k_l, "entering counts must drop by k_l"),
+            ):
+                if broken:
+                    raise RecordError(index, rule)
+            pruned |= ids
 
     @property
     def initial_audio(self) -> int:

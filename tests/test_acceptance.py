@@ -132,11 +132,11 @@ def test_criterion_4_tds_matches_brute_force():
             packed = ImportanceScores(tokens=tokens, scores=np.array(scores))
             got = tds_select(packed, k, TdsConfig(lambda_div=lam, start_layer=0), max_chunk)
             expected, buffer = _brute_force_tds(scores, chunks, ids, k, lam, max_chunk)
-            assert got == expected
+            assert got.dtype == np.int64 and got.tolist() == sorted(expected)
             assert len(got) == min(k, n)
-            assert got <= buffer or k == 0
+            assert set(got.tolist()) <= buffer or k == 0
             with_zero = tds_select(packed, k, TdsConfig(lambda_div=0.0, start_layer=0), max_chunk)
-            assert with_zero == plain_select(packed, k)
+            assert with_zero.tolist() == plain_select(packed, k).tolist()
         assert time.perf_counter() - start < 10.0
 
 

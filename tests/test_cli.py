@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -587,6 +588,39 @@ class TestCost:
         code = main(["cost", "--trace", str(path), "--d", "8"])
         assert code == 4
         assert "trace.jsonl" in capsys.readouterr().err
+
+    # Each case edits one or two keys of a valid two-layer trace and rewrites
+    # the digest, so only a trace rule can refuse it: (line, {key: value}).
+    BROKEN_TRACES = {
+        "negative-count": (2, {"n_audio": -5, "n_video": 11}),
+        "nan-p": (1, {"p_l": float("nan")}),
+        "p-of-one": (2, {"p_l": 1.0}),
+        "k-above-entering": (2, {"k_l": 7, "pruned_ids": list(range(10, 17))}),
+        "repeated-id": (1, {"pruned_ids": [7, 7]}),
+        "negative-id": (1, {"pruned_ids": [-3, 7]}),
+        "pruned-twice": (2, {"k_l": 1, "pruned_ids": [7]}),
+        "unknown-selector": (2, {"selector": "bogus"}),
+        "layer-label": (2, {"layer": 5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_TRACES))
+    def test_trace_breaking_a_rule_exits_4(self, capsys, tmp_path, case):
+        line, edit = self.BROKEN_TRACES[case]
+        records = [
+            {"layer": 0, "p_l": 0.25, "k_l": 2, "pruned_ids": [3, 7], "n_audio": 4, "n_video": 4, "n_text": 2,
+             "selector": "plain"},
+            {"layer": 1, "p_l": 0.0, "k_l": 0, "pruned_ids": [], "n_audio": 3, "n_video": 3, "n_text": 2,
+             "selector": "tds"},
+        ]
+        records[line - 1].update(edit)
+        lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        path = tmp_path / "trace.jsonl"
+        # A leading blank line: the message counts the file's lines, blank ones too.
+        path.write_text("\n".join(["", *lines, json.dumps({"config_digest": "c", "digest": digest})]) + "\n")
+        for argv in (["cost", "--trace", str(path), "--d", "8"], ["analyze", "--metric", "retention", "--trace", str(path)]):
+            assert main(argv) == 4
+            assert f"trace.jsonl: line {line + 1}: " in capsys.readouterr().err
 
     def test_zero_baseline_trace_exits_4(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from avprune import (
     ImportanceScores,
@@ -33,6 +33,13 @@ def make_scores(scores, chunks=None):
         position=np.arange(n),
     )
     return ImportanceScores(tokens=tokens, scores=np.asarray(scores, dtype=np.float64))
+
+
+def picked(ids) -> list[int]:
+    """A selection's ids as a list, after checking it is an ascending int64 array."""
+    assert isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1
+    assert np.all(ids[:-1] < ids[1:])
+    return ids.tolist()
 
 
 class TestQueryImportance:
@@ -72,25 +79,25 @@ class TestPruneCount:
 
 class TestPlainSelect:
     def test_empty_budget(self):
-        assert plain_select(make_scores([0.5, 0.2]), 0) == set()
+        assert picked(plain_select(make_scores([0.5, 0.2]), 0)) == []
 
     def test_lowest_scores_pruned(self):
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3])
-        assert plain_select(scores, 2) == {4, 1}
+        assert picked(plain_select(scores, 2)) == [1, 4]
 
     def test_tie_break_prunes_lower_id(self):
-        assert plain_select(make_scores([0.5, 0.5, 0.5, 0.5]), 2) == {0, 1}
+        assert picked(plain_select(make_scores([0.5, 0.5, 0.5, 0.5]), 2)) == [0, 1]
 
     def test_oversized_budget_clamps_with_warning(self):
         scores = make_scores([0.1, 0.2])
         with pytest.warns(RuntimeWarning):
-            assert plain_select(scores, 5) == {0, 1}
+            assert picked(plain_select(scores, 5)) == [0, 1]
 
     @given(st.floats(min_value=-10, max_value=10))
     def test_constant_shift_invariance(self, shift):
         base = [0.9, 0.1, 0.2, 0.15, 0.05, 0.3]
-        assert plain_select(make_scores(base), 3) == plain_select(
-            make_scores([s + shift for s in base]), 3
+        assert picked(plain_select(make_scores(base), 3)) == picked(
+            plain_select(make_scores([s + shift for s in base]), 3)
         )
 
 
@@ -101,25 +108,25 @@ class TestTdsSelect:
         # c_max = chunk 0; candidates {4,1,3,2}; the distance bonus rescues
         # the temporally distant token 4, and the 0.25 tie prunes id 3.
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 0, 1, 1, 2, 2])
-        assert tds_select(scores, 2, self.CFG, max_chunk=2) == {1, 3}
+        assert picked(tds_select(scores, 2, self.CFG, max_chunk=2)) == [1, 3]
 
     def test_lambda_zero_equals_plain(self):
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 0, 1, 1, 2, 2])
         cfg = TdsConfig(lambda_div=0.0, start_layer=0)
-        assert tds_select(scores, 2, cfg, max_chunk=2) == plain_select(scores, 2)
+        assert picked(tds_select(scores, 2, cfg, max_chunk=2)) == picked(plain_select(scores, 2))
 
     def test_zero_budget(self):
-        assert tds_select(make_scores([0.1]), 0, self.CFG, max_chunk=0) == set()
+        assert picked(tds_select(make_scores([0.1]), 0, self.CFG, max_chunk=0)) == []
 
     def test_single_chunk_degenerates_to_plain(self):
         scores = make_scores([0.4, 0.1, 0.3, 0.2])
-        assert tds_select(scores, 2, self.CFG, max_chunk=0) == plain_select(scores, 2)
+        assert picked(tds_select(scores, 2, self.CFG, max_chunk=0)) == picked(plain_select(scores, 2))
 
     def test_output_within_candidate_buffer(self):
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 1, 2, 3, 4, 5])
         pruned = tds_select(scores, 2, self.CFG, max_chunk=5)
         buffer_ids = {scores.tokens.id[i] for i in np.argsort(scores.scores, kind="stable")[:4]}
-        assert pruned <= buffer_ids and len(pruned) == 2
+        assert set(picked(pruned)) <= buffer_ids and len(pruned) == 2
 
     def test_large_lambda_orders_by_distance(self):
         # With lambda far above the score spread, survivors inside the
@@ -130,11 +137,11 @@ class TestTdsSelect:
         cfg = TdsConfig(lambda_div=100.0, start_layer=0)
         pruned = tds_select(scores, 2, cfg, max_chunk=4)
         # candidates are ids 1..4 (chunks 1..4); the two nearest to c_max=0 go
-        assert pruned == {1, 2}
+        assert picked(pruned) == [1, 2]
 
     def test_budget_clamped_to_survivors(self):
         scores = make_scores([0.3, 0.1], chunks=[0, 1])
-        assert tds_select(scores, 10, self.CFG, max_chunk=1) == {0, 1}
+        assert picked(tds_select(scores, 10, self.CFG, max_chunk=1)) == [0, 1]
 
     @given(st.floats(min_value=-5, max_value=5))
     def test_constant_shift_invariance(self, shift):
@@ -144,7 +151,7 @@ class TestTdsSelect:
         chunks = [0, 0, 1, 1, 2, 2]
         first = tds_select(make_scores(base, chunks), 2, self.CFG, max_chunk=2)
         second = tds_select(make_scores([s + shift for s in base], chunks), 2, self.CFG, max_chunk=2)
-        assert first == second
+        assert picked(first) == picked(second)
 
 
 def brute_force_tds(scores, chunks, ids, k, lam, max_chunk):
@@ -187,29 +194,54 @@ class TestTdsAgainstBruteForce:
                 make_scores(scores, chunks), k, TdsConfig(lambda_div=lam, start_layer=0), max_chunk
             )
             expected = brute_force_tds(scores, chunks, ids, k, lam, max_chunk)
-            assert got == expected
+            assert picked(got) == sorted(expected)
 
 
 class TestRandomSelect:
     def test_zero_budget(self):
-        assert random_select([1, 2, 3], 0, Rng(0)) == set()
+        assert picked(random_select([1, 2, 3], 0, Rng(0))) == []
 
     def test_full_budget_returns_everything(self):
-        assert random_select([5, 6, 7], 3, Rng(0)) == {5, 6, 7}
+        assert picked(random_select([7, 5, 6], 3, Rng(0))) == [5, 6, 7]
 
     def test_deterministic_per_seed(self):
         ids = list(range(10))
-        assert random_select(ids, 3, Rng(7)) == random_select(ids, 3, Rng(7))
+        assert picked(random_select(ids, 3, Rng(7))) == picked(random_select(ids, 3, Rng(7)))
         assert len(random_select(ids, 3, Rng(7))) == 3
 
     def test_oversized_budget_clamps(self):
-        assert random_select([1, 2], 10, Rng(0)) == {1, 2}
+        assert picked(random_select([2, 1], 10, Rng(0))) == [1, 2]
 
     def test_roughly_uniform(self):
         counts = {i: 0 for i in range(10)}
         rng = Rng(123)
         for _ in range(2000):
-            for i in random_select(list(range(10)), 3, rng):
+            for i in picked(random_select(list(range(10)), 3, rng)):
                 counts[i] += 1
         freqs = np.array(list(counts.values())) / 2000.0
         assert np.all(np.abs(freqs - 0.3) < 0.05)
+
+
+def scalar_random_select(ids, k, rng):
+    """The list-based selector the array version replaced: Fisher-Yates swaps on Python ints."""
+    pool = [int(i) for i in ids]
+    k = min(max(k, 0), len(pool))
+    for i, t in enumerate(rng.belows(len(pool) - np.arange(k)).tolist()):
+        pool[i], pool[i + t] = pool[i + t], pool[i]
+    return set(pool[:k])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    ids=st.lists(st.integers(0, 2**63 - 1), unique=True, max_size=40),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_random_select_matches_the_scalar_swaps(ids, seed, data):
+    # Unsorted, non-dense ids; budgets below 0 and above n clamp. Several
+    # calls per example show the two leave the Rng in the same state.
+    array_rng, scalar_rng = Rng(seed), Rng(seed)
+    for k in data.draw(st.lists(st.integers(-2, len(ids) + 3), min_size=1, max_size=3)):
+        got = random_select(np.array(ids, dtype=np.int64), k, array_rng)
+        assert picked(got) == sorted(scalar_random_select(ids, k, scalar_rng))
+        assert array_rng._s == scalar_rng._s

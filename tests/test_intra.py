@@ -11,11 +11,25 @@ from avprune import (
     apply_intra,
     audio_intra_prune,
     build_sequence,
-    cosine,
     round_half_away,
     video_ttm,
 )
 from avprune.intra import WINDOW
+
+
+def cosine(u, v) -> float:
+    """Scalar cosine similarity clamped to [-1, 1] against rounding: the rule video_ttm vectorizes."""
+    a = np.asarray(u, dtype=np.float64)
+    b = np.asarray(v, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
+        raise InvalidInput("cosine expects two equal-length 1-D vectors")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateInput("cosine undefined for a zero vector")
+    if np.array_equal(a, b):  # identical inputs are exactly parallel
+        return 1.0
+    return float(min(1.0, max(-1.0, float(a @ b) / (na * nb))))
 
 
 def scalar_video_ttm(frames, prune_rate):
@@ -41,6 +55,39 @@ def scalar_video_ttm(frames, prune_rate):
 def kept_pairs(mask, t_per):
     """The (frame, token) pairs a frame-major keep mask retains."""
     return {divmod(int(i), t_per) for i in np.flatnonzero(mask)}
+
+
+class TestCosine:
+    def test_orthogonal(self):
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_identity(self):
+        assert cosine([3.0, -4.0, 5.0], [3.0, -4.0, 5.0]) == pytest.approx(1.0)
+
+    def test_known_value(self):
+        # 4 / (sqrt(5) * sqrt(5))
+        assert cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(0.8)
+
+    @given(
+        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8),
+        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8),
+    )
+    def test_symmetry_and_scale(self, u, v):
+        n = min(len(u), len(v))
+        u, v = u[:n], v[:n]
+        # Skip vectors whose squared norm underflows.
+        if max(abs(x) for x in u) < 1e-6 or max(abs(x) for x in v) < 1e-6:
+            return
+        assert cosine(u, v) == pytest.approx(cosine(v, u))
+        assert cosine([3.0 * x for x in u], v) == pytest.approx(cosine(u, v), abs=1e-12)
+
+    def test_zero_vector_degenerate(self):
+        with pytest.raises(DegenerateInput):
+            cosine([0.0, 0.0], [1.0, 1.0])
+
+    def test_length_mismatch(self):
+        with pytest.raises(InvalidInput):
+            cosine([1.0], [1.0, 2.0])
 
 
 def test_round_half_away():

@@ -14,7 +14,6 @@ from avprune import (
     DegenerateInput,
     InvalidInput,
     Rng,
-    cosine,
     pca2,
     splitmix64,
 )
@@ -157,39 +156,6 @@ class TestBelows:
         rng = Rng(3)
         assert rng.belows([]).tolist() == []
         assert rng.next_u64() == Rng(3).next_u64()
-
-
-class TestCosine:
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_identity(self):
-        assert cosine([3.0, -4.0, 5.0], [3.0, -4.0, 5.0]) == pytest.approx(1.0)
-
-    def test_known_value(self):
-        # 4 / (sqrt(5) * sqrt(5))
-        assert cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(0.8)
-
-    @given(
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8),
-        st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8),
-    )
-    def test_symmetry_and_scale(self, u, v):
-        n = min(len(u), len(v))
-        u, v = u[:n], v[:n]
-        # Skip vectors whose squared norm underflows.
-        if max(abs(x) for x in u) < 1e-6 or max(abs(x) for x in v) < 1e-6:
-            return
-        assert cosine(u, v) == pytest.approx(cosine(v, u))
-        assert cosine([3.0 * x for x in u], v) == pytest.approx(cosine(u, v), abs=1e-12)
-
-    def test_zero_vector_degenerate(self):
-        with pytest.raises(DegenerateInput):
-            cosine([0.0, 0.0], [1.0, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            cosine([1.0], [1.0, 2.0])
 
 
 class TestPca2:

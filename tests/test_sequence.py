@@ -149,12 +149,21 @@ class TestInterleavedSequence:
 
     def test_subsequence_preserves_meta_and_embeddings(self):
         seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
-        keep = [0, 2, 4, 6]
+        keep = np.isin(np.arange(seq.n), [0, 2, 4, 6])
         sub = seq.subsequence(keep)
-        assert sub.tokens.id.tolist() == keep
+        assert sub.tokens.id.tolist() == [0, 2, 4, 6]
         for column in ("id", "modality", "chunk", "position"):
             assert np.array_equal(getattr(sub.tokens, column), getattr(seq.tokens, column)[keep])
         assert np.array_equal(sub.embeddings, seq.embeddings[keep])
+
+    @pytest.mark.parametrize(
+        "keep", [np.array([0, 2, 4, 6]), np.ones(6, dtype=bool), np.ones(8, dtype=bool)],
+        ids=["ids", "short-mask", "long-mask"],
+    )
+    def test_subsequence_takes_only_a_mask_over_the_tokens(self, keep):
+        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        with pytest.raises(InvalidInput, match="boolean mask over the 7 tokens"):
+            seq.subsequence(keep)
 
     def test_layout_rejects_audio_before_video(self):
         tokens = TokenTable.from_runs([(Modality.AUDIO, 1, 0), (Modality.VIDEO, 1, 0)])

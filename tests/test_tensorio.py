@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from avprune import LayerRecord, PruneTrace, SchemaError
+from avprune import LayerRecord, PruneTrace, SchemaError, Selector
 from avprune import tensorio
 
 
@@ -61,9 +61,11 @@ def test_ids_round_trip(tmp_path):
     path = tmp_path / "cols.ids"
     tensorio.write_ids(path, [3, 1, 41, 0])
     assert tensorio.read_ids(path) == (3, 1, 41, 0)
-    path.write_text("1\nx\n")
-    with pytest.raises(SchemaError):
-        tensorio.read_ids(path)
+    # One decimal id per line: no other character, no sign, no leading zero, no empty line.
+    for text in ("1\nx\n", "1_0\n+3\n 4 5\n", "1_0\n", "+3\n", " 4\n", "4 5\n", "4\r\n", "\n", "1\n\n2\n", "007\n"):
+        path.write_bytes(text.encode())
+        with pytest.raises(SchemaError, match="cols.ids"):
+            tensorio.read_ids(path)
 
 
 def _trace():
@@ -141,7 +143,22 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 
-ID_LINES = st.lists(st.integers(), max_size=5).map(lambda ids: "\n".join(map(str, ids)).encode())
+# Decimal ids mixed with lines that int() would also take: signs, spaces, "_", "\r", leading zeros.
+ID_LINES = st.lists(st.integers().map(str) | st.text("0123456789+-_ \t\r", max_size=4), max_size=5).map(
+    lambda lines: "\n".join(lines).encode()
+)
+
+# Values of the right JSON type for each trace key that may still break a trace rule.
+RULE_VALUES = {
+    "layer": st.integers(-1, 3),
+    "k_l": st.integers(-1, 3),
+    "n_audio": st.integers(-5, 3),
+    "n_video": st.integers(-5, 3),
+    "n_text": st.integers(-1, 2),
+    "p_l": st.floats() | st.integers(-1, 2),
+    "pruned_ids": st.lists(st.integers(-2, 8), max_size=3),
+    "selector": st.sampled_from(["plain", "tds", "random", "bogus"]),
+}
 
 
 @st.composite
@@ -186,6 +203,8 @@ def test_read_ids_fuzz(tmp_path, blob):
     out = _read_or_schema_error(tensorio.read_ids, path)
     if out is not None:
         assert all(type(i) is int and 0 <= i < 2**63 for i in out)
+        lines = blob.split(b"\n")
+        assert lines == [str(i).encode() for i in out] + [b""] * (len(lines) > len(out))
 
 
 @st.composite
@@ -193,7 +212,8 @@ def trace_files(draw):
     records = [json.loads(line) for line in _trace().canonical_lines()]
     for _ in range(draw(st.integers(0, 2))):
         rec = records[draw(st.integers(0, len(records) - 1))]
-        rec[draw(st.sampled_from(sorted(rec)))] = draw(JSON_VALUES)
+        key = draw(st.sampled_from(sorted(rec)))
+        rec[key] = draw(RULE_VALUES[key] | JSON_VALUES)
     lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
     summary = draw(st.just({"config_digest": "c", "digest": digest}) | JSON_VALUES)
@@ -212,6 +232,13 @@ def test_read_trace_jsonl_fuzz(tmp_path, blob):
     if out is not None:
         trace, summary = out
         assert isinstance(trace, PruneTrace) and summary["digest"] == trace.digest
+        pruned = [i for rec in trace.layers for i in rec.pruned_ids]
+        assert len(set(pruned)) == len(pruned) and min(pruned, default=0) >= 0
+        for index, rec in enumerate(trace.layers):
+            assert rec.layer == index and rec.selector in {s.value for s in Selector}
+            assert min(rec.k_l, rec.n_audio, rec.n_video, rec.n_text) >= 0
+            assert math.isfinite(rec.p_l) and 0.0 <= rec.p_l < 1.0
+            assert len(rec.pruned_ids) == rec.k_l <= rec.n_audio + rec.n_video
 
 
 @pytest.mark.parametrize("data", ["text é\n", b"\x00OMTN\xff"], ids=["str", "bytes"])
