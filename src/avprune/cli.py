@@ -203,8 +203,7 @@ def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inj
     tensorio.write_artifact(out / "config.json", _json({"config_digest": digest, "config": cfg.raw}))
     tensorio.write_trace_jsonl(out / "trace.jsonl", trace, digest)
     tensorio.write_artifact(out / "retention.csv", _retention_csv(trace, digest))
-    tokens = [{"config_digest": digest}, *seq.tokens.records()]
-    tensorio.write_artifact(out / "tokens.jsonl", "".join(json.dumps(t, sort_keys=True) + "\n" for t in tokens))
+    tensorio.write_artifact(out / "tokens.jsonl", json.dumps({"config_digest": digest}) + "\n" + seq.tokens.jsonl())
     tensorio.write_tensor(out / "embeddings.omtn", seq.embeddings)
 
     if dump_attention:

@@ -42,6 +42,12 @@ MODALITIES = tuple(Modality)
 _IS_TEXT = np.array([m.is_text for m in MODALITIES])
 # Stream phase per modality code: system text 0, audiovisual 1, query text 2.
 _PHASE = np.array([0 if m is Modality.SYSTEM_TEXT else 2 if m.is_text else 1 for m in MODALITIES])
+_COLUMNS = ("id", "modality", "chunk", "position")
+# A tokens.jsonl row per modality code, as a str.format template of (chunk, id, position).
+_JSONL_ROWS = [
+    '{{"chunk_index": %s, "id": {1}, "modality": "%s", "original_position": {2}}}\n'
+    % ("null" if m.is_text else "{0}", m.value) for m in MODALITIES
+]
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class TokenTable:
     position: np.ndarray
 
     def __post_init__(self):
-        for name in ("id", "modality", "chunk", "position"):
+        for name in _COLUMNS:
             col = np.array(getattr(self, name), dtype=np.int8 if name == "modality" else np.int64)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
@@ -98,8 +104,15 @@ class TokenTable:
         return self.id.size
 
     def __getitem__(self, rows) -> "TokenTable":
-        """Row slice by slice, boolean mask or index array."""
-        return TokenTable(self.id[rows], self.modality[rows], self.chunk[rows], self.position[rows])
+        """Row slice by slice, boolean mask or index array; a row subset of a valid table needs no checks."""
+        table = object.__new__(TokenTable)
+        for name in _COLUMNS:
+            col = getattr(self, name)[rows]
+            if col.ndim != 1:
+                raise InvalidInput("a token table takes a 1-D row selection")
+            col.setflags(write=False)
+            object.__setattr__(table, name, col)
+        return table
 
     def mask(self, modality: Modality) -> np.ndarray:
         return self.modality == modality.code
@@ -115,19 +128,10 @@ class TokenTable:
     def is_audiovisual(self) -> np.ndarray:
         return ~self.is_text
 
-    def records(self) -> list[dict]:
-        """Plain-dict rows for JSONL serialization; text chunks read None."""
-        return [
-            {
-                "id": i,
-                "modality": MODALITIES[m].value,
-                "chunk_index": None if c < 0 else c,
-                "original_position": p,
-            }
-            for i, m, c, p in zip(
-                self.id.tolist(), self.modality.tolist(), self.chunk.tolist(), self.position.tolist()
-            )
-        ]
+    def jsonl(self) -> str:
+        """``tokens.jsonl`` rows: a ``json.dumps(row, sort_keys=True)`` line per token, text chunk null."""
+        rows = [_JSONL_ROWS[m] for m in self.modality.tolist()]
+        return "".join(map(str.format, rows, self.chunk.tolist(), self.id.tolist(), self.position.tolist()))
 
 
 @dataclass(frozen=True)
@@ -253,16 +257,17 @@ def synth_embeddings(
         Modality.QUERY_TEXT: text,
     }
 
-    spans = [blocks[MODALITIES[code]] for code in tokens.modality.tolist()]
-    # Row by row: the row's block draws, then its d noise draws.
-    draws = Rng(seed).gaussians(sum(hi - lo + d for lo, hi in spans))
+    # Row by row in the draw stream: the row's block draws, then its d noise draws.
+    widths = np.array([hi - lo for lo, hi in (blocks[m] for m in MODALITIES)])[tokens.modality]
+    starts = np.cumsum(widths + d) - (widths + d)
+    draws = Rng(seed).gaussians(int(widths.sum()) + len(tokens) * d)
     rows = np.zeros((len(tokens), d), dtype=np.float64)
-    at = 0
-    for i, (lo, hi) in enumerate(spans):
-        mid = at + hi - lo
-        rows[i, lo:hi] = 1.0 + draws[at:mid]
-        rows[i] += noise_scale * draws[mid : mid + d]
-        at = mid + d
+    for modality, (lo, hi) in blocks.items():
+        sel = tokens.mask(modality)
+        rows[sel, lo:hi] = 1.0 + draws[starts[sel, None] + np.arange(hi - lo)]
+    noise = draws[(starts + widths)[:, None] + np.arange(d)]
+    noise *= noise_scale  # in place: one (n, d) temporary, not two
+    rows += noise
 
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):

@@ -76,32 +76,32 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_ids(path, ids) -> None:
-    write_artifact(path, "".join(f"{i}\n" for i in ids))
+    write_artifact(path, "".join([f"{i}\n" for i in np.asarray(ids).tolist()]))
 
 
-def read_ids(path) -> tuple[int, ...]:
-    """Ids of a sidecar whose every line is the decimal form of one id; else SchemaError."""
+def read_ids(path) -> np.ndarray:
+    """Int64 ids of a sidecar whose every line is the decimal form of one id; else SchemaError."""
     try:
         text = Path(path).read_bytes().decode("ascii")  # no newline translation
     except ValueError as exc:
         raise SchemaError(f"{path}: malformed id list ({exc})") from None
     if not _ID_LINES.fullmatch(text):
         raise SchemaError(f"{path}: malformed id list (each line must be one decimal id)")
-    ids = tuple(map(int, text.split()))
-    if max(ids, default=0) >= 2**63:
+    # At most 19 digits a line, so every id fits in uint64 and the bound check sees it whole.
+    ids = np.fromstring(text, dtype=np.uint64, sep="\n")
+    if ids.max(initial=0) >= 2**63:
         raise SchemaError(f"{path}: token ids must lie in [0, 2**63)")
-    return ids
+    return ids.astype(np.int64)
 
 
 def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:
     """Trace lines plus a final summary object carrying the digests."""
-    lines = trace.canonical_lines()
     summary = json.dumps(
         {"config_digest": config_digest, "digest": trace.digest},
         sort_keys=True,
         separators=(",", ":"),
     )
-    write_artifact(path, "\n".join(lines + [summary]) + "\n")
+    write_artifact(path, "\n".join([*trace.canonical_lines(), summary]) + "\n")
 
 
 def read_trace_jsonl(path) -> tuple[PruneTrace, dict]:

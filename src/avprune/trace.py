@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidInput, SchemaError
 from .importance import Selector
@@ -127,13 +128,17 @@ class PruneTrace:
     def total_pruned(self) -> int:
         return sum(rec.k_l for rec in self.layers)
 
-    def canonical_lines(self) -> list[str]:
-        return [
+    def canonical_lines(self) -> tuple[str, ...]:
+        return self._lines
+
+    @cached_property  # a run writes the lines and reads the digest: serialize once
+    def _lines(self) -> tuple[str, ...]:
+        return tuple(
             json.dumps(rec.to_json_obj(), sort_keys=True, separators=(",", ":"))
             for rec in self.layers
-        ]
+        )
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        payload = "\n".join(self.canonical_lines()).encode("utf-8")
+        payload = "\n".join(self._lines).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]

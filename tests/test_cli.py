@@ -319,6 +319,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"layer_0001.omtn: layer 1: token id {ids[0]} names more than one column" in err
 
+    @pytest.mark.parametrize("big", ["9223372036854775808", "9999999999999999999"])
+    def test_injected_id_past_int64_exits_4(self, capsys, small_config, tmp_path, big):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        ids_path = dump / "attention" / "layer_0002.ids"
+        ids = ids_path.read_text().splitlines()
+        ids_path.write_text("".join(f"{i}\n" for i in [big, *ids[1:]]))
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        assert main(argv + ["--inject", str(dump / "attention")]) == 4
+        assert "layer_0002.ids: token ids must lie in [0, 2**63)" in capsys.readouterr().err
+
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "--config", small_config, "--out", str(tmp_path / "w"),

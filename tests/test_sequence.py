@@ -1,16 +1,65 @@
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avprune import (
     ChunkSpec,
+    DegenerateInput,
     InterleavedSequence,
     InvalidInput,
     Modality,
+    Rng,
     TokenTable,
+    apply_intra,
     build_sequence,
+    make_intra_plan,
     synth_embeddings,
 )
+from avprune.sequence import MODALITIES
+
+
+def reference_records(tokens: TokenTable) -> list[dict]:
+    """The tokens.jsonl rows as plain dicts, one per token; text chunks read None."""
+    return [
+        {
+            "id": i,
+            "modality": MODALITIES[m].value,
+            "chunk_index": None if c < 0 else c,
+            "original_position": p,
+        }
+        for i, m, c, p in zip(
+            tokens.id.tolist(), tokens.modality.tolist(), tokens.chunk.tolist(), tokens.position.tolist()
+        )
+    ]
+
+
+def reference_jsonl(tokens: TokenTable) -> str:
+    """``TokenTable.jsonl`` as first written: one ``json.dumps(row, sort_keys=True)`` per token."""
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in reference_records(tokens))
+
+
+def reference_synth_embeddings(tokens, d, subspace_dim, noise_scale, seed):
+    """``synth_embeddings`` as first written: one row at a time over one bulk draw."""
+    k = subspace_dim
+    text_width = min(k, d - 2 * k)
+    text = (2 * k, 2 * k + text_width) if text_width else (0, d)
+    blocks = {Modality.VIDEO: (0, k), Modality.AUDIO: (k, 2 * k), Modality.SYSTEM_TEXT: text, Modality.QUERY_TEXT: text}
+    spans = [blocks[MODALITIES[code]] for code in tokens.modality.tolist()]
+    draws = Rng(seed).gaussians(sum(hi - lo + d for lo, hi in spans))
+    rows = np.zeros((len(tokens), d), dtype=np.float64)
+    at = 0
+    for i, (lo, hi) in enumerate(spans):
+        mid = at + hi - lo
+        rows[i, lo:hi] = 1.0 + draws[at:mid]
+        rows[i] += noise_scale * draws[mid : mid + d]
+        at = mid + d
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateInput("zero-norm embedding row; increase noise_scale")
+    return rows / norms[:, None]
 
 
 def test_minimal_ordering():
@@ -21,7 +70,7 @@ def test_minimal_ordering():
         Modality.AUDIO.code,
         Modality.QUERY_TEXT.code,
     ]
-    assert [r["chunk_index"] for r in seq.tokens.records()] == [0, 0, 0, None]
+    assert [json.loads(row)["chunk_index"] for row in seq.tokens.jsonl().splitlines()] == [0, 0, 0, None]
     assert seq.tokens.id.tolist() == [0, 1, 2, 3]
 
 
@@ -85,7 +134,7 @@ class TestChunkIndexOf:
         seq = build_sequence(1, [ChunkSpec(0, 2, 1)], 1, 4, 0)
         query = seq.tokens[seq.tokens.mask(Modality.QUERY_TEXT)]
         assert query.chunk[0] == -1
-        assert query.records()[0]["chunk_index"] is None
+        assert json.loads(query.jsonl())["chunk_index"] is None
 
     def test_last_audio_of_five_chunks(self):
         chunks = [ChunkSpec(i, 2, 3) for i in range(5)]
@@ -139,6 +188,100 @@ class TestSynthEmbeddings:
         tokens = self._tokens([(Modality.AUDIO, 3)])
         with pytest.raises(InvalidInput):
             synth_embeddings(tokens, d=8, subspace_dim=5, noise_scale=0.1, seed=0)
+
+
+class TestSynthEmbeddingsReference:
+    LAYOUTS = {
+        "one-chunk": (2, [ChunkSpec(0, 3, 2)], 1),
+        "no-system": (0, [ChunkSpec(0, 1, 0), ChunkSpec(1, 0, 2)], 3),
+        "four-chunks": (4, [ChunkSpec(i, 8, 2) for i in range(4)], 5),
+        "no-tokens": None,
+    }
+    # (d, subspace_dim): text in its own block, text narrower than k, and 2k == d (text spans all dims).
+    WIDTHS = [(16, 4), (16, 7), (8, 4), (2, 1), (33, 5)]
+
+    def _tokens(self, layout):
+        if self.LAYOUTS[layout] is None:
+            return TokenTable.from_runs([])
+        sys_len, chunks, query_len = self.LAYOUTS[layout]
+        return build_sequence(sys_len, chunks, query_len, 4, 0).tokens
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("d,subspace_dim", WIDTHS)
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.3, 2.5])
+    def test_matches_the_row_loop_byte_for_byte(self, layout, d, subspace_dim, noise_scale):
+        tokens = self._tokens(layout)
+        for seed in (0, 11):
+            got = synth_embeddings(tokens, d, subspace_dim, noise_scale, seed)
+            want = reference_synth_embeddings(tokens, d, subspace_dim, noise_scale, seed)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_one_gaussians_call_with_the_row_loop_count(self, layout, monkeypatch):
+        tokens = self._tokens(layout)
+        calls = []
+        real = Rng.gaussians
+        monkeypatch.setattr(Rng, "gaussians", lambda rng, count: calls.append(count) or real(rng, count))
+        synth_embeddings(tokens, 16, 7, 0.3, 0)  # blocks 7 wide, text 2 wide
+        assert len(calls) == 1
+        reference_synth_embeddings(tokens, 16, 7, 0.3, 0)
+        assert calls == [calls[0], calls[0]]
+
+    @pytest.mark.parametrize("d,subspace_dim", [(16, 4), (8, 4)])
+    def test_zero_norm_row_without_noise_raises(self, d, subspace_dim, monkeypatch):
+        # Block draws of exactly -1 cancel the mean offset; with no noise the row is zero.
+        tokens = self._tokens("one-chunk")
+        monkeypatch.setattr(Rng, "gaussians", lambda rng, count: np.full(count, -1.0))
+        for synth in (synth_embeddings, reference_synth_embeddings):
+            with pytest.raises(DegenerateInput, match="zero-norm"):
+                synth(tokens, d, subspace_dim, 0.0, 0)
+
+
+ROW_IDS = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def token_tables(draw):
+    """Tables with text rows (chunk -1), audiovisual rows and ids up to 2**63 - 1; no layout rule."""
+    n = draw(st.integers(0, 12))
+    modality = draw(st.lists(st.integers(0, len(MODALITIES) - 1), min_size=n, max_size=n))
+    chunk = [-1 if MODALITIES[m].is_text else draw(st.integers(0, 2**63 - 1) | st.integers(0, 3)) for m in modality]
+    ids = draw(st.lists(ROW_IDS | st.integers(0, 20), min_size=n, max_size=n))
+    position = draw(st.lists(ROW_IDS | st.integers(0, 20), min_size=n, max_size=n))
+    return TokenTable(id=ids, modality=modality, chunk=chunk, position=position)
+
+
+@st.composite
+def intra_pruned_tokens(draw):
+    frames = draw(st.integers(1, 3))
+    chunks = [
+        ChunkSpec(i, frames * draw(st.integers(0, 4)), draw(st.integers(1, 6))) for i in range(draw(st.integers(1, 3)))
+    ]
+    seq = build_sequence(draw(st.integers(0, 3)), chunks, draw(st.integers(1, 3)), 8, draw(st.integers(0, 9)))
+    plan = make_intra_plan(
+        seq,
+        audio_keep=draw(st.floats(0.05, 1.0)),
+        video_prune_rate=draw(st.floats(0.0, 0.95)),
+        frames_per_chunk=frames,
+        seed=draw(st.integers(0, 9)),
+    )
+    return apply_intra(seq, plan)[0].tokens
+
+
+class TestTokensJsonl:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tokens=token_tables() | intra_pruned_tokens())
+    def test_matches_json_dumps_byte_for_byte(self, tokens):
+        assert tokens.jsonl() == reference_jsonl(tokens)
+
+    def test_row_bytes(self):
+        tokens = TokenTable(
+            id=[2**63 - 1, 4], modality=[Modality.VIDEO.code, Modality.QUERY_TEXT.code], chunk=[3, -1], position=[9, 10]
+        )
+        assert tokens.jsonl() == (
+            '{"chunk_index": 3, "id": 9223372036854775807, "modality": "video", "original_position": 9}\n'
+            '{"chunk_index": null, "id": 4, "modality": "query_text", "original_position": 10}\n'
+        )
 
 
 class TestInterleavedSequence:
@@ -200,9 +343,32 @@ class TestTokenTable:
         with pytest.raises(ValueError):
             av.id[0] = 7  # columns are read-only
 
+    @pytest.mark.parametrize(
+        "rows", [slice(1, 4), np.array([True, False] * 3 + [True]), np.array([4, 0, 2])],
+        ids=["slice", "mask", "index-array"],
+    )
+    def test_row_slice_columns_are_read_only_and_typed(self, rows):
+        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        part = seq.tokens[rows]
+        for name in ("id", "modality", "chunk", "position"):
+            col = getattr(part, name)
+            assert col.dtype == (np.int8 if name == "modality" else np.int64) and col.ndim == 1
+            assert np.array_equal(col, getattr(seq.tokens, name)[rows])
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+    @pytest.mark.parametrize(
+        "rows", [2, np.int64(2), np.array([[0, 1]]), (slice(None), None), None],
+        ids=["int", "numpy-int", "2-D-array", "new-axis", "none"],
+    )
+    def test_non_row_selection_is_refused(self, rows):
+        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        with pytest.raises(InvalidInput, match="1-D row selection"):
+            seq.tokens[rows]
+
     def test_records_are_plain_python_values(self):
         seq = build_sequence(1, [ChunkSpec(0, 1, 1)], 1, 4, 0)
-        records = seq.tokens.records()
+        records = [json.loads(row) for row in seq.tokens.jsonl().splitlines()]
         assert records[1] == {"id": 1, "modality": "video", "chunk_index": 0, "original_position": 1}
         assert all(type(r["id"]) is int and type(r["original_position"]) is int for r in records)
         assert records[0]["chunk_index"] is None and type(records[1]["chunk_index"]) is int

@@ -60,7 +60,14 @@ def test_truncated_payload(tmp_path):
 def test_ids_round_trip(tmp_path):
     path = tmp_path / "cols.ids"
     tensorio.write_ids(path, [3, 1, 41, 0])
-    assert tensorio.read_ids(path) == (3, 1, 41, 0)
+    ids = tensorio.read_ids(path)
+    assert ids.dtype == np.int64 and ids.tolist() == [3, 1, 41, 0]
+    tensorio.write_ids(path, np.array([2**63 - 1, 5], dtype=np.int64))
+    assert path.read_text() == "9223372036854775807\n5\n"
+    assert tensorio.read_ids(path).tolist() == [2**63 - 1, 5]
+    path.write_bytes(b"")
+    empty = tensorio.read_ids(path)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
     # One decimal id per line: no other character, no sign, no leading zero, no empty line.
     for text in ("1\nx\n", "1_0\n+3\n 4 5\n", "1_0\n", "+3\n", " 4\n", "4 5\n", "4\r\n", "\n", "1\n\n2\n", "007\n"):
         path.write_bytes(text.encode())
@@ -120,7 +127,7 @@ def test_rank_beyond_numpy_is_schema_error(tmp_path):
 
 def test_ids_out_of_int64_range(tmp_path):
     path = tmp_path / "cols.ids"
-    for text in ("-1\n", f"{2**63}\n"):
+    for text in ("-1\n", f"{2**63}\n", "9999999999999999999\n", f"4\n{2**63}\n"):
         path.write_text(text)
         with pytest.raises(SchemaError, match="cols.ids"):
             tensorio.read_ids(path)
@@ -143,10 +150,15 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 
-# Decimal ids mixed with lines that int() would also take: signs, spaces, "_", "\r", leading zeros.
-ID_LINES = st.lists(st.integers().map(str) | st.text("0123456789+-_ \t\r", max_size=4), max_size=5).map(
-    lambda lines: "\n".join(lines).encode()
-)
+# Decimal ids mixed with lines that int() would also take: signs, spaces, "_", "\r", leading zeros;
+# and ids around the int64 and uint64 limits.
+ID_LINES = st.lists(
+    st.integers().map(str)
+    | st.integers(2**63 - 2, 2**63 + 1).map(str)
+    | st.integers(10**19 - 2, 2**64 + 1).map(str)
+    | st.text("0123456789+-_ \t\r", max_size=4),
+    max_size=5,
+).map(lambda lines: "\n".join(lines).encode())
 
 # Values of the right JSON type for each trace key that may still break a trace rule.
 RULE_VALUES = {
@@ -201,10 +213,17 @@ def test_read_ids_fuzz(tmp_path, blob):
     path = tmp_path / "fuzz.ids"
     path.write_bytes(blob)
     out = _read_or_schema_error(tensorio.read_ids, path)
-    if out is not None:
-        assert all(type(i) is int and 0 <= i < 2**63 for i in out)
+    # Reference: the same format rule, then int() line by line.
+    text = blob.decode("ascii", "replace")
+    ids = [int(line) for line in text.split()] if tensorio._ID_LINES.fullmatch(text) else None
+    if ids is not None and max(ids, default=0) >= 2**63:
+        ids = None
+    if out is None:
+        assert ids is None
+    else:
+        assert out.dtype == np.int64 and out.ndim == 1 and out.tolist() == ids
         lines = blob.split(b"\n")
-        assert lines == [str(i).encode() for i in out] + [b""] * (len(lines) > len(out))
+        assert lines == [str(i).encode() for i in ids] + [b""] * (len(lines) > len(ids))
 
 
 @st.composite
