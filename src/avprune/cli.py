@@ -1,11 +1,11 @@
 """Command-line front end: calibrate, schedule, simulate, analyze, cost.
 
-Exit codes: 0 success, 1 configuration error (so is an unreadable --config
-file), 2 infeasible calibration, 3 I/O failure (every failed output write is
-one), 4 file-schema mismatch (so is an analyze/cost input that cannot be
-read, or an analyze input with no defined result). All commands are
-deterministic given config and seeds; re-running overwrites outputs
-byte-identically.
+Exit codes: 0 success, 1 configuration error (so are an unreadable --config
+file and a malformed command line), 2 infeasible calibration, 3 I/O failure
+(every failed output write is one), 4 file-schema mismatch (so is an
+analyze/cost input that cannot be read or has no defined result). All
+commands are deterministic given config and seeds; re-running overwrites
+outputs byte-identically.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def cmd_calibrate(args) -> int:
     partial = PruneScheduleConfig(
         p_init=0.0,
         p_final=0.0,
-        t_mid=args.t_mid,
+        t_mid=0.5,
         beta=args.beta,
         layers=args.layers,
         kind=ScheduleKind.SIGMOID,
@@ -342,10 +342,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_cost(args) -> int:
     trace, summary = _read_inputs(tensorio.read_trace_jsonl, args.trace)
-    report = cost_model(trace, d=args.d, bytes_per_element=args.bytes)
-    if report.baseline_kv_bytes == 0:
-        raise SchemaError(f"{args.trace}: layer 0 enters with no tokens, so every cost ratio is undefined")
-    obj = report.to_json_obj()
+    try:
+        obj = cost_model(trace, d=args.d, bytes_per_element=args.bytes).to_json_obj()
+    except DegenerateInput as exc:
+        raise SchemaError(f"{args.trace}: {exc}") from None
     obj["config_digest"] = summary.get("config_digest", "none")
     _emit(args.out, _json(obj))
     return EXIT_OK
@@ -354,8 +354,15 @@ def cmd_cost(args) -> int:
 # ------------------------------------------------------------------ parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as InvalidInput (exit 1); subparsers inherit it."""
+
+    def error(self, message: str):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avprune",
         description="Layer-wise audiovisual token pruning: schedules, simulation, diagnostics.",
     )
@@ -366,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--r0", type=float, required=True)
     cal.add_argument("--layers", type=int, required=True)
     cal.add_argument("--beta", type=float, default=20.0)
-    cal.add_argument("--t-mid", dest="t_mid", type=float, default=0.5)
     cal.set_defaults(func=cmd_calibrate)
 
     sch = sub.add_parser("schedule", help="tabulate (layer, p_l, r_l) as CSV")
@@ -415,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)

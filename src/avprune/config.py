@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .errors import InvalidInput
@@ -145,7 +145,7 @@ class ExperimentConfig:
         with _key_paths("tds"):
             tds = TdsConfig(lambda_div=float(t["lambda_div"]), start_layer=t["start_layer"])
         with _key_paths("sequence"):
-            chunk = ChunkSpec(index=0, n_v=seq["n_v"], n_a=seq["n_a"])
+            chunk = ChunkSpec(n_v=seq["n_v"], n_a=seq["n_a"])
         selector = _member(Selector, raw["selector"], "selector")
         return ExperimentConfig(raw=raw, schedule=schedule, tds=tds, chunk=chunk, selector=selector)
 
@@ -162,8 +162,7 @@ class ExperimentConfig:
 
     def build_sequence(self) -> InterleavedSequence:
         s = self.raw["sequence"]
-        chunks = [replace(self.chunk, index=i) for i in range(s["chunks"])]
-        return build_sequence(s["sys_len"], chunks, s["query_len"], s["d"], s["seed"])
+        return build_sequence(s["sys_len"], [self.chunk] * s["chunks"], s["query_len"], s["d"], s["seed"])
 
     def build_model(self) -> ToyDecoder:
         m = self.raw["model"]

@@ -80,9 +80,9 @@ def sinusoidal_positions(positions, d: int) -> np.ndarray:
 
 
 def _forward_layer(
-    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray | None = None
+    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``, default all)."""
+    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``)."""
     n, d = x.shape
     head_dim = d // heads
     q = (x @ w.wq).reshape(n, heads, head_dim).transpose(1, 0, 2)
@@ -103,7 +103,7 @@ def _forward_layer(
     context = (probs @ v).transpose(1, 0, 2).reshape(n, d)
     x = x + context @ w.wo
     x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2
-    return x, (probs if rows is None else probs[:, rows]).mean(axis=0)
+    return x, probs[:, rows].mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _pruning_loop(
     selector: Selector,
     layer_map,
     *,
-    selector_seed: int,
+    seed: int,
     observer=None,
 ) -> PruneTrace:
     """Score, select and prune layer by layer.
@@ -161,9 +161,10 @@ def _pruning_loop(
     ``layer_map(layer, tokens, rows, cols)`` returns the layer's attention
     from text rows ``rows`` to audiovisual columns ``cols`` of the survivors
     ``tokens``; ``observer``, if given, receives each layer's AttentionRecord.
+    The random selector draws from a stream derived from ``seed``.
     """
     tokens = seq.tokens
-    selector_rng = Rng(selector_seed)
+    selector_rng = Rng(derive_seed(seed, 0x5E1EC7))
     max_chunk = seq.max_chunk_index
     records = []
     for layer in range(sched.layers):
@@ -213,7 +214,6 @@ def run_with_pruning(
     selector: Selector = Selector.TDS,
     intra: IntraPlan | None = None,
     *,
-    selector_seed: int | None = None,
     observer=None,
 ) -> PruneTrace:
     """Forward the toy decoder, pruning scheduled budgets between layers.
@@ -239,15 +239,7 @@ def run_with_pruning(
         x, avg = _forward_layer(x, model.weights[layer], model.heads, rows)
         return avg[:, cols]
 
-    return _pruning_loop(
-        working,
-        sched,
-        tds,
-        selector,
-        layer_map,
-        selector_seed=selector_seed if selector_seed is not None else derive_seed(model.seed, 0x5E1EC7),
-        observer=observer,
-    )
+    return _pruning_loop(working, sched, tds, selector, layer_map, seed=model.seed, observer=observer)
 
 
 def run_with_injected_attention(
@@ -258,7 +250,6 @@ def run_with_injected_attention(
     selector: Selector = Selector.TDS,
     intra: IntraPlan | None = None,
     *,
-    selector_seed: int | None = None,
     replay_seed: int = 0,
     observer=None,
 ) -> PruneTrace:
@@ -268,9 +259,9 @@ def run_with_injected_attention(
     token id, so each record must cover every audiovisual survivor entering
     its layer, and layer 0's must hold exactly those ids (otherwise, or on a
     wrong row count, SchemaError).
-    ``replay_seed`` seeds the random selector when no explicit seed is given,
-    standing in for the model seed of a forward run. ``observer`` sees the
-    replayed maps restricted to each layer's survivors, as in a forward run.
+    ``replay_seed`` seeds the random selector, standing in for the model
+    seed of a forward run. ``observer`` sees the replayed maps restricted to
+    each layer's survivors, as in a forward run.
     """
     maps = list(maps)
     if len(maps) < sched.layers:
@@ -301,12 +292,4 @@ def run_with_injected_attention(
         order = np.argsort(rec.col_ids)
         return rec.values[:, order[np.searchsorted(rec.col_ids, want, sorter=order)]]
 
-    return _pruning_loop(
-        working,
-        sched,
-        tds,
-        selector,
-        layer_map,
-        selector_seed=selector_seed if selector_seed is not None else derive_seed(replay_seed, 0x5E1EC7),
-        observer=observer,
-    )
+    return _pruning_loop(working, sched, tds, selector, layer_map, seed=replay_seed, observer=observer)

@@ -195,23 +195,23 @@ class CostReport:
 
     @property
     def flops_ratio(self) -> float:
-        return self.total_flops / self.baseline_total_flops
+        return _ratio(self.total_flops, self.baseline_total_flops)
 
     @property
     def attention_flops_ratio(self) -> float:
-        return sum(c.attention_flops for c in self.per_layer) / sum(
-            c.attention_flops for c in self.baseline_per_layer
+        return _ratio(
+            sum(c.attention_flops for c in self.per_layer), sum(c.attention_flops for c in self.baseline_per_layer)
         )
 
     @property
     def linear_flops_ratio(self) -> float:
-        return sum(c.linear_flops for c in self.per_layer) / sum(
-            c.linear_flops for c in self.baseline_per_layer
+        return _ratio(
+            sum(c.linear_flops for c in self.per_layer), sum(c.linear_flops for c in self.baseline_per_layer)
         )
 
     @property
     def kv_ratio(self) -> float:
-        return self.kv_bytes / self.baseline_kv_bytes
+        return _ratio(self.kv_bytes, self.baseline_kv_bytes)
 
     def to_json_obj(self) -> dict:
         return {
@@ -239,6 +239,12 @@ class CostReport:
             "linear_flops_ratio": self.linear_flops_ratio,
             "kv_ratio": self.kv_ratio,
         }
+
+
+def _ratio(cost: int, baseline: int) -> float:
+    if baseline == 0:  # every baseline is zero exactly when layer 0 holds no tokens
+        raise DegenerateInput("layer 0 enters with no tokens, so every cost ratio is undefined")
+    return cost / baseline
 
 
 def _layer_cost(layer: int, n: int, d: int) -> LayerCost:

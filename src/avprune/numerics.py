@@ -31,6 +31,9 @@ _MASK64 = (1 << 64) - 1
 # microseconds), each of its steps one numpy pass over all lanes.
 _LANE = 256
 _BOX_MULLER_BLOCK = 8192
+# pca2's power iteration: stop at 1 - |<w, v>| <= tol, give up after max_iter steps.
+_PCA_TOL = 1e-8
+_PCA_MAX_ITER = 1000
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -283,7 +286,7 @@ def _dominant_eigenpair(
     raise ConvergenceFailure("power iteration did not converge", residual)
 
 
-def pca2(rows, *, tol: float = 1e-8, max_iter: int = 1000) -> tuple[np.ndarray, tuple[float, float]]:
+def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
     """Project rows onto the top-2 principal axes of their sample covariance.
 
     Power iteration with deflation; axes are sign-canonicalized (largest
@@ -297,9 +300,9 @@ def pca2(rows, *, tol: float = 1e-8, max_iter: int = 1000) -> tuple[np.ndarray, 
         raise InvalidInput("pca2 expects a matrix with at least 3 rows")
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (x.shape[0] - 1)
-    v1, ev1 = _dominant_eigenpair(cov, tol, max_iter)
+    v1, ev1 = _dominant_eigenpair(cov, _PCA_TOL, _PCA_MAX_ITER)
     deflated = cov - ev1 * np.outer(v1, v1)
-    v2, ev2 = _dominant_eigenpair(deflated, tol, max_iter, orthogonal_to=v1)
+    v2, ev2 = _dominant_eigenpair(deflated, _PCA_TOL, _PCA_MAX_ITER, orthogonal_to=v1)
     ev1 = max(ev1, 0.0)
     ev2 = min(max(ev2, 0.0), ev1)
     axes = np.stack([_canonical_sign(v1), _canonical_sign(v2)], axis=1)

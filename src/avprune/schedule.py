@@ -16,6 +16,10 @@ from statistics import fmean
 
 from .errors import Infeasible, InvalidInput
 
+# Bisection stops once the achieved mean is this close to the target, or after this many halvings.
+_BISECTION_TOL = 1e-6
+_BISECTION_MAX_ITER = 100
+
 
 class ScheduleKind(enum.Enum):
     SIGMOID = "sigmoid"
@@ -126,14 +130,7 @@ def calibrate_p_final_closed_form(target_mean: float, r0: float, layers: int) ->
     return 1.0 - (r2 / r0) ** (1.0 / half_mid)
 
 
-def calibrate_p_final_bisection(
-    target_mean: float,
-    r0: float,
-    cfg_partial: PruneScheduleConfig,
-    *,
-    tolerance: float = 1e-6,
-    max_iter: int = 100,
-) -> float:
+def calibrate_p_final_bisection(target_mean: float, r0: float, cfg_partial: PruneScheduleConfig) -> float:
     """p_final whose simulated mean retention matches the target.
 
     ``cfg_partial.p_final`` is ignored; the mean is monotone decreasing in
@@ -150,10 +147,10 @@ def calibrate_p_final_bisection(
         return lo
     if achieved(hi) > target_mean:
         raise Infeasible(f"mean at p_final={hi} still above target {target_mean}")
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         gap = achieved(mid) - target_mean
-        if abs(gap) < tolerance:
+        if abs(gap) < _BISECTION_TOL:
             return mid
         if gap > 0:
             lo = mid

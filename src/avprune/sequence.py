@@ -138,13 +138,10 @@ class TokenTable:
 class ChunkSpec:
     """Per-chunk token counts for one fixed temporal window."""
 
-    index: int
     n_v: int
     n_a: int
 
     def __post_init__(self):
-        if not (self.index >= 0):
-            raise InvalidInput("index: must be >= 0")
         if not (self.n_v >= 0):
             raise InvalidInput("n_v: must be >= 0")
         if not (self.n_a >= 0):
@@ -275,24 +272,12 @@ def synth_embeddings(
     return rows / norms[:, None]
 
 
-def default_subspace_dim(d: int) -> int:
-    """Default modality-subspace width for a given model dimension."""
-    return max(1, d // 8)
-
-
-def build_sequence(
-    sys_len: int,
-    chunks,
-    query_len: int,
-    d: int,
-    seed: int,
-    *,
-    subspace_dim: int | None = None,
-    noise_scale: float = 0.3,
-) -> InterleavedSequence:
+def build_sequence(sys_len: int, chunks, query_len: int, d: int, seed: int) -> InterleavedSequence:
     """Build the interleaved stream [sys, (video, audio) per chunk, query].
 
-    Deterministic given the seed; embeddings come from ``synth_embeddings``.
+    Chunks are numbered 0..m-1 in list order. Deterministic given the seed;
+    embeddings come from ``synth_embeddings`` with modality subspaces of
+    width ``max(1, d // 8)`` and noise scale 0.3.
     """
     chunks = list(chunks)
     if not chunks:
@@ -303,20 +288,11 @@ def build_sequence(
         raise InvalidInput("query_len must be at least 1")
     if d < 2:
         raise InvalidInput("embedding dimension must be at least 2")
-    for i, spec in enumerate(chunks):
-        if spec.index != i:
-            raise InvalidInput(f"chunk specs must be ordered 0..m-1, got {spec.index} at {i}")
 
     runs = [(Modality.SYSTEM_TEXT, sys_len, None)]
-    for spec in chunks:
-        runs += [(Modality.VIDEO, spec.n_v, spec.index), (Modality.AUDIO, spec.n_a, spec.index)]
+    for i, spec in enumerate(chunks):
+        runs += [(Modality.VIDEO, spec.n_v, i), (Modality.AUDIO, spec.n_a, i)]
     runs.append((Modality.QUERY_TEXT, query_len, None))
     tokens = TokenTable.from_runs(runs)
-    emb = synth_embeddings(
-        tokens,
-        d,
-        subspace_dim if subspace_dim is not None else default_subspace_dim(d),
-        noise_scale,
-        seed,
-    )
+    emb = synth_embeddings(tokens, d, max(1, d // 8), 0.3, seed)
     return InterleavedSequence(tokens=tokens, embeddings=emb)

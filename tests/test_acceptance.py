@@ -83,7 +83,7 @@ def test_criterion_2_schedule_budget():
 
 def test_criterion_3_intra_pruning_arithmetic():
     with criterion(3, "intra defaults give 0.444 +/- 0.002 combined and exactly 0.40 video"):
-        seq = build_sequence(2, [ChunkSpec(0, 288, 50)], 3, 16, seed=21)
+        seq = build_sequence(2, [ChunkSpec(288, 50)], 3, 16, seed=21)
         rng = Rng(derive_seed(21, 0xACC3))
         plan = IntraPlan(
             audio_keep=0.7, video_prune_rate=0.8, frames_per_chunk=4, saliency=rng.uniforms(50)
@@ -153,7 +153,7 @@ def _random_harness_config(rng: Rng):
     tokens_per_frame = 1 + rng.below(max(1, per_chunk // (2 * frames)))
     n_v = frames * tokens_per_frame
     n_a = max(1, min(per_chunk - n_v, 1 + rng.below(per_chunk)))
-    chunks = [ChunkSpec(i, n_v, n_a) for i in range(m)]
+    chunks = [ChunkSpec(n_v, n_a)] * m
     selector = (Selector.PLAIN, Selector.TDS, Selector.RANDOM)[rng.below(3)]
     sched = PruneScheduleConfig(
         p_init=0.0,

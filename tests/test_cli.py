@@ -61,6 +61,32 @@ class TestCalibrate:
         assert main(argv) == 1
         assert "beta" in capsys.readouterr().err
 
+    def test_t_mid_is_not_a_calibrate_flag(self, capsys):
+        argv = ["calibrate", "--target", "0.3", "--r0", "0.45", "--layers", "28", "--t-mid", "0.5"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --t-mid 0.5" in capsys.readouterr().err
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate"], "required: --out"),
+            (["simulate", "--out", "x", "--runs", "abc"], "--runs: invalid int value: 'abc'"),
+            ([], "required: command"),
+            (["no-such-command"], "invalid choice"),
+        ],
+    )
+    def test_malformed_command_line_exits_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
 
 class TestSchedule:
     def test_default_sigmoid_rows_and_mean(self, capsys):

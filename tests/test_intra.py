@@ -203,14 +203,14 @@ def plan(saliency, audio_keep=0.7, video_prune_rate=0.8, frames_per_chunk=4):
 
 class TestApplyIntra:
     def test_full_size_chunk_combined_retention(self):
-        seq = build_sequence(2, [ChunkSpec(0, 288, 50)], 3, 16, 11)
+        seq = build_sequence(2, [ChunkSpec(288, 50)], 3, 16, 11)
         pruned, report = apply_intra(seq, plan(np.random.default_rng(0).random(50)))
         assert report.audio_retained == 35
         assert report.combined_retention == pytest.approx(0.444, abs=0.002)
         assert pruned.text_count == seq.text_count
 
     def test_identity_settings(self):
-        seq = build_sequence(1, [ChunkSpec(0, 8, 4)], 1, 8, 0)
+        seq = build_sequence(1, [ChunkSpec(8, 4)], 1, 8, 0)
         pruned, report = apply_intra(seq, plan([0.1, 0.2, 0.3, 0.4], 1.0, 0.0))
         for column in ("id", "modality", "chunk", "position"):
             assert np.array_equal(getattr(pruned.tokens, column), getattr(seq.tokens, column))
@@ -219,7 +219,7 @@ class TestApplyIntra:
     def test_composition_of_both_oracles(self):
         # One chunk: 10 audio (keep 7) + 40 video as one 4-frame window of
         # T=10 (keep 16) -> 23 of 50 audiovisual tokens survive.
-        seq = build_sequence(0, [ChunkSpec(0, 40, 10)], 2, 8, 3)
+        seq = build_sequence(0, [ChunkSpec(40, 10)], 2, 8, 3)
         saliency = [0.5, 0.1, 0.9, 0.3, 0.2, 0.7, 0.4, 0.6, 0.05, 0.8]
         pruned, report = apply_intra(seq, plan(saliency))
         assert report.audio_retained == 7
@@ -227,7 +227,7 @@ class TestApplyIntra:
         assert pruned.audiovisual_count == 23
 
     def test_survivor_order_is_stable(self):
-        seq = build_sequence(1, [ChunkSpec(0, 8, 6), ChunkSpec(1, 8, 6)], 2, 8, 5)
+        seq = build_sequence(1, [ChunkSpec(8, 6), ChunkSpec(8, 6)], 2, 8, 5)
         pruned, _ = apply_intra(seq, plan(np.random.default_rng(7).random(12), 0.5, 0.5))
         ids = pruned.tokens.id.tolist()
         assert ids == sorted(ids)
@@ -237,20 +237,20 @@ class TestApplyIntra:
     def test_saliency_is_read_per_chunk_in_stream_order(self):
         # Chunk 0 holds the 3 lowest scores and chunk 1 the 3 highest; each
         # chunk still keeps its own top 2.
-        seq = build_sequence(0, [ChunkSpec(0, 0, 3), ChunkSpec(1, 0, 3)], 1, 8, 2)
+        seq = build_sequence(0, [ChunkSpec(0, 3), ChunkSpec(0, 3)], 1, 8, 2)
         pruned, _ = apply_intra(seq, plan([0.1, 0.3, 0.2, 0.9, 0.7, 0.8], 0.6))
         audio = seq.tokens.id[seq.tokens.mask(Modality.AUDIO)]
         assert pruned.tokens.id[pruned.tokens.mask(Modality.AUDIO)].tolist() == audio[[1, 2, 3, 5]].tolist()
 
     def test_text_tokens_never_touched(self):
-        seq = build_sequence(3, [ChunkSpec(0, 4, 4)], 2, 8, 9)
+        seq = build_sequence(3, [ChunkSpec(4, 4)], 2, 8, 9)
         pruned, _ = apply_intra(seq, plan([0.1, 0.4, 0.2, 0.9], 0.25, 0.5, frames_per_chunk=2))
         for modality in (Modality.SYSTEM_TEXT, Modality.QUERY_TEXT):
             before = seq.tokens.id[seq.tokens.mask(modality)]
             assert np.array_equal(pruned.tokens.id[pruned.tokens.mask(modality)], before)
 
     def test_mismatched_shapes_rejected(self):
-        seq = build_sequence(0, [ChunkSpec(0, 4, 2)], 1, 8, 0)
+        seq = build_sequence(0, [ChunkSpec(4, 2)], 1, 8, 0)
         with pytest.raises(InvalidInput, match="saliency"):
             apply_intra(seq, plan([0.1], frames_per_chunk=2))  # wrong score length
         with pytest.raises(InvalidInput, match="do not split into 3 frames"):
@@ -260,6 +260,6 @@ class TestApplyIntra:
 
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
     def test_saliency_must_be_finite_and_non_negative(self, bad):
-        seq = build_sequence(0, [ChunkSpec(0, 4, 2)], 1, 8, 0)
+        seq = build_sequence(0, [ChunkSpec(4, 2)], 1, 8, 0)
         with pytest.raises(InvalidInput, match="finite and non-negative"):
             apply_intra(seq, plan([0.3, bad], frames_per_chunk=2))

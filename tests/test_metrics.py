@@ -127,7 +127,7 @@ class TestRetentionPerModality:
         assert video == [1.0] * 4
 
     def test_recount_oracle_from_pruned_ids(self):
-        seq = build_sequence(2, [ChunkSpec(0, 8, 4)], 3, 16, 3)
+        seq = build_sequence(2, [ChunkSpec(8, 4)], 3, 16, 3)
         model = ToyDecoder(4, 2, 16, seed=4)
         sched = PruneScheduleConfig(0.0, 0.5, 0.5, 20.0, 4)
         trace = run_with_pruning(seq, model, sched, TdsConfig(0.2, 2))
@@ -140,7 +140,7 @@ class TestRetentionPerModality:
             n_v -= pruned.count(Modality.VIDEO)
 
     def test_audio_favoring_attention_starves_video(self):
-        seq = build_sequence(0, [ChunkSpec(0, 8, 4)], 2, 8, 1)
+        seq = build_sequence(0, [ChunkSpec(8, 4)], 2, 8, 1)
         av = seq.tokens[seq.tokens.is_audiovisual]
         # Each text row spreads its mass evenly over the audio columns.
         values = np.array([av.mask(Modality.AUDIO)] * 2, dtype=np.float32) / av.count(Modality.AUDIO)
@@ -154,7 +154,7 @@ class TestRetentionPerModality:
         assert all(v <= a for a, v in zip(audio, video))
 
     def test_series_non_increasing_and_start_at_one(self):
-        seq = build_sequence(1, [ChunkSpec(0, 6, 6)], 2, 16, 9)
+        seq = build_sequence(1, [ChunkSpec(6, 6)], 2, 16, 9)
         model = ToyDecoder(5, 2, 16, seed=2)
         sched = PruneScheduleConfig(0.0, 0.6, 0.5, 20.0, 5)
         trace = run_with_pruning(seq, model, sched, TdsConfig(0.2, 2))
@@ -305,6 +305,15 @@ class TestCostModel:
         assert report.per_layer[0].flops == 0
         assert report.kv_bytes == 0
 
+    @pytest.mark.parametrize("ratio", ["flops_ratio", "attention_flops_ratio", "linear_flops_ratio", "kv_ratio"])
+    def test_zero_baseline_ratio_is_degenerate(self, ratio):
+        empty = PruneTrace(layers=(LayerRecord(0, 0.0, 0, (), n_audio=0, n_video=0, n_text=0, selector="plain"),))
+        report = cost_model(empty, d=64, bytes_per_element=2)
+        with pytest.raises(DegenerateInput, match="layer 0 enters with no tokens"):
+            getattr(report, ratio)
+        with pytest.raises(DegenerateInput):
+            report.to_json_obj()
+
     def test_constant_retention_term_ratios(self):
         # r = 0.5, d = 64, n0 = 100: attention scales as r^2, linear as r at
         # every constant-retention layer.
@@ -325,7 +334,7 @@ class TestCostModel:
         assert report.kv_ratio == 1.0
 
     def test_baseline_dominates(self):
-        seq = build_sequence(1, [ChunkSpec(0, 8, 4)], 2, 16, 0)
+        seq = build_sequence(1, [ChunkSpec(8, 4)], 2, 16, 0)
         model = ToyDecoder(4, 2, 16, seed=1)
         sched = PruneScheduleConfig(0.0, 0.5, 0.5, 20.0, 4)
         trace = run_with_pruning(seq, model, sched, TdsConfig(0.2, 2))

@@ -63,7 +63,7 @@ def reference_synth_embeddings(tokens, d, subspace_dim, noise_scale, seed):
 
 
 def test_minimal_ordering():
-    seq = build_sequence(0, [ChunkSpec(0, 2, 1)], 1, 4, 7)
+    seq = build_sequence(0, [ChunkSpec(2, 1)], 1, 4, 7)
     assert seq.tokens.modality.tolist() == [
         Modality.VIDEO.code,
         Modality.VIDEO.code,
@@ -75,7 +75,7 @@ def test_minimal_ordering():
 
 
 def test_full_size_chunks():
-    chunks = [ChunkSpec(i, 288, 50) for i in range(2)]
+    chunks = [ChunkSpec(288, 50)] * 2
     seq = build_sequence(3, chunks, 5, 8, 1)
     assert seq.n == 684
     assert seq.audiovisual_count == 676
@@ -83,7 +83,7 @@ def test_full_size_chunks():
 
 
 def test_deterministic_embeddings():
-    chunks = [ChunkSpec(0, 4, 2)]
+    chunks = [ChunkSpec(4, 2)]
     a = build_sequence(1, chunks, 2, 16, 42)
     b = build_sequence(1, chunks, 2, 16, 42)
     assert a.embeddings.tobytes() == b.embeddings.tobytes()
@@ -93,7 +93,7 @@ def test_deterministic_embeddings():
 
 def test_pattern_reconstruction():
     # Filtering by modality and re-concatenating reproduces the stream.
-    chunks = [ChunkSpec(0, 3, 2), ChunkSpec(1, 3, 2)]
+    chunks = [ChunkSpec(3, 2), ChunkSpec(3, 2)]
     seq = build_sequence(2, chunks, 3, 8, 0)
     tok = seq.tokens
     rebuilt = [np.flatnonzero(tok.mask(Modality.SYSTEM_TEXT))]
@@ -109,35 +109,33 @@ def test_build_validation():
     with pytest.raises(InvalidInput):
         build_sequence(0, [], 1, 4, 0)
     with pytest.raises(InvalidInput):
-        build_sequence(0, [ChunkSpec(0, 1, 1)], 1, 1, 0)
+        build_sequence(0, [ChunkSpec(1, 1)], 1, 1, 0)
     with pytest.raises(InvalidInput):
-        build_sequence(0, [ChunkSpec(0, 1, 1)], 0, 4, 0)
+        build_sequence(0, [ChunkSpec(1, 1)], 0, 4, 0)
     with pytest.raises(InvalidInput):
-        build_sequence(-1, [ChunkSpec(0, 1, 1)], 1, 4, 0)
-    with pytest.raises(InvalidInput):
-        build_sequence(0, [ChunkSpec(1, 1, 1)], 1, 4, 0)  # mis-indexed chunk
+        build_sequence(-1, [ChunkSpec(1, 1)], 1, 4, 0)
 
 
 def test_chunk_spec_validation():
     with pytest.raises(InvalidInput):
-        ChunkSpec(0, 0, 0)
+        ChunkSpec(0, 0)
     with pytest.raises(InvalidInput):
-        ChunkSpec(-1, 1, 1)
+        ChunkSpec(-1, 1)
 
 
 class TestChunkIndexOf:
     def test_first_video_of_chunk_zero(self):
-        seq = build_sequence(1, [ChunkSpec(0, 2, 1)], 1, 4, 0)
+        seq = build_sequence(1, [ChunkSpec(2, 1)], 1, 4, 0)
         assert seq.tokens.chunk[seq.tokens.mask(Modality.VIDEO)][0] == 0
 
     def test_query_token_has_none(self):
-        seq = build_sequence(1, [ChunkSpec(0, 2, 1)], 1, 4, 0)
+        seq = build_sequence(1, [ChunkSpec(2, 1)], 1, 4, 0)
         query = seq.tokens[seq.tokens.mask(Modality.QUERY_TEXT)]
         assert query.chunk[0] == -1
         assert json.loads(query.jsonl())["chunk_index"] is None
 
     def test_last_audio_of_five_chunks(self):
-        chunks = [ChunkSpec(i, 2, 3) for i in range(5)]
+        chunks = [ChunkSpec(2, 3)] * 5
         seq = build_sequence(0, chunks, 1, 4, 0)
         assert seq.tokens.chunk[seq.tokens.mask(Modality.AUDIO)][-1] == 4
 
@@ -192,9 +190,9 @@ class TestSynthEmbeddings:
 
 class TestSynthEmbeddingsReference:
     LAYOUTS = {
-        "one-chunk": (2, [ChunkSpec(0, 3, 2)], 1),
-        "no-system": (0, [ChunkSpec(0, 1, 0), ChunkSpec(1, 0, 2)], 3),
-        "four-chunks": (4, [ChunkSpec(i, 8, 2) for i in range(4)], 5),
+        "one-chunk": (2, [ChunkSpec(3, 2)], 1),
+        "no-system": (0, [ChunkSpec(1, 0), ChunkSpec(0, 2)], 3),
+        "four-chunks": (4, [ChunkSpec(8, 2)] * 4, 5),
         "no-tokens": None,
     }
     # (d, subspace_dim): text in its own block, text narrower than k, and 2k == d (text spans all dims).
@@ -255,7 +253,7 @@ def token_tables(draw):
 def intra_pruned_tokens(draw):
     frames = draw(st.integers(1, 3))
     chunks = [
-        ChunkSpec(i, frames * draw(st.integers(0, 4)), draw(st.integers(1, 6))) for i in range(draw(st.integers(1, 3)))
+        ChunkSpec(frames * draw(st.integers(0, 4)), draw(st.integers(1, 6))) for _ in range(draw(st.integers(1, 3)))
     ]
     seq = build_sequence(draw(st.integers(0, 3)), chunks, draw(st.integers(1, 3)), 8, draw(st.integers(0, 9)))
     plan = make_intra_plan(
@@ -286,12 +284,12 @@ class TestTokensJsonl:
 
 class TestInterleavedSequence:
     def test_total_count_identity(self):
-        chunks = [ChunkSpec(0, 5, 2), ChunkSpec(1, 1, 4)]
+        chunks = [ChunkSpec(5, 2), ChunkSpec(1, 4)]
         seq = build_sequence(3, chunks, 2, 8, 0)
         assert seq.n == 3 + (5 + 2) + (1 + 4) + 2
 
     def test_subsequence_preserves_meta_and_embeddings(self):
-        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        seq = build_sequence(1, [ChunkSpec(3, 2)], 1, 8, 0)
         keep = np.isin(np.arange(seq.n), [0, 2, 4, 6])
         sub = seq.subsequence(keep)
         assert sub.tokens.id.tolist() == [0, 2, 4, 6]
@@ -304,7 +302,7 @@ class TestInterleavedSequence:
         ids=["ids", "short-mask", "long-mask"],
     )
     def test_subsequence_takes_only_a_mask_over_the_tokens(self, keep):
-        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        seq = build_sequence(1, [ChunkSpec(3, 2)], 1, 8, 0)
         with pytest.raises(InvalidInput, match="boolean mask over the 7 tokens"):
             seq.subsequence(keep)
 
@@ -319,7 +317,7 @@ class TestInterleavedSequence:
             InterleavedSequence(tokens=tokens, embeddings=np.zeros((2, 4)))
 
     def test_embeddings_are_read_only(self):
-        seq = build_sequence(0, [ChunkSpec(0, 1, 1)], 1, 4, 0)
+        seq = build_sequence(0, [ChunkSpec(1, 1)], 1, 4, 0)
         with pytest.raises(ValueError):
             seq.embeddings[0, 0] = 5.0
 
@@ -335,7 +333,7 @@ class TestTokenTable:
         return InterleavedSequence(tokens=tokens, embeddings=np.zeros((len(tokens), 2)))
 
     def test_row_slice_is_a_table(self):
-        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 2, 8, 0)
+        seq = build_sequence(1, [ChunkSpec(3, 2)], 2, 8, 0)
         av = seq.tokens[seq.tokens.is_audiovisual]
         assert isinstance(av, TokenTable)
         assert av.id.tolist() == [1, 2, 3, 4, 5]
@@ -348,7 +346,7 @@ class TestTokenTable:
         ids=["slice", "mask", "index-array"],
     )
     def test_row_slice_columns_are_read_only_and_typed(self, rows):
-        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        seq = build_sequence(1, [ChunkSpec(3, 2)], 1, 8, 0)
         part = seq.tokens[rows]
         for name in ("id", "modality", "chunk", "position"):
             col = getattr(part, name)
@@ -362,12 +360,12 @@ class TestTokenTable:
         ids=["int", "numpy-int", "2-D-array", "new-axis", "none"],
     )
     def test_non_row_selection_is_refused(self, rows):
-        seq = build_sequence(1, [ChunkSpec(0, 3, 2)], 1, 8, 0)
+        seq = build_sequence(1, [ChunkSpec(3, 2)], 1, 8, 0)
         with pytest.raises(InvalidInput, match="1-D row selection"):
             seq.tokens[rows]
 
     def test_records_are_plain_python_values(self):
-        seq = build_sequence(1, [ChunkSpec(0, 1, 1)], 1, 4, 0)
+        seq = build_sequence(1, [ChunkSpec(1, 1)], 1, 4, 0)
         records = [json.loads(row) for row in seq.tokens.jsonl().splitlines()]
         assert records[1] == {"id": 1, "modality": "video", "chunk_index": 0, "original_position": 1}
         assert all(type(r["id"]) is int and type(r["original_position"]) is int for r in records)
