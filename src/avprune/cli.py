@@ -272,18 +272,21 @@ def _analyze_retention(args) -> str:
 def _read_token_modalities(path) -> list[Modality]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            objs = [json.loads(line) for line in fh if line.strip()]
+            lines = [line for line in fh if line.strip()]
+        objs = json.loads("[" + ",".join(lines) + "]")
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
         raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
-    modalities = []
+    if len(objs) != len(lines):  # a line holding two values, or one value split over lines
+        raise SchemaError(f"{path}: {len(objs)} JSON values on {len(lines)} lines")
+    by_value, modalities = {m.value: m for m in Modality}, []
     for obj in objs:
         if not isinstance(obj, dict):
             raise SchemaError(f"{path}: token record is not a JSON object")
         if "modality" in obj:
-            try:
-                modalities.append(Modality(obj["modality"]))
-            except ValueError:
-                raise SchemaError(f"{path}: unknown modality {obj['modality']!r}") from None
+            value = obj["modality"]
+            if not (isinstance(value, str) and value in by_value):
+                raise SchemaError(f"{path}: unknown modality {value!r}")
+            modalities.append(by_value[value])
         elif "config_digest" not in obj:
             raise SchemaError(f"{path}: token record without a modality")
     return modalities
@@ -341,6 +344,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    if args.d < 1:
+        raise InvalidInput(f"--d must be at least 1, got {args.d}")
     trace, summary = _read_inputs(tensorio.read_trace_jsonl, args.trace)
     try:
         obj = cost_model(trace, d=args.d, bytes_per_element=args.bytes).to_json_obj()

@@ -84,14 +84,27 @@ class CosineHistogram:
 
 
 def _sample_distinct(n_total: int, k: int, rng: Rng) -> np.ndarray:
-    # Floyd's algorithm: k distinct uniform draws from range(n_total). The
-    # bounds are drawn a block at a time; only the membership step is sequential.
-    chosen: set[int] = set()
-    for lo in range(n_total - k, n_total, _DRAW_BLOCK):
-        bounds = np.arange(lo + 1, min(lo + _DRAW_BLOCK, n_total) + 1)
-        for j, t in enumerate(rng.belows(bounds).tolist(), lo):
-            chosen.add(j if t in chosen else t)
-    picks = np.fromiter(chosen, np.int64, k)
+    # Floyd's algorithm (Bentley & Floyd 1987): k distinct uniform draws from
+    # range(n_total). Step j of range(lo, n_total) draws t = below(j + 1) and
+    # keeps j if t is kept already, else t. The draws come first, a block at a
+    # time; the rest is whole-array. t is kept already when an earlier step
+    # drew it too, or when lo <= t < j and step t itself kept t. Following
+    # t -> step t reaches the first case or leaves the range in a few passes.
+    lo = n_total - k
+    t = np.empty(k, np.int64)
+    for s in range(0, k, _DRAW_BLOCK):
+        t[s : s + _DRAW_BLOCK] = rng.belows(np.arange(lo + s + 1, min(lo + s + _DRAW_BLOCK, n_total) + 1))
+    order = np.argsort(t)
+    ts = t[order]
+    firsts = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]]))
+    repeat = np.ones(k, dtype=bool)
+    repeat[firsts] = False
+    step = t - lo  # only read where link holds; "clip" keeps the rest in bounds
+    link = ~repeat & (step >= 0) & (step < np.arange(k))
+    kept_j = repeat
+    while not np.array_equal(kept_j, nxt := repeat | (link & kept_j.take(step, mode="clip"))):
+        kept_j = nxt
+    picks = np.where(kept_j, np.arange(lo, n_total), t)
     picks.sort()
     return picks
 

@@ -11,6 +11,8 @@ import pytest
 import avprune
 from avprune import LayerRecord, PruneTrace, cli, tensorio
 from avprune.cli import main
+from avprune.config import ExperimentConfig, load_config_file
+from avprune.sequence import MODALITIES
 from tests.test_metrics import constant_retention_trace, zero_schedule_trace
 
 SMALL_CONFIG = {
@@ -481,7 +483,17 @@ class TestAnalyze:
         assert main(["analyze", "--metric", "pca", "--embeddings", str(tmp_path / "nope.omtn")]) == 4
         assert "nope.omtn" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["5", "{bad", '{"modality": ["audio"]}'])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            "{bad",
+            '{"modality": ["audio"]}',
+            '{"modality": "audio"}, {"modality": "video"}',  # two records on one line
+            '{"modality": null}',
+            '{"modality": {"a": 1}}',
+        ],
+    )
     def test_malformed_tokens_file_exits_4(self, capsys, tmp_path, line):
         emb = tmp_path / "emb.omtn"
         tokens = tmp_path / "tokens.jsonl"
@@ -490,6 +502,15 @@ class TestAnalyze:
         code = main(["analyze", "--metric", "cosine", "--embeddings", str(emb), "--tokens", str(tokens)])
         assert code == 4
         assert "tokens.jsonl" in capsys.readouterr().err
+
+    def test_tokens_file_reads_back_as_the_sequence(self, capsys, small_config, tmp_path):
+        tokens = tmp_path / "run" / "tokens.jsonl"
+        assert main(["simulate", "--config", small_config, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        seq = ExperimentConfig.resolve(load_config_file(small_config)).build_sequence()
+        assert tokens.read_text().startswith('{"config_digest": ')
+        read = cli._read_token_modalities(tokens)
+        assert read == [MODALITIES[code] for code in seq.tokens.modality.tolist()]
 
     def test_recall_of_an_all_zero_map_exits_4(self, capsys, tmp_path):
         path = tmp_path / "zero.omtn"
@@ -666,6 +687,13 @@ class TestCost:
         tensorio.write_trace_jsonl(path, PruneTrace(layers=(empty,)), config_digest="cfg")
         assert main(["cost", "--trace", str(path), "--d", "8"]) == 4
         assert "empty.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_d_below_one_exits_1_naming_the_flag(self, capsys, tmp_path, d):
+        path = tmp_path / "trace.jsonl"
+        tensorio.write_trace_jsonl(path, zero_schedule_trace(), config_digest="cfg")
+        assert main(["cost", "--trace", str(path), "--d", d]) == 1
+        assert f"error: --d must be at least 1, got {d}" in capsys.readouterr().err
 
     def test_missing_trace_exits_4(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "cost", "--trace", str(tmp_path / "nope.jsonl"), "--d", "8")

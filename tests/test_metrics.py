@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from avprune import (
     run_with_pruning,
     top20_recall,
 )
-from avprune.metrics import HISTOGRAM_BIN_WIDTH
+from avprune.metrics import _DRAW_BLOCK, HISTOGRAM_BIN_WIDTH, _sample_distinct
 
 
 def scalar_sample_distinct(n_total, k, rng):
@@ -269,6 +270,50 @@ def test_cosine_distribution_matches_the_scalar_loop(layout, pair_kind, cap, see
     hist = cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
     expected = scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
     assert (hist.counts, hist.pairs_used) == expected
+
+
+class TestSampleDistinct:
+    """The whole-array Floyd sampler against the one-draw-per-pick reference."""
+
+    @staticmethod
+    def assert_matches_scalar(n_total, k, seed):
+        rng, ref = Rng(seed), Rng(seed)
+        picks = _sample_distinct(n_total, k, rng)
+        assert picks.tobytes() == np.array(scalar_sample_distinct(n_total, k, ref), dtype=np.int64).tobytes()
+        assert rng.next_u64() == ref.next_u64()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sizes=st.integers(2, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_the_scalar_loop(self, sizes, seed):
+        self.assert_matches_scalar(*sizes, seed)
+
+    @pytest.mark.parametrize(
+        "n_total, k",
+        [
+            (2, 1),
+            (5000, 1),
+            (5000, 4999),  # k = n_total - 1 makes the longest collision chains
+            (3 * _DRAW_BLOCK + 101, 3 * _DRAW_BLOCK + 100),
+            (10 * _DRAW_BLOCK, 2 * _DRAW_BLOCK + 7),
+            (2**34 + 3, 9),
+            (2**62 + 7, 40),  # n_total * k is far above 2**63
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_scalar_loop_at_the_edges(self, n_total, k, seed):
+        self.assert_matches_scalar(n_total, k, seed)
+
+    def test_peak_memory_of_a_benchmark_sized_sample(self):
+        tracemalloc.start()
+        try:
+            _sample_distinct(662_976, 100_000, Rng(1))  # the analyze benchmark's VV sample
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def constant_retention_trace(layers, n0_av, later_av, n_text=0):
