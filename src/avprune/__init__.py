@@ -54,12 +54,9 @@ from .schedule import (
     RetentionTrace,
     ScheduleKind,
     calibrate_p_final,
-    calibrate_p_final_bisection,
-    calibrate_p_final_closed_form,
     mean_retention,
     prune_ratio,
     retention_trace,
-    sigmoid_value,
 )
 from .sequence import (
     ChunkSpec,
@@ -103,8 +100,6 @@ __all__ = [
     "audio_intra_prune",
     "build_sequence",
     "calibrate_p_final",
-    "calibrate_p_final_bisection",
-    "calibrate_p_final_closed_form",
     "cosine_distribution",
     "cost_model",
     "derive_seed",
@@ -121,7 +116,6 @@ __all__ = [
     "round_half_away",
     "run_with_injected_attention",
     "run_with_pruning",
-    "sigmoid_value",
     "sinusoidal_positions",
     "splitmix64",
     "synth_embeddings",

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 configuration error (so are an unreadable --config
 file and a malformed command line), 2 infeasible calibration, 3 I/O failure
 (every failed output write is one), 4 file-schema mismatch (so is an
-analyze/cost input that cannot be read or has no defined result). All
-commands are deterministic given config and seeds; re-running overwrites
-outputs byte-identically.
+analyze/cost input that cannot be read or has no defined result, and a
+simulate layer whose attention breaks the map rules, named). All commands
+are deterministic given config and seeds; re-running overwrites outputs
+byte-identically.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -101,16 +101,8 @@ def _read_inputs(read, *args):
 def cmd_calibrate(args) -> int:
     if not (0.0 < args.target < args.r0):
         raise InvalidInput("target must lie strictly between 0 and r0")
-    partial = PruneScheduleConfig(
-        p_init=0.0,
-        p_final=0.0,
-        t_mid=0.5,
-        beta=args.beta,
-        layers=args.layers,
-        kind=ScheduleKind.SIGMOID,
-    )
-    closed, refined = calibrate_p_final(args.target, args.r0, partial)
-    achieved = mean_retention(replace(partial, p_final=refined), args.r0)
+    closed, refined = calibrate_p_final(args.target, args.r0, args.layers, args.beta)
+    achieved = mean_retention(PruneScheduleConfig(0.0, refined, 0.5, args.beta, args.layers), args.r0)
     print(f"closed_form_p_final={closed:.6f}")
     print(f"bisection_p_final={refined:.6f}")
     print(f"achieved_mean={achieved:.6f}")

@@ -145,6 +145,15 @@ class AttentionRecord:
         if over.size:
             raise SchemaError(f"{where}: text row {over[0]} sums to {sums[over[0]]:.6g}, above 1")
 
+    def take(self, cols: np.ndarray) -> AttentionRecord:
+        """The record restricted to distinct columns ``cols``; a column subset of a valid map needs no checks."""
+        record, values = object.__new__(AttentionRecord), self.values[:, cols]
+        values.setflags(write=False)
+        object.__setattr__(record, "layer", self.layer)
+        object.__setattr__(record, "col_ids", self.col_ids[cols])
+        object.__setattr__(record, "values", values)
+        return record
+
 
 def _pruning_loop(
     seq: InterleavedSequence,
@@ -158,9 +167,9 @@ def _pruning_loop(
 ) -> PruneTrace:
     """Score, select and prune layer by layer.
 
-    ``layer_map(layer, tokens, rows, cols)`` returns the layer's attention
-    from text rows ``rows`` to audiovisual columns ``cols`` of the survivors
-    ``tokens``; ``observer``, if given, receives each layer's AttentionRecord.
+    ``layer_map(layer, tokens, rows, cols)`` returns the layer's
+    AttentionRecord from text rows ``rows`` to audiovisual columns ``cols`` of
+    the survivors ``tokens``; ``observer``, if given, receives each one.
     The random selector draws from a stream derived from ``seed``.
     """
     tokens = seq.tokens
@@ -170,9 +179,9 @@ def _pruning_loop(
     for layer in range(sched.layers):
         rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
         cols = np.flatnonzero(tokens.is_audiovisual)
-        values, columns = layer_map(layer, tokens, rows, cols), tokens[cols]
+        record, columns = layer_map(layer, tokens, rows, cols), tokens[cols]
         if observer is not None:
-            observer(AttentionRecord(layer=layer, col_ids=columns.id, values=values))
+            observer(record)
         n_audio, n_video = tokens.count(Modality.AUDIO), tokens.count(Modality.VIDEO)
         n_text = len(tokens) - n_audio - n_video
         p_l = prune_ratio(layer, sched)
@@ -183,9 +192,9 @@ def _pruning_loop(
             if effective is Selector.RANDOM:
                 pruned = random_select(columns.id, k_l, selector_rng)
             elif effective is Selector.TDS:
-                pruned = tds_select(query_importance(values, columns), k_l, tds, max_chunk)
+                pruned = tds_select(query_importance(record.values, columns), k_l, tds, max_chunk)
             else:
-                pruned = plain_select(query_importance(values, columns), k_l)
+                pruned = plain_select(query_importance(record.values, columns), k_l)
             tokens = tokens[~np.isin(tokens.id, pruned)]
         records.append(
             LayerRecord(
@@ -232,12 +241,12 @@ def run_with_pruning(
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.position, model.d)
     held = working.tokens.id  # token id of each row of x
 
-    def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         nonlocal x, held
         x = x[np.isin(held, tokens.id)]  # drop the rows pruned since the last layer; ids are unique
         held = tokens.id
         x, avg = _forward_layer(x, model.weights[layer], model.heads, rows)
-        return avg[:, cols]
+        return AttentionRecord(layer=layer, col_ids=tokens.id[cols], values=avg[:, cols])
 
     return _pruning_loop(working, sched, tds, selector, layer_map, seed=model.seed, observer=observer)
 
@@ -272,7 +281,7 @@ def run_with_injected_attention(
 
     working = _apply_intra_plan(seq, intra)
 
-    def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         # The record checked its own rules; what is left depends on this run.
         rec = maps[layer]
         want = tokens.id[cols]
@@ -290,6 +299,6 @@ def run_with_injected_attention(
                 f"layer {layer}: expected {len(rows)} text rows, got {rec.values.shape[0]}"
             )
         order = np.argsort(rec.col_ids)
-        return rec.values[:, order[np.searchsorted(rec.col_ids, want, sorter=order)]]
+        return rec.take(order[np.searchsorted(rec.col_ids, want, sorter=order)])
 
     return _pruning_loop(working, sched, tds, selector, layer_map, seed=replay_seed, observer=observer)

@@ -66,24 +66,8 @@ class RetentionTrace:
             raise InvalidInput("retention trace must be non-increasing")
 
     @property
-    def r0(self) -> float:
-        return self.values[0]
-
-    @property
     def mean(self) -> float:
         return fmean(self.values)
-
-
-def sigmoid_value(l: int, t_mid: float, beta: float, layers: int) -> float:
-    """Sigmoid ramp at normalized depth l/(layers-2)."""
-    if not 0 <= l <= layers - 2:
-        raise InvalidInput(f"layer {l} outside sigmoid domain [0, {layers - 2}]")
-    t = beta * (l / (layers - 2) - t_mid)
-    # Stable in both tails.
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
 
 
 def prune_ratio(l: int, cfg: PruneScheduleConfig) -> float:
@@ -92,9 +76,16 @@ def prune_ratio(l: int, cfg: PruneScheduleConfig) -> float:
         raise InvalidInput(f"layer {l} outside [0, {cfg.layers - 1}]")
     if l == cfg.layers - 1:
         return 0.0
-    if cfg.kind is ScheduleKind.SIGMOID:
-        return cfg.p_init + (cfg.p_final - cfg.p_init) * sigmoid_value(l, cfg.t_mid, cfg.beta, cfg.layers)
-    return cfg.p_init * (cfg.p_final / cfg.p_init) ** (l / (cfg.layers - 2))
+    if cfg.kind is ScheduleKind.EXPONENTIAL:
+        return cfg.p_init * (cfg.p_final / cfg.p_init) ** (l / (cfg.layers - 2))
+    t = cfg.beta * (l / (cfg.layers - 2) - cfg.t_mid)
+    # Stable in both tails.
+    if t >= 0:
+        ramp = 1.0 / (1.0 + math.exp(-t))
+    else:
+        e = math.exp(t)
+        ramp = e / (1.0 + e)
+    return cfg.p_init + (cfg.p_final - cfg.p_init) * ramp
 
 
 def retention_trace(cfg: PruneScheduleConfig, r0: float) -> RetentionTrace:
@@ -112,74 +103,43 @@ def mean_retention(cfg: PruneScheduleConfig, r0: float) -> float:
     return retention_trace(cfg, r0).mean
 
 
-def calibrate_p_final_closed_form(target_mean: float, r0: float, layers: int) -> float:
-    """Closed-form p_final for a sigmoid schedule with p_init=0, t_mid=0.5.
+def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -> tuple[float, float]:
+    """(closed form, bisection) p_final of the sigmoid schedule p_init=0, t_mid=0.5 for a target mean.
 
-    Treats the schedule as a quasi-step: the first half of the layers keep r0,
-    the second half decays geometrically, and the phase-2 mean is matched at
-    its midpoint layer, giving p_final = 1 - (r2 / r0)^(1 / ((L//2)//2)) with
-    r2 = 2*target - r0.
+    The closed form treats the schedule as a quasi-step: the first half of the
+    layers keep r0, the second half decays geometrically, and the phase-2 mean
+    is matched at its midpoint layer, giving p_final = 1 - (r2 / r0)^(1 / ((L//2)//2))
+    with r2 = 2*target - r0. The mean falls as p_final grows, so bisection over
+    [0, 0.999] refines it; a target at or above the zero-schedule mean gets 0.
     """
-    _check_calibration_args(target_mean, r0)
+    cfg = PruneScheduleConfig(p_init=0.0, p_final=0.0, t_mid=0.5, beta=beta, layers=layers)
+    if not (0.0 < r0 <= 1.0):
+        raise InvalidInput("r0 must lie in (0, 1]")
+    if not (0.0 < target_mean <= r0):
+        raise InvalidInput("target mean must lie in (0, r0]")
     half_mid = (layers // 2) // 2
     if half_mid < 1:
         raise Infeasible(f"closed form needs at least 4 layers, got {layers}")
     r2 = 2.0 * target_mean - r0
     if r2 <= 0.0:
         raise Infeasible("target too far below r0 for the two-phase approximation")
-    return 1.0 - (r2 / r0) ** (1.0 / half_mid)
-
-
-def calibrate_p_final_bisection(target_mean: float, r0: float, cfg_partial: PruneScheduleConfig) -> float:
-    """p_final whose simulated mean retention matches the target.
-
-    ``cfg_partial.p_final`` is ignored; the mean is monotone decreasing in
-    p_final, so plain bisection over [p_init, 0.999] suffices. A target at or
-    above the lower-bracket mean returns the bracket itself.
-    """
-    _check_calibration_args(target_mean, r0)
+    closed = 1.0 - (r2 / r0) ** (1.0 / half_mid)
 
     def achieved(p: float) -> float:
-        return mean_retention(replace(cfg_partial, p_final=p), r0)
+        return mean_retention(replace(cfg, p_final=p), r0)
 
-    lo, hi = cfg_partial.p_init, 0.999
+    lo, hi = 0.0, 0.999
     if achieved(lo) <= target_mean:
-        return lo
+        return closed, lo
     if achieved(hi) > target_mean:
         raise Infeasible(f"mean at p_final={hi} still above target {target_mean}")
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         gap = achieved(mid) - target_mean
         if abs(gap) < _BISECTION_TOL:
-            return mid
+            return closed, mid
         if gap > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def calibrate_p_final(
-    target_mean: float,
-    r0: float,
-    cfg_partial: PruneScheduleConfig,
-) -> tuple[float, float]:
-    """Both calibration routes: (closed form, bisection refinement).
-
-    The closed form is only defined for the sigmoid kind with p_init = 0 and
-    t_mid = 0.5; the bisection route accepts any valid partial config.
-    """
-    if cfg_partial.kind is not ScheduleKind.SIGMOID:
-        raise InvalidInput("closed-form calibration requires the sigmoid kind")
-    if cfg_partial.p_init != 0.0 or cfg_partial.t_mid != 0.5:
-        raise InvalidInput("closed-form calibration requires p_init=0 and t_mid=0.5")
-    closed = calibrate_p_final_closed_form(target_mean, r0, cfg_partial.layers)
-    refined = calibrate_p_final_bisection(target_mean, r0, cfg_partial)
-    return closed, refined
-
-
-def _check_calibration_args(target_mean: float, r0: float):
-    if not (0.0 < r0 <= 1.0):
-        raise InvalidInput("r0 must lie in (0, 1]")
-    if not (0.0 < target_mean <= r0):
-        raise InvalidInput("target mean must lie in (0, r0]")
+    return closed, 0.5 * (lo + hi)

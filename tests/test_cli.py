@@ -404,6 +404,19 @@ class TestSimulate:
         assert err.startswith(f"error: layer 0: the attention columns (676) are not the {entering} ")
         assert f"({settings})" in err
 
+    @pytest.mark.parametrize("layers", [53, 56])
+    @pytest.mark.parametrize("selector", ["plain", "tds", "random"])
+    def test_non_finite_forward_attention_exits_4_naming_the_layer(self, tmp_path, selector, layers):
+        # From 53 layers on, float32 overflow makes layer 52's attention non-finite at the
+        # default config, whether or not that layer prunes. In a subprocess, because the
+        # overflow's RuntimeWarnings are errors under pytest.
+        env = dict(os.environ, PYTHONPATH=str(Path(avprune.__file__).parents[1]))
+        argv = [sys.executable, "-m", "avprune.cli", "simulate", "--selector", selector]
+        argv += ["--set", f"model.layers={layers}", "--out", str(tmp_path / "o")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 4
+        assert "error: layer 52: attention values must be finite and within [0, 1]" in done.stderr
+
     @pytest.mark.parametrize(
         "override, key",
         [

@@ -2,13 +2,15 @@
 
 Each config runs ``simulate --dump-attention`` and then replays the dump
 with ``--inject``; both must read the pinned trace digest. The default run's
-output files, its dump's manifest and first layer, and the reports that
-``schedule``, ``analyze`` and ``cost`` write are pinned by sha256 as well, so
-a refactor that changes a byte of any artifact fails here rather than
+output files, its dump's manifest and first layer, the reports that
+``schedule``, ``analyze`` and ``cost`` write, and the whole transcript of
+``calibrate`` over a grid of inputs are pinned by sha256 as well, so a
+refactor that changes a byte of any artifact fails here rather than
 drifting unnoticed.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -64,6 +66,37 @@ def test_default_outputs_are_pinned(capsys, tmp_path):
     assert _trace_digest(capsys, ["simulate", "--out", str(tmp_path)]) == GOLDEN["default"][1]
     for name, prefix in DEFAULT_OUTPUTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == prefix, name
+
+
+# A sigmoid with both tails inside the layer range: p_init > 0 and t_mid off centre.
+SIGMOID_SCHEDULE_DOCUMENT = {"model": {"layers": 12}, "schedule": {"p_init": 0.05, "t_mid": 0.3, "beta": 8.0}}
+
+
+def test_sigmoid_schedule_report_is_pinned(tmp_path):
+    (tmp_path / "schedule.json").write_text(json.dumps(SIGMOID_SCHEDULE_DOCUMENT))
+    out = tmp_path / "schedule.csv"
+    assert main(["schedule", "--config", str(tmp_path / "schedule.json"), "--out", str(out)]) == 0
+    assert _sha(out) == "775808a9de92a80e"
+
+
+# Solved, infeasible and refused cases alike: the exit code and the exact text
+# of every answer and refusal are pinned, in the order the checks fire.
+CALIBRATE_GRID = itertools.product(
+    ("0.30", "0.44", "0.45", "0.2", "0.001", "0.6", "0"),  # --target
+    ("0.45", "1.0", "1.5"),  # --r0
+    ("28", "12", "5", "3", "2"),  # --layers
+    ("20", "8", "0"),  # --beta
+)
+
+
+def test_calibrate_transcript_is_pinned(capsys):
+    transcript = hashlib.sha256()
+    for target, r0, layers, beta in CALIBRATE_GRID:
+        argv = ["calibrate", "--target", target, "--r0", r0, "--layers", layers, "--beta", beta]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        transcript.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert transcript.hexdigest()[:16] == "fe13fd86fc7f0e56"
 
 
 SCHEDULE_DOCUMENT = {"model": {"layers": 12}, "schedule": {"kind": "exponential", "p_init": 0.02, "p_final": 0.5}}

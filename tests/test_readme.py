@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import avprune
+
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
@@ -49,3 +51,12 @@ def test_cli_block_runs(tmp_path):
             digests[run] = re.findall(r"^trace_digest=\w+$", result.stdout, re.MULTILINE)
     # The replay of the dumped attention prints the forward run's trace digest.
     assert len(digests["forward"]) == 1 and digests["replay"] == digests["forward"]
+
+
+def test_public_names_resolve_sorted_and_unique():
+    names = avprune.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(avprune, name) for name in names)
+    namespace = {}
+    exec("from avprune import *", namespace)
+    assert set(names) <= namespace.keys()

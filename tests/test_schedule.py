@@ -10,12 +10,9 @@ from avprune import (
     PruneScheduleConfig,
     ScheduleKind,
     calibrate_p_final,
-    calibrate_p_final_bisection,
-    calibrate_p_final_closed_form,
     mean_retention,
     prune_ratio,
     retention_trace,
-    sigmoid_value,
 )
 
 
@@ -38,22 +35,24 @@ def recurrence_oracle(cfg: PruneScheduleConfig, r0: float) -> list[float]:
 DEFAULT_28 = PruneScheduleConfig(p_init=0.0, p_final=0.2, t_mid=0.5, beta=20.0, layers=28)
 
 
-class TestSigmoidValue:
+class TestSigmoidRamp:
+    # With p_init = 0, p_l is p_final times the sigmoid ramp.
     def test_midpoint_is_exact_half(self):
-        assert sigmoid_value(13, 0.5, 20.0, 28) == 0.5
+        assert prune_ratio(13, DEFAULT_28) == 0.5 * DEFAULT_28.p_final
 
     def test_first_layer(self):
-        assert sigmoid_value(0, 0.5, 20.0, 28) == pytest.approx(4.5398e-5, abs=1e-9)
-        assert sigmoid_value(0, 0.5, 20.0, 28) == pytest.approx(sigmoid_oracle(0, 0.5, 20.0, 28))
+        assert prune_ratio(0, DEFAULT_28) == pytest.approx(0.2 * 4.5398e-5, abs=1e-9)
+        assert prune_ratio(0, DEFAULT_28) == pytest.approx(0.2 * sigmoid_oracle(0, 0.5, 20.0, 28))
 
     def test_penultimate_layer(self):
-        assert sigmoid_value(26, 0.5, 20.0, 28) == pytest.approx(0.9999546, abs=1e-7)
+        assert prune_ratio(26, DEFAULT_28) == pytest.approx(0.2 * 0.9999546, abs=1e-7)
+        assert prune_ratio(26, DEFAULT_28) == pytest.approx(0.2 * sigmoid_oracle(26, 0.5, 20.0, 28))
 
     def test_out_of_domain(self):
         with pytest.raises(InvalidInput):
-            sigmoid_value(27, 0.5, 20.0, 28)
+            prune_ratio(28, DEFAULT_28)
         with pytest.raises(InvalidInput):
-            sigmoid_value(-1, 0.5, 20.0, 28)
+            prune_ratio(-1, DEFAULT_28)
 
 
 class TestPruneRatio:
@@ -122,45 +121,41 @@ class TestRetentionTrace:
 
 
 class TestCalibration:
+    # DEFAULT_28 is the calibrated shape: sigmoid, p_init=0, t_mid=0.5, beta=20, 28 layers.
     def test_closed_form_known_value(self):
-        closed = calibrate_p_final_closed_form(0.30, 0.45, 28)
+        closed, _ = calibrate_p_final(0.30, 0.45, 28, 20.0)
         assert closed == pytest.approx(1.0 - (1.0 / 3.0) ** (1.0 / 7.0), abs=1e-12)
         assert abs(closed - 0.1452) <= 0.0005
 
     def test_bisection_round_trip(self):
-        refined = calibrate_p_final_bisection(0.30, 0.45, DEFAULT_28)
+        _, refined = calibrate_p_final(0.30, 0.45, 28, 20.0)
         achieved = mean_retention(replace(DEFAULT_28, p_final=refined), 0.45)
         assert abs(achieved - 0.30) < 1e-4
 
     def test_combined_returns_both(self):
-        closed, refined = calibrate_p_final(0.30, 0.45, DEFAULT_28)
+        closed, refined = calibrate_p_final(0.30, 0.45, 28, 20.0)
         assert closed == pytest.approx(0.14525, abs=5e-4)
         achieved = mean_retention(replace(DEFAULT_28, p_final=refined), 0.45)
         assert achieved == pytest.approx(0.30, abs=1e-4)
 
     def test_boundary_target_returns_lower_bracket(self):
         # Target equal to the zero-schedule mean: bisection returns p_final = 0.
-        assert calibrate_p_final_bisection(0.45, 0.45, DEFAULT_28) == 0.0
+        assert calibrate_p_final(0.45, 0.45, 28, 20.0)[1] == 0.0
 
     def test_near_r0_target(self):
-        refined = calibrate_p_final_bisection(0.44, 0.45, DEFAULT_28)
+        _, refined = calibrate_p_final(0.44, 0.45, 28, 20.0)
         achieved = mean_retention(replace(DEFAULT_28, p_final=refined), 0.45)
         assert abs(achieved - 0.44) < 1e-4
 
     def test_infeasible_target(self):
         with pytest.raises(Infeasible):
-            calibrate_p_final_bisection(0.001, 0.45, DEFAULT_28)
-
-    def test_closed_form_requires_canonical_shape(self):
-        shifted = replace(DEFAULT_28, t_mid=0.4)
-        with pytest.raises(InvalidInput):
-            calibrate_p_final(0.30, 0.45, shifted)
-        exp_cfg = PruneScheduleConfig(0.02, 0.5, 0.5, 20.0, 28, ScheduleKind.EXPONENTIAL)
-        with pytest.raises(InvalidInput):
-            calibrate_p_final(0.30, 0.45, exp_cfg)
+            calibrate_p_final(0.001, 0.45, 28, 20.0)
+        # The closed form solves this one, but p_final = 0.999 still keeps a mean above it.
+        with pytest.raises(Infeasible, match="still above target"):
+            calibrate_p_final(0.51, 1.0, 12, 20.0)
 
     def test_argument_validation(self):
         with pytest.raises(InvalidInput):
-            calibrate_p_final_bisection(0.5, 0.45, DEFAULT_28)  # target above r0
+            calibrate_p_final(0.5, 0.45, 28, 20.0)  # target above r0
         with pytest.raises(InvalidInput):
-            calibrate_p_final_bisection(0.0, 0.45, DEFAULT_28)
+            calibrate_p_final(0.0, 0.45, 28, 20.0)
