@@ -41,7 +41,6 @@ from .intra import (
 )
 from .metrics import (
     CosineHistogram,
-    CostReport,
     PairKind,
     cosine_distribution,
     cost_model,
@@ -51,7 +50,6 @@ from .metrics import (
 from .numerics import Rng, derive_seed, pca2, splitmix64
 from .schedule import (
     PruneScheduleConfig,
-    RetentionTrace,
     ScheduleKind,
     calibrate_p_final,
     mean_retention,
@@ -75,7 +73,6 @@ __all__ = [
     "ChunkSpec",
     "ConvergenceFailure",
     "CosineHistogram",
-    "CostReport",
     "DegenerateInput",
     "ImportanceScores",
     "Infeasible",
@@ -88,7 +85,6 @@ __all__ = [
     "PairKind",
     "PruneScheduleConfig",
     "PruneTrace",
-    "RetentionTrace",
     "Rng",
     "ScheduleKind",
     "SchemaError",

@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
+from statistics import fmean
 
 from .config import ExperimentConfig, load_config_file
 from .errors import ConvergenceFailure, DegenerateInput, Infeasible, InvalidInput, SchemaError
@@ -99,8 +100,6 @@ def _read_inputs(read, *args):
 
 
 def cmd_calibrate(args) -> int:
-    if not (0.0 < args.target < args.r0):
-        raise InvalidInput("target must lie strictly between 0 and r0")
     closed, refined = calibrate_p_final(args.target, args.r0, args.layers, args.beta)
     achieved = mean_retention(PruneScheduleConfig(0.0, refined, 0.5, args.beta, args.layers), args.r0)
     print(f"closed_form_p_final={closed:.6f}")
@@ -119,8 +118,8 @@ def cmd_schedule(args) -> int:
     cfg = ExperimentConfig.resolve(document, {k: v for k, v in flags.items() if v is not None})
     sched = cfg.schedule
     trace = retention_trace(sched, args.r0)
-    rows = (f"{l},{prune_ratio(l, sched):.9f},{r:.9f}" for l, r in enumerate(trace.values))
-    footer = [f"mean_retention={trace.mean:.9f}"]
+    rows = (f"{l},{prune_ratio(l, sched):.9f},{r:.9f}" for l, r in enumerate(trace))
+    footer = [f"mean_retention={fmean(trace):.9f}"]
     _emit(args.out, _csv(f"config_digest={cfg.digest}", "layer,prune_ratio,retention", rows, footer))
     return EXIT_OK
 
@@ -340,7 +339,7 @@ def cmd_cost(args) -> int:
         raise InvalidInput(f"--d must be at least 1, got {args.d}")
     trace, summary = _read_inputs(tensorio.read_trace_jsonl, args.trace)
     try:
-        obj = cost_model(trace, d=args.d, bytes_per_element=args.bytes).to_json_obj()
+        obj = cost_model(trace, d=args.d, bytes_per_element=args.bytes)
     except DegenerateInput as exc:
         raise SchemaError(f"{args.trace}: {exc}") from None
     obj["config_digest"] = summary.get("config_digest", "none")

@@ -238,7 +238,7 @@ def run_with_pruning(
         raise InvalidInput(f"sequence dim {seq.d} does not match model dim {model.d}")
 
     working = _apply_intra_plan(seq, intra)
-    x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.position, model.d)
+    x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.id, model.d)
     held = working.tokens.id  # token id of each row of x
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:

@@ -171,118 +171,47 @@ def cosine_distribution(
     return CosineHistogram(counts=tuple(counts.tolist()), pairs_used=len(picks))
 
 
-@dataclass(frozen=True)
-class LayerCost:
-    """Analytic cost of one layer at its entering survivor count."""
-
-    layer: int
-    n: int
-    attention_flops: int
-    linear_flops: int
-
-    @property
-    def flops(self) -> int:
-        return self.attention_flops + self.linear_flops
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Prefill FLOPs and KV-memory of a trace versus a no-pruning baseline.
+def cost_model(trace: PruneTrace, d: int, bytes_per_element: int) -> dict:
+    """The ``cost.json`` object: analytic prefill FLOPs and KV bytes of a trace versus a no-pruning baseline.
 
     Counts mul-add pairs as 2 operations and causal attention as a full
-    n-squared pass; the baseline holds the layer-0 count at every layer.
+    n-squared pass; the baseline holds the layer-0 count at every layer, so
+    every ratio is undefined when layer 0 holds no tokens (DegenerateInput).
     """
-
-    per_layer: tuple[LayerCost, ...]
-    baseline_per_layer: tuple[LayerCost, ...]
-    kv_bytes: int
-    baseline_kv_bytes: int
-
-    @property
-    def total_flops(self) -> int:
-        return sum(c.flops for c in self.per_layer)
-
-    @property
-    def baseline_total_flops(self) -> int:
-        return sum(c.flops for c in self.baseline_per_layer)
-
-    @property
-    def flops_ratio(self) -> float:
-        return _ratio(self.total_flops, self.baseline_total_flops)
-
-    @property
-    def attention_flops_ratio(self) -> float:
-        return _ratio(
-            sum(c.attention_flops for c in self.per_layer), sum(c.attention_flops for c in self.baseline_per_layer)
-        )
-
-    @property
-    def linear_flops_ratio(self) -> float:
-        return _ratio(
-            sum(c.linear_flops for c in self.per_layer), sum(c.linear_flops for c in self.baseline_per_layer)
-        )
-
-    @property
-    def kv_ratio(self) -> float:
-        return _ratio(self.kv_bytes, self.baseline_kv_bytes)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "note": "mul-add counted as 2 ops; causal attention counted as full n^2",
-            "per_layer": [
-                {
-                    "layer": c.layer,
-                    "n": c.n,
-                    "flops": c.flops,
-                    "attention_flops": c.attention_flops,
-                    "linear_flops": c.linear_flops,
-                    "baseline_n": b.n,
-                    "baseline_flops": b.flops,
-                    "baseline_attention_flops": b.attention_flops,
-                    "baseline_linear_flops": b.linear_flops,
-                }
-                for c, b in zip(self.per_layer, self.baseline_per_layer)
-            ],
-            "total_flops": self.total_flops,
-            "baseline_total_flops": self.baseline_total_flops,
-            "kv_bytes": self.kv_bytes,
-            "baseline_kv_bytes": self.baseline_kv_bytes,
-            "flops_ratio": self.flops_ratio,
-            "attention_flops_ratio": self.attention_flops_ratio,
-            "linear_flops_ratio": self.linear_flops_ratio,
-            "kv_ratio": self.kv_ratio,
-        }
-
-
-def _ratio(cost: int, baseline: int) -> float:
-    if baseline == 0:  # every baseline is zero exactly when layer 0 holds no tokens
-        raise DegenerateInput("layer 0 enters with no tokens, so every cost ratio is undefined")
-    return cost / baseline
-
-
-def _layer_cost(layer: int, n: int, d: int) -> LayerCost:
-    # Projections + feed-forward scale as 24*n*d^2; QK^T and AV as 4*n^2*d.
-    return LayerCost(
-        layer=layer,
-        n=n,
-        attention_flops=4 * n * n * d,
-        linear_flops=24 * n * d * d,
-    )
-
-
-def cost_model(trace: PruneTrace, d: int, bytes_per_element: int) -> CostReport:
-    """Analytic prefill FLOPs and KV bytes for a trace's survivor counts."""
     if d < 1 or bytes_per_element < 1:
         raise InvalidInput("d and bytes_per_element must be positive")
     counts = [rec.n_audio + rec.n_video + rec.n_text for rec in trace.layers]
-    n0 = counts[0]
-    per_layer = tuple(_layer_cost(rec.layer, n, d) for rec, n in zip(trace.layers, counts))
-    baseline = tuple(_layer_cost(rec.layer, n0, d) for rec in trace.layers)
+    if not counts or counts[0] == 0:
+        raise DegenerateInput("layer 0 enters with no tokens, so every cost ratio is undefined")
+    n0, layers = counts[0], len(counts)
+    # Projections + feed-forward scale as 24*n*d^2; QK^T and AV as 4*n^2*d.
+    attention = [4 * n * n * d for n in counts]
+    linear = [24 * n * d * d for n in counts]
+    total, base_flops = sum(attention) + sum(linear), attention[0] + linear[0]
     kv = sum(2 * n * d * bytes_per_element for n in counts)
-    kv_base = 2 * n0 * d * bytes_per_element * len(counts)
-    return CostReport(
-        per_layer=per_layer,
-        baseline_per_layer=baseline,
-        kv_bytes=kv,
-        baseline_kv_bytes=kv_base,
-    )
+    base_kv = 2 * n0 * d * bytes_per_element * layers
+    return {
+        "note": "mul-add counted as 2 ops; causal attention counted as full n^2",
+        "per_layer": [
+            {
+                "layer": rec.layer,
+                "n": n,
+                "flops": a + f,
+                "attention_flops": a,
+                "linear_flops": f,
+                "baseline_n": n0,
+                "baseline_flops": base_flops,
+                "baseline_attention_flops": attention[0],
+                "baseline_linear_flops": linear[0],
+            }
+            for rec, n, a, f in zip(trace.layers, counts, attention, linear)
+        ],
+        "total_flops": total,
+        "baseline_total_flops": base_flops * layers,
+        "kv_bytes": kv,
+        "baseline_kv_bytes": base_kv,
+        "flops_ratio": total / (base_flops * layers),
+        "attention_flops_ratio": sum(attention) / (attention[0] * layers),
+        "linear_flops_ratio": sum(linear) / (linear[0] * layers),
+        "kv_ratio": kv / base_kv,
+    }

@@ -55,21 +55,6 @@ class PruneScheduleConfig:
             raise InvalidInput("p_init: the exponential kind needs p_init > 0")
 
 
-@dataclass(frozen=True)
-class RetentionTrace:
-    """Retention ratio entering each layer, r_{l+1} = r_l * (1 - p_l)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b > a for a, b in zip(self.values, self.values[1:])):
-            raise InvalidInput("retention trace must be non-increasing")
-
-    @property
-    def mean(self) -> float:
-        return fmean(self.values)
-
-
 def prune_ratio(l: int, cfg: PruneScheduleConfig) -> float:
     """Pruning ratio p_l for layer l; always 0 at the final layer."""
     if not 0 <= l <= cfg.layers - 1:
@@ -88,19 +73,19 @@ def prune_ratio(l: int, cfg: PruneScheduleConfig) -> float:
     return cfg.p_init + (cfg.p_final - cfg.p_init) * ramp
 
 
-def retention_trace(cfg: PruneScheduleConfig, r0: float) -> RetentionTrace:
-    """Retention entering each of the L layers, starting from r0."""
+def retention_trace(cfg: PruneScheduleConfig, r0: float) -> tuple[float, ...]:
+    """Retention entering each of the L layers, r_{l+1} = r_l * (1 - p_l) from r0."""
     if not (0.0 < r0 <= 1.0):
         raise InvalidInput("r0 must lie in (0, 1]")
     values = [r0]
     for l in range(cfg.layers - 1):
         values.append(values[-1] * (1.0 - prune_ratio(l, cfg)))
-    return RetentionTrace(values=tuple(values))
+    return tuple(values)
 
 
 def mean_retention(cfg: PruneScheduleConfig, r0: float) -> float:
     """Unweighted per-layer mean of the retention trace."""
-    return retention_trace(cfg, r0).mean
+    return fmean(retention_trace(cfg, r0))
 
 
 def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -> tuple[float, float]:
@@ -110,13 +95,14 @@ def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -
     layers keep r0, the second half decays geometrically, and the phase-2 mean
     is matched at its midpoint layer, giving p_final = 1 - (r2 / r0)^(1 / ((L//2)//2))
     with r2 = 2*target - r0. The mean falls as p_final grows, so bisection over
-    [0, 0.999] refines it; a target at or above the zero-schedule mean gets 0.
+    [0, 0.999] refines it. A target must lie strictly between 0 and r0; one at or
+    above the zero-schedule mean (which can round just below r0) gets 0.
     """
+    if not (0.0 < target_mean < r0):
+        raise InvalidInput("target must lie strictly between 0 and r0")
     cfg = PruneScheduleConfig(p_init=0.0, p_final=0.0, t_mid=0.5, beta=beta, layers=layers)
     if not (0.0 < r0 <= 1.0):
         raise InvalidInput("r0 must lie in (0, 1]")
-    if not (0.0 < target_mean <= r0):
-        raise InvalidInput("target mean must lie in (0, r0]")
     half_mid = (layers // 2) // 2
     if half_mid < 1:
         raise Infeasible(f"closed form needs at least 4 layers, got {layers}")

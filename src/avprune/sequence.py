@@ -1,8 +1,9 @@
 """Chunked audiovisual-plus-text token streams with synthetic embeddings.
 
 A sequence is laid out as [system text, (video block, audio block) per chunk,
-query text] with dense ids 0..n-1 in stream order. Original positions never
-change, so later pruning stages can always refer back to the unpruned layout.
+query text] with dense ids 0..n-1 in stream order. A token's id is its
+original stream position and never changes, so later pruning stages can
+always refer back to the unpruned layout.
 Embeddings are synthetic: each modality is a Gaussian cloud concentrated in
 its own subspace, standing in for real encoder outputs.
 """
@@ -42,10 +43,10 @@ MODALITIES = tuple(Modality)
 _IS_TEXT = np.array([m.is_text for m in MODALITIES])
 # Stream phase per modality code: system text 0, audiovisual 1, query text 2.
 _PHASE = np.array([0 if m is Modality.SYSTEM_TEXT else 2 if m.is_text else 1 for m in MODALITIES])
-_COLUMNS = ("id", "modality", "chunk", "position")
-# A tokens.jsonl row per modality code, as a str.format template of (chunk, id, position).
+_COLUMNS = ("id", "modality", "chunk")
+# A tokens.jsonl row per modality code, as a str.format template of (chunk, id).
 _JSONL_ROWS = [
-    '{{"chunk_index": %s, "id": {1}, "modality": "%s", "original_position": {2}}}\n'
+    '{{"chunk_index": %s, "id": {1}, "modality": "%s", "original_position": {1}}}\n'
     % ("null" if m.is_text else "{0}", m.value) for m in MODALITIES
 ]
 
@@ -54,9 +55,9 @@ _JSONL_ROWS = [
 class TokenTable:
     """The token set as one struct of arrays: row i is the i-th token in stream order.
 
-    ``modality`` holds ``Modality.code`` values, ``chunk`` is -1 for text
-    tokens, and ``position`` is the original stream position, which survives
-    pruning unchanged. A row slice (``table[rows]``) is again a table, so the
+    ``id`` is the original stream position, which survives pruning
+    unchanged, ``modality`` holds ``Modality.code`` values, and ``chunk`` is
+    -1 for text tokens. A row slice (``table[rows]``) is again a table, so the
     survivors of a layer and the rows and columns of an attention map share
     this one type. Columns are read-only.
     """
@@ -64,7 +65,6 @@ class TokenTable:
     id: np.ndarray
     modality: np.ndarray
     chunk: np.ndarray
-    position: np.ndarray
 
     def __post_init__(self):
         for name in _COLUMNS:
@@ -73,8 +73,8 @@ class TokenTable:
             object.__setattr__(self, name, col)
             if col.ndim != 1 or col.shape != self.id.shape:
                 raise InvalidInput("token columns must be 1-D and of equal length")
-        if np.any(self.id < 0) or np.any(self.position < 0):
-            raise InvalidInput("token id and position must be non-negative")
+        if np.any(self.id < 0):
+            raise InvalidInput("token ids must be non-negative")
         if np.any((self.modality < 0) | (self.modality >= len(MODALITIES))):
             raise InvalidInput("unknown modality code")
         text = self.is_text
@@ -88,16 +88,14 @@ class TokenTable:
     def from_runs(runs) -> "TokenTable":
         """Table of consecutive (modality, count, chunk) runs; chunk is None for text.
 
-        Ids and original positions are dense, 0..n-1 in stream order.
+        Ids are dense, 0..n-1 in stream order.
         """
         runs = list(runs)
         counts = [count for _, count, _ in runs]
-        n = sum(counts)
         return TokenTable(
-            id=np.arange(n),
+            id=np.arange(sum(counts)),
             modality=np.repeat([m.code for m, _, _ in runs], counts),
             chunk=np.repeat([-1 if c is None else c for _, _, c in runs], counts),
-            position=np.arange(n),
         )
 
     def __len__(self) -> int:
@@ -131,7 +129,7 @@ class TokenTable:
     def jsonl(self) -> str:
         """``tokens.jsonl`` rows: a ``json.dumps(row, sort_keys=True)`` line per token, text chunk null."""
         rows = [_JSONL_ROWS[m] for m in self.modality.tolist()]
-        return "".join(map(str.format, rows, self.chunk.tolist(), self.id.tolist(), self.position.tolist()))
+        return "".join(map(str.format, rows, self.chunk.tolist(), self.id.tolist()))
 
 
 @dataclass(frozen=True)
@@ -172,10 +170,8 @@ class InterleavedSequence:
 
     def _check_layout(self):
         tok = self.tokens
-        if np.unique(tok.id).size != len(tok):
-            raise InvalidInput("duplicate token id")
-        if np.any(np.diff(tok.position) <= 0):
-            raise InvalidInput("original positions must be strictly increasing")
+        if np.any(np.diff(tok.id) <= 0):
+            raise InvalidInput("token ids must be strictly increasing")
         back = np.flatnonzero(np.diff(_PHASE[tok.modality]) < 0)
         if back.size:
             if tok.modality[back[0] + 1] == Modality.SYSTEM_TEXT.code:

@@ -38,7 +38,7 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
     """
     working = _apply_intra_plan(seq, intra)
     tokens = working.tokens
-    x = working.embeddings.astype(np.float32) + sinusoidal_positions(tokens.position, model.d)
+    x = working.embeddings.astype(np.float32) + sinusoidal_positions(tokens.id, model.d)
     assert [obs.layer for obs in observed] == [rec.layer for rec in trace.layers]
     maps = []
     for rec, obs in zip(trace.layers, observed):
@@ -212,7 +212,7 @@ class TestRunWithPruning:
         full_maps = oracle_maps(seq, model, trace, observed)
         first_prune = next(rec.layer for rec in trace.layers if rec.k_l > 0)
 
-        x = seq.embeddings.astype(np.float32) + sinusoidal_positions(seq.tokens.position, model.d)
+        x = seq.embeddings.astype(np.float32) + sinusoidal_positions(seq.tokens.id, model.d)
         kept = seq.tokens
         for layer in range(first_prune + 1):
             x, probs = _forward_layer(x, model.weights[layer], model.heads, np.arange(len(x)))

@@ -30,7 +30,6 @@ def make_scores(scores, chunks=None):
         id=np.arange(n),
         modality=np.full(n, Modality.VIDEO.code),
         chunk=chunks if chunks is not None else np.zeros(n, dtype=int),
-        position=np.arange(n),
     )
     return ImportanceScores(tokens=tokens, scores=np.asarray(scores, dtype=np.float64))
 

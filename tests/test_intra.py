@@ -212,7 +212,7 @@ class TestApplyIntra:
     def test_identity_settings(self):
         seq = build_sequence(1, [ChunkSpec(8, 4)], 1, 8, 0)
         pruned, report = apply_intra(seq, plan([0.1, 0.2, 0.3, 0.4], 1.0, 0.0))
-        for column in ("id", "modality", "chunk", "position"):
+        for column in ("id", "modality", "chunk"):
             assert np.array_equal(getattr(pruned.tokens, column), getattr(seq.tokens, column))
         assert report.combined_retention == 1.0
 
@@ -231,8 +231,6 @@ class TestApplyIntra:
         pruned, _ = apply_intra(seq, plan(np.random.default_rng(7).random(12), 0.5, 0.5))
         ids = pruned.tokens.id.tolist()
         assert ids == sorted(ids)
-        positions = pruned.tokens.position.tolist()
-        assert positions == sorted(positions)
 
     def test_saliency_is_read_per_chunk_in_stream_order(self):
         # Chunk 0 holds the 3 lowest scores and chunk 1 the 3 highest; each

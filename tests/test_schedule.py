@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from statistics import fmean
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,8 +88,7 @@ class TestPruneRatio:
 class TestRetentionTrace:
     def test_zero_schedule_is_constant(self):
         cfg = PruneScheduleConfig(0.0, 0.0, 0.5, 20.0, 6)
-        trace = retention_trace(cfg, 0.37)
-        assert trace.values == tuple([0.37] * 6)
+        assert retention_trace(cfg, 0.37) == (0.37,) * 6
         assert mean_retention(cfg, 1.0) == 1.0
 
     def test_constant_ratio_hand_recurrence(self):
@@ -99,13 +99,14 @@ class TestRetentionTrace:
     def test_default_config_against_oracle(self):
         trace = retention_trace(DEFAULT_28, 0.45)
         oracle = recurrence_oracle(DEFAULT_28, 0.45)
-        assert list(trace.values) == pytest.approx(oracle, abs=1e-12)
-        assert 0.27 <= trace.mean <= 0.31
+        assert list(trace) == pytest.approx(oracle, abs=1e-12)
+        assert 0.27 <= fmean(trace) == mean_retention(DEFAULT_28, 0.45) <= 0.31
 
     def test_non_increasing_and_bounded(self):
         trace = retention_trace(DEFAULT_28, 0.45)
-        assert all(b <= a for a, b in zip(trace.values, trace.values[1:]))
-        assert all(0.0 < v <= 0.45 for v in trace.values)
+        assert type(trace) is tuple
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert all(0.0 < v <= 0.45 for v in trace)
 
     def test_r0_validation(self):
         with pytest.raises(InvalidInput):
@@ -138,9 +139,22 @@ class TestCalibration:
         achieved = mean_retention(replace(DEFAULT_28, p_final=refined), 0.45)
         assert achieved == pytest.approx(0.30, abs=1e-4)
 
-    def test_boundary_target_returns_lower_bracket(self):
-        # Target equal to the zero-schedule mean: bisection returns p_final = 0.
-        assert calibrate_p_final(0.45, 0.45, 28, 20.0)[1] == 0.0
+    @pytest.mark.parametrize("target", [0.45, 0.46, 0.0, -0.1, float("nan")])
+    def test_target_outside_zero_to_r0_is_refused_as_on_the_cli(self, target):
+        # The CLI's rule and message: target == r0 is refused, not solved as p_final = 0.
+        with pytest.raises(InvalidInput, match="^target must lie strictly between 0 and r0$"):
+            calibrate_p_final(target, 0.45, 28, 20.0)
+
+    def test_target_is_checked_before_the_schedule(self):
+        with pytest.raises(InvalidInput, match="^target must lie"):
+            calibrate_p_final(0.5, 0.45, 2, 0.0)  # layers and beta are bad too
+
+    def test_target_at_the_rounded_zero_schedule_mean_returns_lower_bracket(self):
+        # fmean of nine copies of 0.45 rounds below 0.45, so this target passes
+        # the target rule and is already met by p_final = 0.
+        target = fmean([0.45] * 9)
+        assert target < 0.45
+        assert calibrate_p_final(target, 0.45, 9, 20.0)[1] == 0.0
 
     def test_near_r0_target(self):
         _, refined = calibrate_p_final(0.44, 0.45, 28, 20.0)

@@ -1,4 +1,5 @@
 
+import dataclasses
 import json
 
 import numpy as np
@@ -22,17 +23,15 @@ from avprune.sequence import MODALITIES
 
 
 def reference_records(tokens: TokenTable) -> list[dict]:
-    """The tokens.jsonl rows as plain dicts, one per token; text chunks read None."""
+    """The tokens.jsonl rows as plain dicts, one per token; text chunks read None, an id is its position."""
     return [
         {
             "id": i,
             "modality": MODALITIES[m].value,
             "chunk_index": None if c < 0 else c,
-            "original_position": p,
+            "original_position": i,
         }
-        for i, m, c, p in zip(
-            tokens.id.tolist(), tokens.modality.tolist(), tokens.chunk.tolist(), tokens.position.tolist()
-        )
+        for i, m, c in zip(tokens.id.tolist(), tokens.modality.tolist(), tokens.chunk.tolist())
     ]
 
 
@@ -245,8 +244,7 @@ def token_tables(draw):
     modality = draw(st.lists(st.integers(0, len(MODALITIES) - 1), min_size=n, max_size=n))
     chunk = [-1 if MODALITIES[m].is_text else draw(st.integers(0, 2**63 - 1) | st.integers(0, 3)) for m in modality]
     ids = draw(st.lists(ROW_IDS | st.integers(0, 20), min_size=n, max_size=n))
-    position = draw(st.lists(ROW_IDS | st.integers(0, 20), min_size=n, max_size=n))
-    return TokenTable(id=ids, modality=modality, chunk=chunk, position=position)
+    return TokenTable(id=ids, modality=modality, chunk=chunk)
 
 
 @st.composite
@@ -274,11 +272,12 @@ class TestTokensJsonl:
 
     def test_row_bytes(self):
         tokens = TokenTable(
-            id=[2**63 - 1, 4], modality=[Modality.VIDEO.code, Modality.QUERY_TEXT.code], chunk=[3, -1], position=[9, 10]
+            id=[2**63 - 1, 4], modality=[Modality.VIDEO.code, Modality.QUERY_TEXT.code], chunk=[3, -1]
         )
         assert tokens.jsonl() == (
-            '{"chunk_index": 3, "id": 9223372036854775807, "modality": "video", "original_position": 9}\n'
-            '{"chunk_index": null, "id": 4, "modality": "query_text", "original_position": 10}\n'
+            '{"chunk_index": 3, "id": 9223372036854775807, "modality": "video", '
+            '"original_position": 9223372036854775807}\n'
+            '{"chunk_index": null, "id": 4, "modality": "query_text", "original_position": 4}\n'
         )
 
 
@@ -293,7 +292,7 @@ class TestInterleavedSequence:
         keep = np.isin(np.arange(seq.n), [0, 2, 4, 6])
         sub = seq.subsequence(keep)
         assert sub.tokens.id.tolist() == [0, 2, 4, 6]
-        for column in ("id", "modality", "chunk", "position"):
+        for column in ("id", "modality", "chunk"):
             assert np.array_equal(getattr(sub.tokens, column), getattr(seq.tokens, column)[keep])
         assert np.array_equal(sub.embeddings, seq.embeddings[keep])
 
@@ -348,7 +347,7 @@ class TestTokenTable:
     def test_row_slice_columns_are_read_only_and_typed(self, rows):
         seq = build_sequence(1, [ChunkSpec(3, 2)], 1, 8, 0)
         part = seq.tokens[rows]
-        for name in ("id", "modality", "chunk", "position"):
+        for name in ("id", "modality", "chunk"):
             col = getattr(part, name)
             assert col.dtype == (np.int8 if name == "modality" else np.int64) and col.ndim == 1
             assert np.array_equal(col, getattr(seq.tokens, name)[rows])
@@ -371,14 +370,18 @@ class TestTokenTable:
         assert all(type(r["id"]) is int and type(r["original_position"]) is int for r in records)
         assert records[0]["chunk_index"] is None and type(records[1]["chunk_index"]) is int
 
-    def test_layout_rejects_duplicate_ids_and_unordered_positions(self):
+    def test_columns_are_id_modality_chunk(self):
+        assert [f.name for f in dataclasses.fields(TokenTable)] == ["id", "modality", "chunk"]
+
+    @pytest.mark.parametrize(
+        "ids", [[0, 2, 1], [2, 1, 0], [0, 0, 2], [1, 1, 1]], ids=["unsorted", "descending", "duplicate", "all-equal"]
+    )
+    def test_layout_refuses_ids_that_do_not_rise(self, ids):
+        # An id is the token's original stream position: one rule refuses repeats and disorder alike.
         runs = TokenTable.from_runs([(Modality.VIDEO, 2, 0), (Modality.QUERY_TEXT, 1, None)])
-        dup = TokenTable(id=[0, 0, 2], modality=runs.modality, chunk=runs.chunk, position=runs.position)
-        with pytest.raises(InvalidInput, match="duplicate"):
-            self._seq(dup)
-        unordered = TokenTable(id=runs.id, modality=runs.modality, chunk=runs.chunk, position=[0, 2, 1])
-        with pytest.raises(InvalidInput, match="positions"):
-            self._seq(unordered)
+        tokens = TokenTable(id=ids, modality=runs.modality, chunk=runs.chunk)
+        with pytest.raises(InvalidInput, match="^token ids must be strictly increasing$"):
+            self._seq(tokens)
 
     def test_layout_rejects_system_after_av_and_falling_chunks(self):
         late_system = TokenTable.from_runs([(Modality.VIDEO, 1, 0), (Modality.SYSTEM_TEXT, 1, None)])
