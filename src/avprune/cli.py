@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from statistics import fmean
 
@@ -263,23 +263,26 @@ def _analyze_retention(args) -> str:
 def _read_token_modalities(path) -> list[Modality]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        objs = json.loads("[" + ",".join(lines) + "]")
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
+            lines = fh.readlines()
+    except ValueError as exc:  # bad UTF-8
         raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
-    if len(objs) != len(lines):  # a line holding two values, or one value split over lines
-        raise SchemaError(f"{path}: {len(objs)} JSON values on {len(lines)} lines")
     by_value, modalities = {m.value: m for m in Modality}, []
-    for obj in objs:
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)  # one value per line: two, or half of one, is an error
+        except (ValueError, RecursionError) as exc:  # bad JSON, or nesting too deep
+            raise SchemaError(f"{path}: line {number}: not JSON ({exc})") from None
         if not isinstance(obj, dict):
-            raise SchemaError(f"{path}: token record is not a JSON object")
+            raise SchemaError(f"{path}: line {number}: token record is not a JSON object")
         if "modality" in obj:
             value = obj["modality"]
             if not (isinstance(value, str) and value in by_value):
-                raise SchemaError(f"{path}: unknown modality {value!r}")
+                raise SchemaError(f"{path}: line {number}: unknown modality {value!r}")
             modalities.append(by_value[value])
         elif "config_digest" not in obj:
-            raise SchemaError(f"{path}: token record without a modality")
+            raise SchemaError(f"{path}: line {number}: token record without a modality")
     return modalities
 
 
@@ -357,7 +360,13 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Sharing it is safe: ``parse_args`` returns a fresh namespace, and no
+    default is a mutable object that parsing could change.
+    """
     parser = _Parser(
         prog="avprune",
         description="Layer-wise audiovisual token pruning: schedules, simulation, diagnostics.",

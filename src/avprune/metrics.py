@@ -20,10 +20,12 @@ from .trace import PruneTrace
 
 HISTOGRAM_BIN_WIDTH = 0.05  # fixed so histograms are comparable across runs
 # Blocks bound peak memory: the rows gathered for one block of dot products,
-# and the temporaries of one belows() call. A belows() call costs one numpy
-# pass per lane step whatever its length, so its blocks are larger.
+# and the temporaries of one belows() call. A belows() call costs 256 numpy
+# passes (one per lane step) whatever its length, so its blocks are larger:
+# a 100k-pair sample takes two calls. One call for all of it, or blocks of
+# 65,536, raised the analyze benchmark's peak RSS by about 0.5 MiB.
 _PAIR_BLOCK = 4096
-_DRAW_BLOCK = 16384
+_DRAW_BLOCK = 50_000
 
 
 def top20_recall(attn: np.ndarray, *, per_row: bool = False) -> float:

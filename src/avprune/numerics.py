@@ -7,10 +7,11 @@ stream on any platform or language. All other routines are pure functions.
 
 Bulk draws (``Rng.uniforms``, ``Rng.gaussians``, ``Rng.belows``) are
 lane-parallel and bit for bit the scalar stream. xoshiro256** is linear over
-GF(2), so jumping ``_LANE`` steps ahead is a fixed 256x256 bit matrix; the
-stream is cut into lanes of ``_LANE`` consecutive draws, each lane's start
-state is the jump of the previous one, and all lanes step together as
-``np.uint64`` arrays.
+GF(2), so jumping ``_LANE * 2**m`` steps ahead is a fixed 256x256 bit matrix
+for each level m; the stream is cut into lanes of ``_LANE`` consecutive
+draws, and the start states are found in log depth: the level-m jump of the
+first ``2**m`` starts gives the next ``2**m``. All lanes then step together
+as ``np.uint64`` arrays.
 Box-Muller keeps ``math.log``/``cos``/``sin`` per element, because numpy's
 transcendentals may differ from libm in the last bit; ``sqrt`` and the
 products are exact IEEE operations and run vectorised.
@@ -27,9 +28,11 @@ from .errors import ConvergenceFailure, DegenerateInput, InvalidInput
 
 _MASK64 = (1 << 64) - 1
 
-# Draws per lane of the bulk kernel. Each lane costs one jump (a few
-# microseconds), each of its steps one numpy pass over all lanes.
+# Draws per lane of the bulk kernel. Each of its steps is one numpy pass
+# over all lanes.
 _LANE = 256
+# States per jump-table gather: a (4, 32, 64) uint64 block is 64 KiB.
+_JUMP_BLOCK = 32
 _BOX_MULLER_BLOCK = 8192
 # pca2's power iteration: stop at 1 - |<w, v>| <= tol, give up after max_iter steps.
 _PCA_TOL = 1e-8
@@ -79,34 +82,57 @@ def _step_lanes(state: np.ndarray, steps: int) -> np.ndarray:
     return seen
 
 
-@functools.cache
-def _lane_jump() -> np.ndarray:
-    """Byte tables of the bit matrix that advances a state ``_LANE`` steps.
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``states``, (k, 4) little-endian words, advanced by the jump ``table`` holds."""
+    out = np.empty((len(states), 4), dtype="<u8")
+    # Blocks bound the gathered (4, block, 64) lookups.
+    for lo in range(0, len(states), _JUMP_BLOCK):
+        octets = states[lo : lo + _JUMP_BLOCK].view(np.uint8)
+        nibbles = np.stack((octets & 15, octets >> 4), axis=2).reshape(-1, 64)  # nibble p at [:, p]
+        columns = table.take(nibbles + np.arange(0, 1024, 16), axis=1)
+        np.bitwise_xor.reduce(columns, axis=2, out=out[lo : lo + _JUMP_BLOCK].T)
+    return out
 
-    Entry ``[p, v]`` is the image of the state bits ``v`` at byte ``p`` of
-    the little-endian state, so a jump is 32 lookups XORed together. Built
-    once per process, on first use.
+
+@functools.cache
+def _jump_table(level: int) -> np.ndarray:
+    """Nibble tables of the bit matrix that advances a state ``_LANE * 2**level`` steps.
+
+    Column ``16 * p + v`` holds the four words of the image of the state
+    bits ``v`` at nibble ``p`` of the little-endian state, so a jump is 64
+    lookups XORed together; words come first so that the XOR runs along
+    contiguous memory. Level 0 steps the 256 one-bit states ``_LANE`` times,
+    and each later level applies the one before twice. Built once per
+    process, on first use.
     """
     bit = np.arange(256)
-    basis = np.zeros((4, 256), dtype=np.uint64)
-    basis[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-    _step_lanes(basis, _LANE)
-    images = basis.T.reshape(32, 8, 4)  # image of bit 8p + b at [p, b]
-    table = np.zeros((32, 256, 4), dtype=np.uint64)
-    for b in range(8):
-        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ images[:, b, None, :]
+    images = np.zeros((256, 4), dtype="<u8")  # row i: the state with only bit i set
+    images[bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    if level == 0:
+        state = images.T.copy()
+        _step_lanes(state, _LANE)
+        images = state.T
+    else:
+        images = _jump(_jump_table(level - 1), _jump(_jump_table(level - 1), images))
+    images = images.reshape(64, 4, 4).transpose(2, 0, 1)  # word w of bit 4p + b's image at [w, p, b]
+    table = np.zeros((4, 64, 16), dtype=np.uint64)
+    for b in range(4):
+        table[:, :, 1 << b : 2 << b] = table[:, :, : 1 << b] ^ images[:, :, b, None]
+    table = table.reshape(4, 1024)
     table.setflags(write=False)
     return table
 
 
 def _lane_outputs(state: list[int], lanes: int) -> tuple[np.ndarray, list[int]]:
     """``lanes * _LANE`` next_u64() outputs from ``state`` as uint64, and the state after."""
-    table = _lane_jump()
-    byte = np.arange(32)
     starts = np.empty((lanes + 1, 4), dtype="<u8")
     starts[0] = state
-    for k in range(lanes):
-        starts[k + 1] = np.bitwise_xor.reduce(table[byte, starts[k].view(np.uint8)], axis=0)
+    # Lane k + d starts d lanes after lane k: each round doubles the starts known.
+    d, level = 1, 0
+    while d <= lanes:
+        k = min(d, lanes + 1 - d)
+        starts[d : d + k] = _jump(_jump_table(level), starts[:k])
+        d, level = 2 * d, level + 1
     x = _step_lanes(starts[:lanes].T.copy(), _LANE).ravel()  # lane after lane
     # rotl(s1 * 5, 7) * 9, as next_u64() forms it.
     x *= 5

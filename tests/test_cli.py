@@ -89,6 +89,20 @@ class TestCommandLine:
         assert exc.value.code == 0
         assert "--out" in capsys.readouterr().out
 
+    def test_the_shared_parser_keeps_no_state_between_calls(self, capsys, small_config, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        runs = {"a": ["--set", "sequence.seed=5", "--set", "model.layers=3"], "b": ["--set", "model.seed=9"]}
+        for name, overrides in runs.items():
+            assert main(["simulate", "--config", small_config, "--out", str(tmp_path / name), *overrides]) == 0
+        a, b = (json.loads((tmp_path / name / "config.json").read_text())["config"] for name in runs)
+        assert (a["sequence"]["seed"], a["model"]["layers"], a["model"]["seed"]) == (5, 3, 1)
+        assert (b["sequence"]["seed"], b["model"]["layers"], b["model"]["seed"]) == (0, 4, 9)
+
+        assert main(["simulate", "--out", str(tmp_path / "c"), "--runs", "abc"]) == 1
+        assert main(["simulate", "--config", small_config, "--out", str(tmp_path / "c")]) == 0
+        c = json.loads((tmp_path / "c" / "config.json").read_text())["config"]
+        assert (c["sequence"]["seed"], c["model"]["layers"], c["model"]["seed"]) == (0, 4, 1)
+
 
 class TestSchedule:
     def test_default_sigmoid_rows_and_mean(self, capsys):
@@ -497,24 +511,29 @@ class TestAnalyze:
         assert "nope.omtn" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line",
+        "lines, bad_line",
         [
-            "5",
-            "{bad",
-            '{"modality": ["audio"]}',
-            '{"modality": "audio"}, {"modality": "video"}',  # two records on one line
-            '{"modality": null}',
-            '{"modality": {"a": 1}}',
+            (["5"], 1),
+            (["{bad"], 1),
+            (['{"modality": ["audio"]}'], 1),
+            (['{"modality": "audio"}, {"modality": "video"}'], 1),  # two records on one line
+            (['{"modality": null}'], 1),
+            (['{"modality": {"a": 1}}'], 1),
+            (['{"modality": "audio"}', "", '{"id": 3}'], 3),
+            # One record split over two lines, balanced by a line that holds
+            # two values; the second also survives wrapping as "[[" + "],[".join(lines) + "]]".
+            (['{"modality": "audio"}, {"config_digest": [1', "2]}"], 1),
+            (['{"modality": "audio", "x": [[1', "2]]}", '{"config_digest": 1}],[{"config_digest": 2}'], 1),
         ],
     )
-    def test_malformed_tokens_file_exits_4(self, capsys, tmp_path, line):
+    def test_malformed_tokens_file_exits_4(self, capsys, tmp_path, lines, bad_line):
         emb = tmp_path / "emb.omtn"
         tokens = tmp_path / "tokens.jsonl"
         tensorio.write_tensor(emb, np.ones((2, 2), dtype=np.float32))
-        tokens.write_text(line + "\n")
+        tokens.write_text("".join(line + "\n" for line in lines))
         code = main(["analyze", "--metric", "cosine", "--embeddings", str(emb), "--tokens", str(tokens)])
         assert code == 4
-        assert "tokens.jsonl" in capsys.readouterr().err
+        assert f"{tokens}: line {bad_line}: " in capsys.readouterr().err
 
     def test_tokens_file_reads_back_as_the_sequence(self, capsys, small_config, tmp_path):
         tokens = tmp_path / "run" / "tokens.jsonl"

@@ -296,6 +296,7 @@ class TestSampleDistinct:
             (2, 1),
             (5000, 1),
             (5000, 4999),  # k = n_total - 1 makes the longest collision chains
+            (2 * _DRAW_BLOCK, _DRAW_BLOCK + 1),
             (3 * _DRAW_BLOCK + 101, 3 * _DRAW_BLOCK + 100),
             (10 * _DRAW_BLOCK, 2 * _DRAW_BLOCK + 7),
             (2**34 + 3, 9),

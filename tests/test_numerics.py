@@ -17,7 +17,7 @@ from avprune import (
     pca2,
     splitmix64,
 )
-from avprune.numerics import _LANE
+from avprune.numerics import _LANE, _jump_table
 
 
 class TestSplitmix:
@@ -113,11 +113,34 @@ class TestBulkDraws:
         src = str(Path(avprune.__file__).parents[1])
         probe = (
             f"import sys; sys.path.insert(0, {src!r});"
-            "import avprune.numerics as n; from avprune.cli import main;"
-            "print(n._lane_jump.cache_info().currsize)"
+            "import avprune.numerics as n; import avprune.cli as cli;"
+            "print(n._jump_table.cache_info().currsize, cli.build_parser.cache_info().currsize)"
         )
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.split() == ["0", "0"]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 4, 5, 63, 64, 65, 129])
+    def test_lane_starts_match_the_scalar_stream_at_the_doubling_seams(self, lanes):
+        # Lane starts are filled in rounds of 1, 2, 4, ... lanes; these counts
+        # end a round exactly, one lane short of it or one past it.
+        n = lanes * _LANE + 37
+        bulk, scalar = Rng(lanes), Rng(lanes)
+        expected = np.array([scalar.uniform() for _ in range(n)])
+        assert bulk.uniforms(n).tobytes() == expected.tobytes()
+        assert bulk._s == scalar._s
+        expected = np.array([scalar.gaussian() for _ in range(n)])
+        assert bulk.gaussians(n).tobytes() == expected.tobytes()
+        assert (bulk._s, bulk._gauss_spare) == (scalar._s, scalar._gauss_spare)
+        ns = np.random.default_rng(lanes).integers(1, 2**63, size=n, dtype=np.int64)
+        assert bulk.belows(ns).tolist() == [scalar.below(int(b)) for b in ns]
+        assert bulk._s == scalar._s
+
+    def test_jump_tables_stay_small(self):
+        _jump_table.cache_clear()
+        Rng(1).gaussians(368_832)
+        levels = _jump_table.cache_info().currsize
+        assert levels == 11  # 1,440 lanes: jumps of 1, 2, 4, ..., 1024 lanes
+        assert sum(_jump_table(m).nbytes for m in range(levels)) <= 512 * 2**10
 
     @pytest.mark.parametrize("method", ["gaussians", "uniforms"])
     def test_negative_count_rejected(self, method):
@@ -151,6 +174,13 @@ class TestBelows:
     def test_bounds_outside_the_range_rejected(self, ns):
         with pytest.raises(InvalidInput):
             Rng(3).belows(ns)
+
+    def test_a_sampler_block_of_bounds(self):
+        # One draw block of the analyze benchmark's 100k-pair VV sample.
+        ns = np.arange(612_977, 662_977)
+        bulk, scalar = Rng(11), Rng(11)
+        assert bulk.belows(ns).tolist() == [scalar.below(int(b)) for b in ns]
+        assert bulk._s == scalar._s
 
     def test_empty(self):
         rng = Rng(3)
