@@ -102,7 +102,7 @@ def _read_inputs(read, *args):
 def cmd_calibrate(args) -> int:
     closed, refined = calibrate_p_final(args.target, args.r0, args.layers, args.beta)
     achieved = mean_retention(PruneScheduleConfig(0.0, refined, 0.5, args.beta, args.layers), args.r0)
-    print(f"closed_form_p_final={closed:.6f}")
+    print("closed_form_p_final=" + ("undefined" if closed is None else f"{closed:.6f}"))
     print(f"bisection_p_final={refined:.6f}")
     print(f"achieved_mean={achieved:.6f}")
     return EXIT_OK

@@ -32,6 +32,9 @@ from .schedule import PruneScheduleConfig, prune_ratio
 from .sequence import InterleavedSequence, Modality, TokenTable
 from .trace import LayerRecord, PruneTrace
 
+# Rows of the score buffer that one softmax pass covers.
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class _LayerWeights:
@@ -89,17 +92,28 @@ def _forward_layer(
     k = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 0, 2)
     v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
 
-    # One (heads, n, n) buffer goes from scores to probs in place.
+    # One (heads, n, n) buffer goes from scores to probs in place. Both of its
+    # products are single full-size calls, never row blocks: OpenBLAS picks
+    # its sgemm path from M*N*K, so a block's row count could change the
+    # rounding.
     probs = q @ k.transpose(0, 2, 1)
-    probs /= np.float32(math.sqrt(head_dim))
-    col = np.arange(n)
-    np.copyto(probs, -np.inf, where=col > col[:, None])  # exp(-inf) = 0: causal entries are exact zeros
-    probs -= probs.max(axis=2, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=2, keepdims=True)
+    scale = np.float32(math.sqrt(head_dim))
+    col = np.arange(_ROW_BLOCK)
+    upper = col > col[:, None]  # the causal mask of a diagonal block
+    # The softmax runs over rows [lo, hi) at a time and computes only their
+    # columns [0, hi); the causal entries right of them are exact zeros,
+    # as exp(-inf) would give. Each row's sum still runs over the full row,
+    # because numpy's pairwise sum groups a row by its length.
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        block = probs[:, lo:hi, :hi]
+        block /= scale
+        np.copyto(block[:, :, lo:], -np.inf, where=upper[: hi - lo, : hi - lo])
+        block -= block.max(axis=2, keepdims=True)
+        np.exp(block, out=block)
+        probs[:, lo:hi, hi:] = 0.0
+        block /= probs[:, lo:hi].sum(axis=2, keepdims=True)
 
-    # One full-size call, never row blocks: OpenBLAS picks its sgemm path from
-    # M*N*K, so a block's row count would change the rounding of the context.
     context = (probs @ v).transpose(1, 0, 2).reshape(n, d)
     x = x + context @ w.wo
     x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2

@@ -12,9 +12,11 @@ for each level m; the stream is cut into lanes of ``_LANE`` consecutive
 draws, and the start states are found in log depth: the level-m jump of the
 first ``2**m`` starts gives the next ``2**m``. All lanes then step together
 as ``np.uint64`` arrays.
-Box-Muller keeps ``math.log``/``cos``/``sin`` per element, because numpy's
-transcendentals may differ from libm in the last bit; ``sqrt`` and the
-products are exact IEEE operations and run vectorised.
+Box-Muller keeps ``math.log`` per element, because numpy's float64 ``log``
+has its own SIMD kernel, which differs from libm in the last bit on some
+inputs. numpy's float64 ``cos`` and ``sin`` loops call libm, so they take a
+whole block at once, as do ``sqrt`` and the products, which are exact IEEE
+operations.
 """
 
 from __future__ import annotations
@@ -249,15 +251,15 @@ class Rng:
         pairs = (count - len(head) + 1) // 2
         u = self.uniforms(2 * pairs).reshape(pairs, 2)
         z = np.empty((pairs, 2))
-        # Blocks bound the Python float lists that the libm calls go through.
+        # Blocks bound the Python float list that math.log goes through.
         for lo in range(0, pairs, _BOX_MULLER_BLOCK):
             hi = min(lo + _BOX_MULLER_BLOCK, pairs)
             radius = np.fromiter(map(math.log, u[lo:hi, 0].tolist()), np.float64, hi - lo)
             radius *= -2.0
             np.sqrt(radius, out=radius)
-            theta = (u[lo:hi, 1] * (2.0 * math.pi)).tolist()
-            z[lo:hi, 0] = np.fromiter(map(math.cos, theta), np.float64, hi - lo)
-            z[lo:hi, 1] = np.fromiter(map(math.sin, theta), np.float64, hi - lo)
+            theta = u[lo:hi, 1] * (2.0 * math.pi)
+            np.cos(theta, out=z[lo:hi, 0])
+            np.sin(theta, out=z[lo:hi, 1])
             z[lo:hi] *= radius[:, None]
         z = z.ravel()
         if (count - len(head)) % 2:

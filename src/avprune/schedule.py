@@ -88,15 +88,19 @@ def mean_retention(cfg: PruneScheduleConfig, r0: float) -> float:
     return fmean(retention_trace(cfg, r0))
 
 
-def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -> tuple[float, float]:
+def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -> tuple[float | None, float]:
     """(closed form, bisection) p_final of the sigmoid schedule p_init=0, t_mid=0.5 for a target mean.
 
-    The closed form treats the schedule as a quasi-step: the first half of the
-    layers keep r0, the second half decays geometrically, and the phase-2 mean
-    is matched at its midpoint layer, giving p_final = 1 - (r2 / r0)^(1 / ((L//2)//2))
-    with r2 = 2*target - r0. The mean falls as p_final grows, so bisection over
-    [0, 0.999] refines it. A target must lie strictly between 0 and r0; one at or
-    above the zero-schedule mean (which can round just below r0) gets 0.
+    The bisection's answer is the result: the mean falls as p_final grows, so
+    bisection over [0, 0.999] finds it, and a target that the mean at 0.999
+    still exceeds is Infeasible. A target must lie strictly between 0 and r0;
+    one at or above the zero-schedule mean (which can round just below r0)
+    gets 0. The closed form is an approximation reported beside it. It treats
+    the schedule as a quasi-step: the first half of the layers keep r0, the
+    second half decays geometrically, and the phase-2 mean is matched at its
+    midpoint layer, giving p_final = 1 - (r2 / r0)^(1 / ((L//2)//2)) with
+    r2 = 2*target - r0. It is None where that is undefined: below 4 layers,
+    or for a target at or below r0 / 2.
     """
     if not (0.0 < target_mean < r0):
         raise InvalidInput("target must lie strictly between 0 and r0")
@@ -104,12 +108,8 @@ def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -
     if not (0.0 < r0 <= 1.0):
         raise InvalidInput("r0 must lie in (0, 1]")
     half_mid = (layers // 2) // 2
-    if half_mid < 1:
-        raise Infeasible(f"closed form needs at least 4 layers, got {layers}")
     r2 = 2.0 * target_mean - r0
-    if r2 <= 0.0:
-        raise Infeasible("target too far below r0 for the two-phase approximation")
-    closed = 1.0 - (r2 / r0) ** (1.0 / half_mid)
+    closed = 1.0 - (r2 / r0) ** (1.0 / half_mid) if half_mid >= 1 and r2 > 0.0 else None
 
     def achieved(p: float) -> float:
         return mean_retention(replace(cfg, p_final=p), r0)

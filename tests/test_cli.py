@@ -12,8 +12,10 @@ import avprune
 from avprune import LayerRecord, PruneTrace, cli, tensorio
 from avprune.cli import main
 from avprune.config import ExperimentConfig, load_config_file
+from avprune.schedule import _BISECTION_TOL
 from avprune.sequence import MODALITIES
 from tests.test_metrics import constant_retention_trace, zero_schedule_trace
+from tests.test_schedule import SOLVED_WITHOUT_A_CLOSED_FORM
 
 SMALL_CONFIG = {
     "sequence": {"sys_len": 1, "chunks": 2, "n_v": 8, "n_a": 4, "query_len": 2, "d": 16, "seed": 0},
@@ -57,6 +59,20 @@ class TestCalibrate:
     def test_infeasible_exits_2(self, capsys):
         code, _ = run_cli(capsys, "calibrate", "--target", "0.001", "--r0", "0.45", "--layers", "28")
         assert code == 2
+
+    @pytest.mark.parametrize("target, r0, layers, beta", SOLVED_WITHOUT_A_CLOSED_FORM)
+    def test_undefined_closed_form_is_reported_not_refused(self, capsys, target, r0, layers, beta):
+        argv = ["--target", str(target), "--r0", str(r0), "--layers", str(layers), "--beta", str(beta)]
+        code, out = run_cli(capsys, "calibrate", *argv)
+        assert code == 0
+        values = dict(line.split("=") for line in out.strip().splitlines())
+        assert values["closed_form_p_final"] == "undefined"
+        # Within the bisection's tolerance, plus the rounding of six printed decimals.
+        assert abs(float(values["achieved_mean"]) - target) <= _BISECTION_TOL + 5e-7
+
+    def test_exit_2_means_the_bisection_cannot_reach_the_target(self, capsys):
+        assert main(["calibrate", "--target", "0.2", "--r0", "1.0", "--layers", "28"]) == 2
+        assert "error: mean at p_final=0.999 still above target 0.2" in capsys.readouterr().err
 
     def test_infinite_beta_exits_1(self, capsys):
         argv = ["calibrate", "--target", "0.3", "--r0", "0.45", "--layers", "28", "--beta", "inf"]

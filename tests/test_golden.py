@@ -96,7 +96,7 @@ def test_calibrate_transcript_is_pinned(capsys):
         code = main(argv)
         out, err = capsys.readouterr()
         transcript.update(json.dumps([argv, code, out, err]).encode() + b"\n")
-    assert transcript.hexdigest()[:16] == "fe13fd86fc7f0e56"
+    assert transcript.hexdigest()[:16] == "ca95374756c1fd2f"
 
 
 SCHEDULE_DOCUMENT = {"model": {"layers": 12}, "schedule": {"kind": "exponential", "p_init": 0.02, "p_final": 0.5}}

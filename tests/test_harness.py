@@ -23,7 +23,7 @@ from avprune import (
     run_with_injected_attention,
     run_with_pruning,
 )
-from avprune.harness import _apply_intra_plan, _forward_layer, sinusoidal_positions
+from avprune.harness import _ROW_BLOCK, _apply_intra_plan, _forward_layer, sinusoidal_positions
 
 TDS = TdsConfig(lambda_div=0.2, start_layer=2)
 
@@ -104,10 +104,20 @@ ROW_SETS = {
 }
 
 
+# Lengths around the softmax's row-block seams: one row short of a block, a
+# block, one row into the next, and the same around two blocks.
+SEAM_LENGTHS = [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
+WIDTHS = [(32, 4), (9, 3), (32, 32)]
+# n=1364 is the chunks=4 length; it leaves out 32 heads, whose reference
+# would hold about 1 GB of (heads, n, n) float32 temporaries.
+LAYER_SHAPES = [
+    (n, d, heads) for n in [1, 2, 9, *SEAM_LENGTHS, 177, 178, 400, 688] for d, heads in WIDTHS
+] + [(1364, d, heads) for d, heads in WIDTHS if heads < 32]
+
+
 class TestForwardLayer:
     @pytest.mark.parametrize("rows", list(ROW_SETS))
-    @pytest.mark.parametrize("d, heads", [(32, 4), (9, 3), (32, 32)])
-    @pytest.mark.parametrize("n", [1, 2, 9, 177, 178, 400, 688])
+    @pytest.mark.parametrize("n, d, heads", LAYER_SHAPES)
     def test_matches_the_reference_bit_for_bit(self, n, d, heads, rows):
         w = ToyDecoder(1, heads, d, seed=n).weights[0]
         x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)

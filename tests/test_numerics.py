@@ -17,7 +17,7 @@ from avprune import (
     pca2,
     splitmix64,
 )
-from avprune.numerics import _LANE, _jump_table
+from avprune.numerics import _BOX_MULLER_BLOCK, _LANE, _jump_table
 
 
 class TestSplitmix:
@@ -108,6 +108,37 @@ class TestBulkDraws:
         assert hashlib.sha256(draws.tobytes()).hexdigest() == (
             "35107271acf58093228692919762c46bd3095d02c9c3c8deb16db860a42934cc"
         )
+
+    @pytest.mark.parametrize("spare", [False, True])
+    @pytest.mark.parametrize("count", [2 * 2 * _BOX_MULLER_BLOCK - 1, 2 * 2 * _BOX_MULLER_BLOCK + 1])
+    def test_bulk_gaussians_match_the_scalar_stream_across_box_muller_blocks(self, count, spare):
+        # Box-Muller runs 2 * _BOX_MULLER_BLOCK draws per block; these counts
+        # end one draw short of the second block's end or one draw into a third.
+        bulk, scalar = Rng(count), Rng(count)
+        if spare:
+            assert bulk.gaussian() == scalar.gaussian()
+        expected = np.array([scalar.gaussian() for _ in range(count)])
+        assert bulk.gaussians(count).tobytes() == expected.tobytes()
+        assert (bulk._s, bulk._gauss_spare) == (scalar._s, scalar._gauss_spare)
+
+    def test_numpy_cos_and_sin_are_libm_bit_for_bit(self):
+        # gaussians() takes cos and sin of a block from numpy, gaussian() one
+        # at a time from math, so the two streams agree only while numpy's
+        # float64 loops return what libm returns. Angles are formed as there,
+        # u * 2pi, plus 0 and the neighbours of each quarter turn.
+        edges = [0.0]
+        for turn in (math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi):
+            below = above = turn
+            edges.append(turn)
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                edges += [below, above]
+        theta = np.concatenate((Rng(9).uniforms(1 << 20) * (2.0 * math.pi), edges))
+        out = np.empty((len(theta), 2))  # strided, as gaussians() writes its pairs
+        for column, (bulk, scalar) in enumerate([(np.cos, math.cos), (np.sin, math.sin)]):
+            expected = np.fromiter(map(scalar, theta.tolist()), np.float64, len(theta))
+            bulk(theta, out=out[:, column])
+            assert out[:, column].tobytes() == expected.tobytes()
 
     def test_jump_table_is_built_on_first_use_not_at_import(self):
         src = str(Path(avprune.__file__).parents[1])

@@ -15,6 +15,7 @@ from avprune import (
     prune_ratio,
     retention_trace,
 )
+from avprune.schedule import _BISECTION_TOL
 
 
 def sigmoid_oracle(l, t_mid, beta, layers):
@@ -121,6 +122,18 @@ class TestRetentionTrace:
         assert higher < lower
 
 
+# Calibrate grid inputs (target, r0, layers, beta) that the bisection solves
+# though the closed form is undefined: 3 layers, or a target at or below r0 / 2.
+SOLVED_WITHOUT_A_CLOSED_FORM = [
+    (0.44, 0.45, 3, 20.0),
+    (0.44, 0.45, 3, 8.0),
+    (0.44, 1.0, 28, 8.0),
+    (0.45, 1.0, 28, 8.0),
+    (0.45, 1.0, 12, 8.0),
+    (0.2, 0.45, 28, 8.0),
+]
+
+
 class TestCalibration:
     # DEFAULT_28 is the calibrated shape: sigmoid, p_init=0, t_mid=0.5, beta=20, 28 layers.
     def test_closed_form_known_value(self):
@@ -155,6 +168,17 @@ class TestCalibration:
         target = fmean([0.45] * 9)
         assert target < 0.45
         assert calibrate_p_final(target, 0.45, 9, 20.0)[1] == 0.0
+
+    @pytest.mark.parametrize("target, r0, layers, beta", SOLVED_WITHOUT_A_CLOSED_FORM)
+    def test_bisection_solves_where_the_closed_form_is_undefined(self, target, r0, layers, beta):
+        closed, refined = calibrate_p_final(target, r0, layers, beta)
+        assert closed is None
+        cfg = PruneScheduleConfig(0.0, refined, 0.5, beta, layers)
+        assert abs(mean_retention(cfg, r0) - target) < _BISECTION_TOL
+
+    def test_closed_form_is_undefined_at_half_of_r0(self):
+        assert calibrate_p_final(0.225, 0.45, 28, 20.0)[0] is None
+        assert calibrate_p_final(0.2251, 0.45, 28, 20.0)[0] is not None
 
     def test_near_r0_target(self):
         _, refined = calibrate_p_final(0.44, 0.45, 28, 20.0)
