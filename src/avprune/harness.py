@@ -50,8 +50,8 @@ class ToyDecoder:
     """Multi-head causal decoder with seeded Gaussian weights scaled 1/sqrt(d)."""
 
     def __init__(self, layers: int, heads: int, d: int, seed: int):
-        if layers < 1 or heads < 1:
-            raise InvalidInput("layers and heads must be positive")
+        if layers < 1 or heads < 1 or d < 1:
+            raise InvalidInput(f"layers, heads and model dim must be positive, got {layers}, {heads}, {d}")
         if d % heads != 0:
             raise InvalidInput(f"model dim {d} not divisible by {heads} heads")
         self.layers = layers
@@ -61,10 +61,10 @@ class ToyDecoder:
         scale = 1.0 / math.sqrt(d)
         shapes = ((d, d),) * 4 + ((d, 4 * d), (4 * d, d))  # wq wk wv wo w1 w2, layer by layer
         sizes = [rows * cols for rows, cols in shapes] * layers
-        draws = np.split(Rng(seed).gaussians(sum(sizes)), np.cumsum(sizes)[:-1])
+        draws = np.split(Rng(seed).gaussians_f32(sum(sizes), scale), np.cumsum(sizes)[:-1])
 
         def weight(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-            w = (g * scale).reshape(shape).astype(np.float32)
+            w = g.reshape(shape).copy()  # its own buffer, not a view of all the draws
             w.setflags(write=False)
             return w
 

@@ -12,11 +12,14 @@ for each level m; the stream is cut into lanes of ``_LANE`` consecutive
 draws, and the start states are found in log depth: the level-m jump of the
 first ``2**m`` starts gives the next ``2**m``. All lanes then step together
 as ``np.uint64`` arrays.
-Box-Muller keeps ``math.log`` per element, because numpy's float64 ``log``
-has its own SIMD kernel, which differs from libm in the last bit on some
-inputs. numpy's float64 ``cos`` and ``sin`` loops call libm, so they take a
-whole block at once, as do ``sqrt`` and the products, which are exact IEEE
-operations.
+The float64 stream's Box-Muller keeps ``math.log`` per element, because
+numpy's float64 ``log`` has its own SIMD kernel, which differs from libm in
+the last bit on some inputs. numpy's float64 ``cos`` and ``sin`` loops call
+libm, so they take a whole block at once, as do ``sqrt`` and the products,
+which are exact IEEE operations. ``Rng.gaussians_f32``, which draws the toy
+decoder's float32 weights, takes numpy's ``log`` too: a last-bit difference
+can change a float32 only near a rounding tie, and Ziv's rounding test
+finds those few draws and computes them again with ``math.log``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ _LANE = 256
 # States per jump-table gather: a (4, 32, 64) uint64 block is 64 KiB.
 _JUMP_BLOCK = 32
 _BOX_MULLER_BLOCK = 8192
+# Relative half-width of the band around a scaled draw in which
+# Rng.gaussians_f32 computes it again with math.log.
+_TIE_BAND = 2.0**-36
 # pca2's power iteration: stop at 1 - |<w, v>| <= tol, give up after max_iter steps.
 _PCA_TOL = 1e-8
 _PCA_MAX_ITER = 1000
@@ -254,18 +260,69 @@ class Rng:
         # Blocks bound the Python float list that math.log goes through.
         for lo in range(0, pairs, _BOX_MULLER_BLOCK):
             hi = min(lo + _BOX_MULLER_BLOCK, pairs)
-            radius = np.fromiter(map(math.log, u[lo:hi, 0].tolist()), np.float64, hi - lo)
-            radius *= -2.0
-            np.sqrt(radius, out=radius)
-            theta = u[lo:hi, 1] * (2.0 * math.pi)
-            np.cos(theta, out=z[lo:hi, 0])
-            np.sin(theta, out=z[lo:hi, 1])
-            z[lo:hi] *= radius[:, None]
+            _box_muller(u[lo:hi], _exact_log(u[lo:hi, 0]), out=z[lo:hi])
         z = z.ravel()
         if (count - len(head)) % 2:
             self._gauss_spare = float(z[-1])
             z = z[:-1]
         return np.concatenate((head, z)) if head else z
+
+    def gaussians_f32(self, count: int, scale: float) -> np.ndarray:
+        """``(self.gaussians(count) * scale).astype(np.float32)``, byte for byte.
+
+        numpy's vectorised ``log`` gives every radius, and Ziv's rounding
+        test finds the draws whose float32 value it could change: a draw is
+        unsure when some value within a relative ``_TIE_BAND`` of its scaled
+        float64 value rounds to another float32, or when it is zero. Only
+        the pairs holding an unsure draw are computed again with
+        ``math.log``. numpy's ``log`` is within a few ulp (about 2**-50
+        relative) of libm's, far inside the band. An odd count or a pending
+        spare takes the exact path.
+        """
+        if count < 0:
+            raise InvalidInput(f"gaussians_f32() requires count >= 0, got {count}")
+        if count % 2 or self._gauss_spare is not None:
+            return (self.gaussians(count) * scale).astype(np.float32)
+        pairs = count // 2
+        u = self.uniforms(count).reshape(pairs, 2)
+        out = np.empty((pairs, 2), dtype=np.float32)
+        for lo in range(0, pairs, _BOX_MULLER_BLOCK):
+            hi = min(lo + _BOX_MULLER_BLOCK, pairs)
+            ub = u[lo:hi]
+            yb = _box_muller(ub, _fast_log(ub[:, 0]), out=np.empty((hi - lo, 2)))
+            yb *= scale
+            # Rounding is monotone, so where both band edges round to one
+            # float32, so does every value between them.
+            lower = (yb * (1.0 - _TIE_BAND)).astype(np.float32)
+            unsure = lower != (yb * (1.0 + _TIE_BAND)).astype(np.float32)
+            unsure |= yb == 0.0
+            redo = np.flatnonzero(unsure[:, 0] | unsure[:, 1])
+            if redo.size:
+                exact = _box_muller(ub[redo], _exact_log(ub[redo, 0]), out=np.empty((redo.size, 2)))
+                exact *= scale
+                yb[redo] = exact
+            out[lo:hi] = yb
+        return out.ravel()
+
+
+# Box-Muller's radius log: numpy's vectorised kernel for the float32 fast
+# pass, and per-element libm, which the float64 stream is defined by.
+_fast_log = np.log
+
+
+def _exact_log(u: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, u.tolist()), np.float64, len(u))
+
+
+def _box_muller(u: np.ndarray, radius: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gaussian pairs from uniform pairs ``u`` into ``out``; ``radius`` holds ``log(u[:, 0])`` on entry."""
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    theta = u[:, 1] * (2.0 * math.pi)
+    np.cos(theta, out=out[:, 0])
+    np.sin(theta, out=out[:, 1])
+    out *= radius[:, None]
+    return out
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -319,6 +376,7 @@ def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
 
     Power iteration with deflation; axes are sign-canonicalized (largest
     component positive) and returned eigenvalues satisfy ev1 >= ev2 >= 0.
+    A row with a NaN or infinite entry raises DegenerateInput naming it.
 
     Returns:
         (projections n x 2, (ev1, ev2))
@@ -326,6 +384,9 @@ def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
         raise InvalidInput("pca2 expects a matrix with at least 3 rows")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise DegenerateInput(f"row {bad[0]} is not finite, so the principal axes are undefined")
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (x.shape[0] - 1)
     v1, ev1 = _dominant_eigenpair(cov, _PCA_TOL, _PCA_MAX_ITER)

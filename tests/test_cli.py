@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -572,7 +573,19 @@ class TestAnalyze:
         emb[3] = np.nan
         tensorio.write_tensor(path, emb)
         assert main(["analyze", "--metric", "pca", "--embeddings", str(path)]) == 4
-        assert f"error: {path}: power iteration did not converge" in capsys.readouterr().err
+        assert f"error: {path}: row 3 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_pca_of_an_infinite_entry_exits_4_without_warnings(self, capsys, tmp_path, bad):
+        path = tmp_path / "emb.omtn"
+        emb = np.random.default_rng(0).normal(size=(30, 4)).astype(np.float32)
+        emb[17, 2] = bad
+        tensorio.write_tensor(path, emb)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "--metric", "pca", "--embeddings", str(path)]) == 4
+        assert caught == []
+        assert f"error: {path}: row 17 is not finite" in capsys.readouterr().err
 
     def test_cosine_with_a_zero_row_exits_4(self, capsys, tmp_path):
         emb, tokens, out = tmp_path / "emb.omtn", tmp_path / "tokens.jsonl", tmp_path / "hist.csv"

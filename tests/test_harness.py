@@ -12,6 +12,7 @@ from avprune import (
     Modality,
     PruneScheduleConfig,
     PruneTrace,
+    Rng,
     SchemaError,
     Selector,
     TdsConfig,
@@ -83,6 +84,10 @@ def small_setup(layers=4, heads=2, d=16, p_final=0.5, seed=3, chunks=None):
     return seq, model, sched
 
 
+# Decoder widths (d, heads): the default, one not a power of two, and one head per dim.
+WIDTHS = [(32, 4), (9, 3), (32, 32)]
+
+
 class TestToyDecoder:
     def test_deterministic_weights(self):
         a = ToyDecoder(2, 2, 8, seed=5)
@@ -96,6 +101,26 @@ class TestToyDecoder:
         with pytest.raises(InvalidInput):
             ToyDecoder(2, 3, 8, seed=0)
 
+    @pytest.mark.parametrize("layers, heads, d", [(1, 1, 0), (1, 2, -4), (0, 1, 4), (1, 0, 4), (1, -1, 4)])
+    def test_nonpositive_sizes_rejected(self, layers, heads, d):
+        with pytest.raises(InvalidInput, match="must be positive"):
+            ToyDecoder(layers, heads, d, seed=0)
+
+    @pytest.mark.parametrize("d, heads", WIDTHS)
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_weights_are_the_rounded_float64_stream(self, seed, d, heads):
+        model = ToyDecoder(28, heads, d, seed)
+        got = np.concatenate([w.ravel() for layer in model.weights for w in vars(layer).values()])
+        want = (Rng(seed).gaussians(got.size) * (1.0 / math.sqrt(d))).astype(np.float32)
+        assert got.tobytes() == want.tobytes()
+
+    def test_every_weight_owns_its_memory(self):
+        # Views of one shared buffer raised the default run's peak RSS.
+        for layer in ToyDecoder(3, 4, 32, seed=1).weights:
+            for w in vars(layer).values():
+                assert w.dtype == np.float32
+                assert w.flags.c_contiguous and w.flags.owndata and not w.flags.writeable
+
 
 ROW_SETS = {
     "all": lambda n: np.arange(n),
@@ -107,7 +132,6 @@ ROW_SETS = {
 # Lengths around the softmax's row-block seams: one row short of a block, a
 # block, one row into the next, and the same around two blocks.
 SEAM_LENGTHS = [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
-WIDTHS = [(32, 4), (9, 3), (32, 32)]
 # n=1364 is the chunks=4 length; it leaves out 32 heads, whose reference
 # would hold about 1 GB of (heads, n, n) float32 temporaries.
 LAYER_SHAPES = [

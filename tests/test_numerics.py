@@ -17,6 +17,7 @@ from avprune import (
     pca2,
     splitmix64,
 )
+from avprune import numerics
 from avprune.numerics import _BOX_MULLER_BLOCK, _LANE, _jump_table
 
 
@@ -179,6 +180,64 @@ class TestBulkDraws:
             getattr(Rng(3), method)(-2)
 
 
+# The decoder's draw count (28 layers at d=32), none, one pair, and one pair
+# either side of the end of the second Box-Muller block.
+F32_COUNTS = [0, 2, 2 * 2 * _BOX_MULLER_BLOCK - 2, 2 * 2 * _BOX_MULLER_BLOCK + 2, 344_064]
+# Scales 1/sqrt(d) of decoder widths 1, 9 and 32.
+F32_SCALES = [1.0 / math.sqrt(d) for d in (1, 9, 32)]
+
+
+def exact_f32(rng: Rng, count: int, scale: float) -> np.ndarray:
+    """What gaussians_f32 must equal: the float64 stream, scaled, then rounded."""
+    return (rng.gaussians(count) * scale).astype(np.float32)
+
+
+class TestGaussiansF32:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.sampled_from(F32_COUNTS),
+        scale=st.sampled_from(F32_SCALES),
+    )
+    def test_matches_the_rounded_float64_stream(self, seed, count, scale):
+        fast, exact = Rng(seed), Rng(seed)
+        got = fast.gaussians_f32(count, scale)
+        assert got.dtype == np.float32
+        assert got.tobytes() == exact_f32(exact, count, scale).tobytes()
+        assert (fast._s, fast._gauss_spare) == (exact._s, exact._gauss_spare)
+
+    @pytest.mark.parametrize(
+        "count, spare",
+        [(1, False), (7, False), (2 * 2 * _BOX_MULLER_BLOCK + 1, False), (0, True), (2, True), (344_064, True)],
+    )
+    def test_odd_counts_and_a_pending_spare_take_the_exact_path(self, count, spare):
+        fast, exact = Rng(count), Rng(count)
+        if spare:
+            assert fast.gaussian() == exact.gaussian()
+        got = fast.gaussians_f32(count, F32_SCALES[2])
+        assert got.tobytes() == exact_f32(exact, count, F32_SCALES[2]).tobytes()
+        assert (fast._s, fast._gauss_spare) == (exact._s, exact._gauss_spare)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidInput):
+            Rng(3).gaussians_f32(-2, 1.0)
+
+    def test_a_skewed_fast_log_changes_no_weight(self, monkeypatch):
+        # A fast log off by a relative 2**-38, far more than any libm or SIMD
+        # kernel, must stay inside the tie band. With the band at 0 the same
+        # skew must flip some weights, so these draws do reach the guard.
+        monkeypatch.setattr(numerics, "_fast_log", lambda u: np.log(u) * (1.0 + 2.0**-38))
+        scale = F32_SCALES[2]
+        expected = {seed: exact_f32(Rng(seed), 344_064, scale) for seed in range(3)}
+        for seed, want in expected.items():
+            assert Rng(seed).gaussians_f32(344_064, scale).tobytes() == want.tobytes()
+        monkeypatch.setattr(numerics, "_TIE_BAND", 0.0)
+        flipped = sum(
+            int(np.count_nonzero(Rng(seed).gaussians_f32(344_064, scale) != want)) for seed, want in expected.items()
+        )
+        assert flipped >= 1
+
+
 # Bounds that never reject in practice, bounds in [2**62, 2**63) that reject
 # up to half of all draws, and bounds spread over the whole range.
 BELOW_RANGES = st.sampled_from([(1, 1000), (2**62, 2**63), (1, 2**63)])
@@ -260,6 +319,14 @@ class TestPca2:
     def test_rejects_tiny_input(self):
         with pytest.raises(InvalidInput):
             pca2(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_row_is_named(self, bad):
+        data = np.random.default_rng(4).normal(size=(20, 3))
+        data[6, 1] = bad
+        data[11, 0] = bad
+        with pytest.raises(DegenerateInput, match="row 6 is not finite"):
+            pca2(data)
 
     def test_convergence_failure_carries_residual(self):
         # A rotation-like matrix defeats plain power iteration.
