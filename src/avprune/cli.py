@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
@@ -260,6 +261,19 @@ def _analyze_retention(args) -> str:
     return _retention_csv(trace, summary.get("config_digest", "none"))
 
 
+# A tokens.jsonl record exactly as TokenTable.jsonl writes it. A line this
+# matches is one JSON object with a known modality, so it skips json.loads;
+# every other line (the header included) is parsed as before. Integers follow
+# JSON's ASCII grammar and stop at 19 digits, far below the digit limit at
+# which int(), and so json.loads, raises.
+_INT = r"-?(?:0|[1-9][0-9]{0,18})"
+_TOKEN_LINE = re.compile(
+    rf'\{{"chunk_index": (?:{_INT}|null), "id": {_INT}, '
+    rf'"modality": "({"|".join(re.escape(m.value) for m in Modality)})", '
+    rf'"original_position": {_INT}\}}\n?'
+)
+
+
 def _read_token_modalities(path) -> list[Modality]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -268,6 +282,9 @@ def _read_token_modalities(path) -> list[Modality]:
         raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
     by_value, modalities = {m.value: m for m in Modality}, []
     for number, line in enumerate(lines, 1):
+        if match := _TOKEN_LINE.fullmatch(line):
+            modalities.append(by_value[match[1]])
+            continue
         if not line.strip():
             continue
         try:

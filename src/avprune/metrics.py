@@ -19,13 +19,31 @@ from .sequence import Modality
 from .trace import PruneTrace
 
 HISTOGRAM_BIN_WIDTH = 0.05  # fixed so histograms are comparable across runs
-# Blocks bound peak memory: the rows gathered for one block of dot products,
-# and the temporaries of one belows() call. A belows() call costs 256 numpy
-# passes (one per lane step) whatever its length, so its blocks are larger:
-# a 100k-pair sample takes two calls. One call for all of it, or blocks of
-# 65,536, raised the analyze benchmark's peak RSS by about 0.5 MiB.
+# Blocks bound peak memory: the unranked rows and columns of one block of
+# pairs, and the temporaries of one belows() call. A belows() call costs 256
+# numpy passes (one per lane step) whatever its length, so its blocks are
+# larger: a 100k-pair sample takes two calls. One call for all of it, or
+# blocks of 65,536, raised the analyze benchmark's peak RSS by about 0.5 MiB.
 _PAIR_BLOCK = 4096
 _DRAW_BLOCK = 50_000
+# A block reads its cosines from Gram windows left[r0:r1] @ right[k0:k1].T of
+# at most _PAIR_BLOCK * d entries, one of the (_PAIR_BLOCK, d) row gathers a
+# dot per pair would take. A Gram entry and the stacked (1,d)@(d,1) dot of
+# the same unit rows each lie within gamma_d * |u_i| * |u_j| of the true dot,
+# whatever the summation order (gamma_d = d*2^-53 / (1 - d*2^-53); Higham,
+# Accuracy and Stability of Numerical Algorithms, 3.1). With every norm at
+# least _GRAM_MIN_NORM, squares that round in the subnormal range lose under
+# d*2^-75 of a squared norm, so |u| < 1 + 2^-32 for d <= _GRAM_MAX_D = 2^20
+# and the two cosines differ by under 2.0001 * gamma_d. Through clip and
+# x = (c + 1) / W, with 1/W < 20 and x < 64, the Gram x then lies within
+# 40.01 * gamma_d + 2^-47 < 2^-27 of the true quotient whose floor is the
+# exact bin (floor_divide floors the exact quotient; floor(x) can differ only
+# where x rounds onto an integer). So floor(x) is the exact bin unless x is
+# within _EDGE = 2^-24 of an integer. Those pairs, and every pair when d or a
+# norm is out of range, take the exact path: the stacked dot, then //.
+_EDGE = 2.0**-24
+_GRAM_MAX_D = 2**20
+_GRAM_MIN_NORM = 2.0**-500
 
 
 def top20_recall(attn: np.ndarray, *, per_row: bool = False) -> float:
@@ -138,15 +156,17 @@ def cosine_distribution(
             raise InvalidInput(f"{pair_kind.value} needs at least 2 tokens per modality")
 
     read = np.concatenate(need)
-    norms = np.linalg.norm(emb[read], axis=1)
+    unit = emb[read]
+    norms = np.linalg.norm(unit, axis=1)
     bad = read[~np.isfinite(norms) | (norms == 0.0)]
     if bad.size:
         raise DegenerateInput(f"row {bad[0]} is zero or not finite, so its cosines are undefined")
-    unit = np.zeros_like(emb)
-    unit[read] = emb[read] / norms[:, None]
+    unit /= norms[:, None]
 
     n = len(need[0])
-    n_pairs = n * len(video) if pair_kind is PairKind.AV else n * (n - 1) // 2
+    left, right = unit[:n], unit[n:] if pair_kind is PairKind.AV else unit
+    m, d = right.shape
+    n_pairs = n * m if pair_kind is PairKind.AV else n * (n - 1) // 2
     if n_pairs <= sample_cap:
         picks = np.arange(n_pairs)
     else:
@@ -155,20 +175,40 @@ def cosine_distribution(
         picks = _sample_distinct(n_pairs, sample_cap, rng)
 
     n_bins = round(2.0 / HISTOGRAM_BIN_WIDTH)
+    in_bound = d <= _GRAM_MAX_D and norms.min() >= _GRAM_MIN_NORM
+    window = _PAIR_BLOCK * d // m if in_bound else 0  # Gram rows per window; 0: exact path only
     counts = np.zeros(n_bins, dtype=np.int64)
     for lo in range(0, len(picks), _PAIR_BLOCK):
         p = picks[lo : lo + _PAIR_BLOCK]
         if pair_kind is PairKind.AV:
-            i, j = audio[p // len(video)], video[p % len(video)]
+            row, col = p // m, p % m
         else:
             # Triangular unranking of pair p among i < j; the discriminant
             # is a perfect square at row boundaries, so floor is exact.
-            row = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * p)) // 2).astype(np.int64)
-            i, j = need[0][row], need[0][p - row * (2 * n - row - 1) // 2 + row + 1]
-        # Stacked (1,d)@(d,1) products round as the 1-D dot; einsum or a
-        # Gram gemm would sum in another order.
-        c = np.clip((unit[i][:, None, :] @ unit[j][:, :, None]).ravel(), -1.0, 1.0)
-        bins = np.clip((c + 1.0) // HISTOGRAM_BIN_WIDTH, 0, n_bins - 1).astype(np.int64)
+            row = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * p)) * 0.5).astype(np.int64)
+            col = p - row * (2 * n - row - 1) // 2 + row + 1
+        if window:
+            # Picks ascend, so rows do too: each run of picks in one band of
+            # `window` rows reads a Gram over the rows and columns it spans.
+            c = np.empty(len(p))
+            band = row // window
+            cuts = np.flatnonzero(band[1:] != band[:-1]) + 1
+            for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(p)]):
+                r, k = row[s:e], col[s:e]
+                r0, k0 = r[0], k.min()
+                width = k.max() + 1 - k0
+                c[s:e] = (left[r0 : r[-1] + 1] @ right[k0 : k0 + width].T).take((r - r0) * width + (k - k0))
+            x = (np.clip(c, -1.0, 1.0) + 1.0) / HISTOGRAM_BIN_WIDTH
+            bins = np.floor(x)
+            frac = x - bins
+            exact = (frac < _EDGE) | (frac > 1.0 - _EDGE)
+            bins = np.minimum(bins, n_bins - 1).astype(np.int64)
+        else:
+            bins, exact = np.empty(len(p), np.int64), slice(None)
+        i, j = row[exact], col[exact]
+        if len(i):
+            c = np.clip((left[i][:, None, :] @ right[j][:, :, None]).ravel(), -1.0, 1.0)
+            bins[exact] = np.clip((c + 1.0) // HISTOGRAM_BIN_WIDTH, 0, n_bins - 1)
         counts += np.bincount(bins, minlength=n_bins)
     return CosineHistogram(counts=tuple(counts.tolist()), pairs_used=len(picks))
 

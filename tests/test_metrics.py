@@ -27,6 +27,7 @@ from avprune import (
     run_with_pruning,
     top20_recall,
 )
+from avprune import metrics
 from avprune.metrics import _DRAW_BLOCK, HISTOGRAM_BIN_WIDTH, _sample_distinct
 
 
@@ -241,10 +242,17 @@ class TestCosineDistribution:
 
 
 @st.composite
-def cosine_layouts(draw):
-    """Embeddings with interleaved modalities, duplicated rows and integer rows."""
-    n_audio, n_video, n_text = draw(st.integers(2, 300)), draw(st.integers(2, 300)), draw(st.integers(0, 5))
-    d = draw(st.integers(1, 64))
+def cosine_cases(draw):
+    """(embeddings, modalities, cap): interleaved modalities, duplicated rows and integer rows.
+
+    Widths reach 2048. Groups of 1000+ rows take caps of 1-20, so a block's
+    few picks spread over many Gram windows.
+    """
+    big = draw(st.booleans())
+    sizes = st.integers(1000, 1200) if big else st.integers(2, 300)
+    n_audio, n_video, n_text = draw(sizes), draw(sizes), draw(st.integers(0, 5))
+    d = draw(st.integers(1, 64) | st.integers(65, 256 if big else 2048))
+    cap = draw(st.integers(1, 20) if big else st.integers(1, 20) | st.integers(1, 3000) | st.just(100_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     emb = rng.normal(size=(n_audio + n_video + n_text, d))
     if draw(st.booleans()):
@@ -255,21 +263,47 @@ def cosine_layouts(draw):
         emb[dst] = emb[src] * draw(st.sampled_from([1.0, 2.0, -1.0]))
     modalities = [Modality.AUDIO] * n_audio + [Modality.VIDEO] * n_video + [Modality.QUERY_TEXT] * n_text
     order = rng.permutation(len(modalities))
-    return emb, [modalities[i] for i in order]
+    return emb, [modalities[i] for i in order], cap
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    layout=cosine_layouts(),
-    pair_kind=st.sampled_from(list(PairKind)),
-    cap=st.integers(1, 3000) | st.just(100_000),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_cosine_distribution_matches_the_scalar_loop(layout, pair_kind, cap, seed):
-    emb, modalities = layout
+@given(case=cosine_cases(), pair_kind=st.sampled_from(list(PairKind)), seed=st.integers(0, 2**64 - 1))
+def test_cosine_distribution_matches_the_scalar_loop(case, pair_kind, seed):
+    emb, modalities, cap = case
     hist = cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
     expected = scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
     assert (hist.counts, hist.pairs_used) == expected
+
+
+@pytest.mark.parametrize("pair_kind", list(PairKind))
+@pytest.mark.parametrize("out_of_range", ["width", "norm"])
+def test_the_exact_path_outside_the_gram_bound(monkeypatch, pair_kind, out_of_range):
+    emb = np.round(np.random.default_rng(3).normal(size=(90, 12)) * 2.0)
+    emb[~emb.any(axis=1), 0] = 1.0
+    modalities = [Modality.AUDIO, Modality.VIDEO, Modality.VIDEO] * 30
+    if out_of_range == "width":
+        monkeypatch.setattr(metrics, "_GRAM_MAX_D", 11)
+    else:
+        emb[:3] *= 2.0**-530  # squares round in the subnormal range, so unit rows are off unit norm
+    hist = cosine_distribution(emb, modalities, pair_kind, sample_cap=500, rng=Rng(4))
+    expected = scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=500, rng=Rng(4))
+    assert (hist.counts, hist.pairs_used) == expected
+
+
+@pytest.mark.parametrize("cap, bound_mib", [(10, 2), (3000, 3), (100_000, 7)])
+def test_peak_memory_of_a_benchmark_sized_vv_pass(cap, bound_mib):
+    # The analyze benchmark's VV layout: 1152 video rows of width 32. A Gram
+    # over all the rows a block's picks span would take 10 MiB.
+    emb = np.random.default_rng(5).normal(size=(1152 + 200, 32))
+    modalities = [Modality.VIDEO] * 1152 + [Modality.AUDIO] * 200
+    tracemalloc.start()
+    try:
+        hist = cosine_distribution(emb, modalities, PairKind.VV, sample_cap=cap, rng=Rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.pairs_used == cap
+    assert peak < bound_mib * 2**20
 
 
 class TestSampleDistinct:
