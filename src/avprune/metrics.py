@@ -20,12 +20,13 @@ from .trace import PruneTrace
 
 HISTOGRAM_BIN_WIDTH = 0.05  # fixed so histograms are comparable across runs
 # Blocks bound peak memory: the unranked rows and columns of one block of
-# pairs, and the temporaries of one belows() call. A belows() call costs 256
-# numpy passes (one per lane step) whatever its length, so its blocks are
-# larger: a 100k-pair sample takes two calls. One call for all of it, or
-# blocks of 65,536, raised the analyze benchmark's peak RSS by about 0.5 MiB.
+# pairs, and the temporaries of one belows() call. A belows() call costs
+# _LANE numpy passes (one per lane step) whatever its length, so its blocks
+# are larger: a 100k-pair sample takes two calls. A block of whole lanes
+# draws no scalar tail. One call for all of it, or blocks of 65,536, raised
+# the analyze benchmark's peak RSS by about 0.5 MiB.
 _PAIR_BLOCK = 4096
-_DRAW_BLOCK = 50_000
+_DRAW_BLOCK = 51_200  # 400 lanes
 # A block reads its cosines from Gram windows left[r0:r1] @ right[k0:k1].T of
 # at most _PAIR_BLOCK * d entries, one of the (_PAIR_BLOCK, d) row gathers a
 # dot per pair would take. A Gram entry and the stacked (1,d)@(d,1) dot of
@@ -108,23 +109,39 @@ def _sample_distinct(n_total: int, k: int, rng: Rng) -> np.ndarray:
     # range(n_total). Step j of range(lo, n_total) draws t = below(j + 1) and
     # keeps j if t is kept already, else t. The draws come first, a block at a
     # time; the rest is whole-array. t is kept already when an earlier step
-    # drew it too, or when lo <= t < j and step t itself kept t. Following
-    # t -> step t reaches the first case or leaves the range in a few passes.
+    # drew it too (a repeat), or when lo <= t < j and step t itself kept t (a
+    # link, for a first draw). One sort of (t << bits) | step orders the draws
+    # by value, then step, so each value's first draw leads its run, and the
+    # draws in [lo, n_total) form the tail, where all links lie.
     lo = n_total - k
     t = np.empty(k, np.int64)
     for s in range(0, k, _DRAW_BLOCK):
         t[s : s + _DRAW_BLOCK] = rng.belows(np.arange(lo + s + 1, min(lo + s + _DRAW_BLOCK, n_total) + 1))
-    order = np.argsort(t)
-    ts = t[order]
-    firsts = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, ts[1:] != ts[:-1]]))
-    repeat = np.ones(k, dtype=bool)
-    repeat[firsts] = False
-    step = t - lo  # only read where link holds; "clip" keeps the rest in bounds
-    link = ~repeat & (step >= 0) & (step < np.arange(k))
-    kept_j = repeat
-    while not np.array_equal(kept_j, nxt := repeat | (link & kept_j.take(step, mode="clip"))):
-        kept_j = nxt
-    picks = np.where(kept_j, np.arange(lo, n_total), t)
+    steps = np.arange(k)
+    bits = max(k - 1, 1).bit_length()
+    if n_total <= np.iinfo(np.int64).max >> bits:
+        order = t << bits
+        order |= steps
+        order.sort()
+        drawn = order >> bits
+        order &= (1 << bits) - 1
+    else:
+        order = np.argsort(t, kind="stable")
+        drawn = t[order]
+    is_first = np.empty(k, dtype=bool)
+    is_first[0] = True
+    np.not_equal(drawn[1:], drawn[:-1], out=is_first[1:])
+    kept = np.zeros(k, dtype=bool)
+    kept[order[~is_first]] = True
+    tail = np.searchsorted(drawn, lo)
+    link, to = order[tail:], drawn[tail:] - lo
+    at = is_first[tail:] & (to < link)
+    link, to = link[at], to[at]
+    # Each link points to an earlier step, so the links form a DAG and this
+    # fixpoint is unique: pass p settles every chain of p links.
+    while not np.array_equal(kept[link], nxt := kept[to]):
+        kept[link] = nxt
+    picks = np.add(steps, lo, out=t, where=kept)  # j where kept, else t
     picks.sort()
     return picks
 

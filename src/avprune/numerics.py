@@ -34,8 +34,9 @@ from .errors import ConvergenceFailure, DegenerateInput, InvalidInput
 _MASK64 = (1 << 64) - 1
 
 # Draws per lane of the bulk kernel. Each of its steps is one numpy pass
-# over all lanes.
-_LANE = 256
+# over all lanes. 128 beat 64 and 256 on a belows() of 51,200 bounds and
+# drew the decoder's weights as fast as 256 (64 was slower).
+_LANE = 128
 # States per jump-table gather: a (4, 32, 64) uint64 block is 64 KiB.
 _JUMP_BLOCK = 32
 _BOX_MULLER_BLOCK = 8192
@@ -232,17 +233,19 @@ class Rng:
         if n.size and (n.dtype.kind not in "iu" or n.min() < 1 or n.max() >= 1 << 63):
             raise InvalidInput("belows() requires every n in [1, 2**63)")
         n = n.astype(np.uint64)
-        # below() rejects x >= 2**64 - r with r = 2**64 mod n; for r > 0 that
-        # is x > ~r, and for r == 0 nothing is rejected, as ~r is the top.
-        top = 0 - n
-        top %= n
-        np.invert(top, out=top)
         x = self._outputs(len(n))
-        p = 0
-        while (bad := np.flatnonzero(x[p:] > top[p:])).size:
-            p += int(bad[0])  # draw p is rejected: every later draw shifts by one
-            x[p:-1] = x[p + 1 :]
-            x[-1] = self.next_u64()
+        # below() rejects x >= 2**64 - r with r = 2**64 mod n < n, so no draw
+        # below 2**64 - max(n) can be. Otherwise the rejections are x > ~r,
+        # and for r == 0 nothing is rejected, as ~r is the top.
+        if n.size and int(x.max()) >= (1 << 64) - int(n.max()):
+            top = 0 - n
+            top %= n
+            np.invert(top, out=top)
+            p = 0
+            while (bad := np.flatnonzero(x[p:] > top[p:])).size:
+                p += int(bad[0])  # draw p is rejected: every later draw shifts by one
+                x[p:-1] = x[p + 1 :]
+                x[-1] = self.next_u64()
         x %= n
         return x.view(np.int64)  # every draw is below n < 2**63
 

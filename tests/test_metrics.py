@@ -29,6 +29,7 @@ from avprune import (
 )
 from avprune import metrics
 from avprune.metrics import _DRAW_BLOCK, HISTOGRAM_BIN_WIDTH, _sample_distinct
+from avprune.numerics import _LANE
 
 
 def scalar_sample_distinct(n_total, k, rng):
@@ -306,6 +307,21 @@ def test_peak_memory_of_a_benchmark_sized_vv_pass(cap, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+class ScriptedDraws:
+    """Stands in for an ``Rng`` whose bounded draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def belows(self, ns):
+        out, self.draws = self.draws[: len(ns)], self.draws[len(ns) :]
+        assert all(0 <= t < n for t, n in zip(out, ns))
+        return np.array(out, dtype=np.int64)
+
+    def below(self, n):
+        return int(self.belows([n])[0])
+
+
 class TestSampleDistinct:
     """The whole-array Floyd sampler against the one-draw-per-pick reference."""
 
@@ -333,13 +349,29 @@ class TestSampleDistinct:
             (2 * _DRAW_BLOCK, _DRAW_BLOCK + 1),
             (3 * _DRAW_BLOCK + 101, 3 * _DRAW_BLOCK + 100),
             (10 * _DRAW_BLOCK, 2 * _DRAW_BLOCK + 7),
+            (662_976, 100_000),  # the analyze benchmark's VV sample
             (2**34 + 3, 9),
+            (2**59 - 1, 9),  # k = 9 packs steps into 4 bits: the largest n_total packed,
+            (2**59, 9),  # and the smallest that takes the argsort
             (2**62 + 7, 40),  # n_total * k is far above 2**63
         ],
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_the_scalar_loop_at_the_edges(self, n_total, k, seed):
         self.assert_matches_scalar(n_total, k, seed)
+
+    @pytest.mark.parametrize("n_total", [2**60 - 1, 2**60, 2**62 + 7])  # k = 6 packs below 2**60
+    def test_scripted_repeats_and_links(self, n_total):
+        # A repeat, a chain of two links to kept steps and a chain of two
+        # to unkept ones, on either side of the packing bound.
+        lo = n_total - 6
+        draws = [5, 5, lo + 1, lo + 2, lo, lo + 4]
+        picks = _sample_distinct(n_total, 6, ScriptedDraws(draws))
+        assert picks.tolist() == scalar_sample_distinct(n_total, 6, ScriptedDraws(draws))
+        assert picks.tolist() == [5, lo, lo + 1, lo + 2, lo + 3, lo + 4]
+
+    def test_draw_blocks_are_whole_lanes(self):
+        assert _DRAW_BLOCK % _LANE == 0
 
     def test_peak_memory_of_a_benchmark_sized_sample(self):
         tracemalloc.start()

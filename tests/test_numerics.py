@@ -171,7 +171,7 @@ class TestBulkDraws:
         _jump_table.cache_clear()
         Rng(1).gaussians(368_832)
         levels = _jump_table.cache_info().currsize
-        assert levels == 11  # 1,440 lanes: jumps of 1, 2, 4, ..., 1024 lanes
+        assert levels == (368_832 // _LANE).bit_length()  # jumps of 1, 2, 4, ... lanes
         assert sum(_jump_table(m).nbytes for m in range(levels)) <= 512 * 2**10
 
     @pytest.mark.parametrize("method", ["gaussians", "uniforms"])
@@ -243,6 +243,15 @@ class TestGaussiansF32:
 BELOW_RANGES = st.sampled_from([(1, 1000), (2**62, 2**63), (1, 2**63)])
 
 
+def rng_starting_with(x0: int) -> Rng:
+    """An ``Rng`` whose first next_u64() is ``x0``: the scrambler rotl(s1 * 5, 7) * 9 inverted."""
+    rng = Rng(0)
+    m = x0 * pow(9, -1, 1 << 64) % (1 << 64)
+    s1 = ((m >> 7) | (m << 57)) % (1 << 64) * pow(5, -1, 1 << 64) % (1 << 64)
+    rng._s[1] = s1
+    return rng
+
+
 class TestBelows:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -270,6 +279,15 @@ class TestBelows:
         ns = np.arange(612_977, 662_977)
         bulk, scalar = Rng(11), Rng(11)
         assert bulk.belows(ns).tolist() == [scalar.below(int(b)) for b in ns]
+        assert bulk._s == scalar._s
+
+    @pytest.mark.parametrize("x0", [2**64 - 616, 2**64 - 617, 2**64 - 1, 2**64 - 1000])
+    @pytest.mark.parametrize("ns", [[1000] * (2 * _LANE + 5), [1000, 3] * (_LANE + 2)])
+    def test_a_first_draw_at_the_rejection_edge(self, x0, ns):
+        # 2**64 mod 1000 = 616, so below(1000) rejects 2**64 - 616 and up.
+        assert rng_starting_with(x0).next_u64() == x0
+        bulk, scalar = rng_starting_with(x0), rng_starting_with(x0)
+        assert bulk.belows(ns).tolist() == [scalar.below(b) for b in ns]
         assert bulk._s == scalar._s
 
     def test_empty(self):
