@@ -5,21 +5,22 @@ The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
 stream on any platform or language. All other routines are pure functions.
 
-Bulk draws (``Rng.uniforms``, ``Rng.gaussians``, ``Rng.belows``) are
-lane-parallel and bit for bit the scalar stream. xoshiro256** is linear over
+Bulk draws (``Rng.uniforms``, ``Rng.belows``) are lane-parallel and bit for
+bit the scalar ``uniform`` and ``below`` streams. xoshiro256** is linear over
 GF(2), so jumping ``_LANE * 2**m`` steps ahead is a fixed 256x256 bit matrix
 for each level m; the stream is cut into lanes of ``_LANE`` consecutive
 draws, and the start states are found in log depth: the level-m jump of the
 first ``2**m`` starts gives the next ``2**m``. All lanes then step together
 as ``np.uint64`` arrays.
-The float64 stream's Box-Muller keeps ``math.log`` per element, because
-numpy's float64 ``log`` has its own SIMD kernel, which differs from libm in
-the last bit on some inputs. numpy's float64 ``cos`` and ``sin`` loops call
-libm, so they take a whole block at once, as do ``sqrt`` and the products,
-which are exact IEEE operations. ``Rng.gaussians_f32``, which draws the toy
-decoder's float32 weights, takes numpy's ``log`` too: a last-bit difference
-can change a float32 only near a rounding tie, and Ziv's rounding test
-finds those few draws and computes them again with ``math.log``.
+Gaussians are Box-Muller over whole pairs of ``uniforms`` per call. The
+float64 stream keeps ``math.log`` per element, because numpy's float64
+``log`` has its own SIMD kernel, which differs from libm in the last bit on
+some inputs. numpy's float64 ``cos`` and ``sin`` loops call libm, so they
+take a whole block at once, as do ``sqrt`` and the products, which are exact
+IEEE operations. ``Rng.gaussians_f32``, which draws the toy decoder's float32
+weights, takes numpy's ``log`` too: a last-bit difference can change a
+float32 only near a rounding tie, and Ziv's rounding test finds those few
+draws and computes them again with ``math.log``.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class Rng:
     independent child seeds via ``derive_seed`` instead of sharing instances.
     """
 
-    __slots__ = ("_s", "_gauss_spare")
+    __slots__ = ("_s",)
 
     def __init__(self, seed: int):
         state = seed & _MASK64
@@ -168,7 +169,6 @@ class Rng:
             state, word = splitmix64(state)
             words.append(word)
         self._s = words
-        self._gauss_spare: float | None = None
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
@@ -196,17 +196,6 @@ class Rng:
             x = self.next_u64()
             if x < limit:
                 return x % n
-
-    def gaussian(self) -> float:
-        """Standard normal draw (Box-Muller over the uniform stream)."""
-        if self._gauss_spare is not None:
-            z = self._gauss_spare
-            self._gauss_spare = None
-            return z
-        radius = math.sqrt(-2.0 * math.log(self.uniform()))
-        theta = 2.0 * math.pi * self.uniform()
-        self._gauss_spare = radius * math.sin(theta)
-        return radius * math.cos(theta)
 
     def _outputs(self, count: int) -> np.ndarray:
         """``count`` next_u64() outputs as uint64: whole lanes in bulk, the tail scalar."""
@@ -250,25 +239,11 @@ class Rng:
         return x.view(np.int64)  # every draw is below n < 2**63
 
     def gaussians(self, count: int) -> np.ndarray:
-        """``count`` draws identical to repeated gaussian(), spare included."""
-        if count < 0:
-            raise InvalidInput(f"gaussians() requires count >= 0, got {count}")
-        head = []
-        if count and self._gauss_spare is not None:
-            head = [self._gauss_spare]
-            self._gauss_spare = None
-        pairs = (count - len(head) + 1) // 2
-        u = self.uniforms(2 * pairs).reshape(pairs, 2)
-        z = np.empty((pairs, 2))
-        # Blocks bound the Python float list that math.log goes through.
-        for lo in range(0, pairs, _BOX_MULLER_BLOCK):
-            hi = min(lo + _BOX_MULLER_BLOCK, pairs)
-            _box_muller(u[lo:hi], _exact_log(u[lo:hi, 0]), out=z[lo:hi])
-        z = z.ravel()
-        if (count - len(head)) % 2:
-            self._gauss_spare = float(z[-1])
-            z = z[:-1]
-        return np.concatenate((head, z)) if head else z
+        """``count`` standard normals, Box-Muller over ``ceil(count / 2)`` pairs of ``uniforms``.
+
+        Pair k gives draws 2k (cos) and 2k + 1 (sin); an odd count drops its last sin.
+        """
+        return self._pairs("gaussians", count, np.float64, _box_muller)
 
     def gaussians_f32(self, count: int, scale: float) -> np.ndarray:
         """``(self.gaussians(count) * scale).astype(np.float32)``, byte for byte.
@@ -279,33 +254,37 @@ class Rng:
         float64 value rounds to another float32, or when it is zero. Only
         the pairs holding an unsure draw are computed again with
         ``math.log``. numpy's ``log`` is within a few ulp (about 2**-50
-        relative) of libm's, far inside the band. An odd count or a pending
-        spare takes the exact path.
+        relative) of libm's, far inside the band.
         """
-        if count < 0:
-            raise InvalidInput(f"gaussians_f32() requires count >= 0, got {count}")
-        if count % 2 or self._gauss_spare is not None:
-            return (self.gaussians(count) * scale).astype(np.float32)
-        pairs = count // 2
-        u = self.uniforms(count).reshape(pairs, 2)
-        out = np.empty((pairs, 2), dtype=np.float32)
-        for lo in range(0, pairs, _BOX_MULLER_BLOCK):
-            hi = min(lo + _BOX_MULLER_BLOCK, pairs)
-            ub = u[lo:hi]
-            yb = _box_muller(ub, _fast_log(ub[:, 0]), out=np.empty((hi - lo, 2)))
-            yb *= scale
+
+        def rounded_pairs(u: np.ndarray, out: np.ndarray) -> None:
+            y = _box_muller(u, np.empty((len(u), 2)), _fast_log)
+            y *= scale
             # Rounding is monotone, so where both band edges round to one
             # float32, so does every value between them.
-            lower = (yb * (1.0 - _TIE_BAND)).astype(np.float32)
-            unsure = lower != (yb * (1.0 + _TIE_BAND)).astype(np.float32)
-            unsure |= yb == 0.0
+            lower = (y * (1.0 - _TIE_BAND)).astype(np.float32)
+            unsure = lower != (y * (1.0 + _TIE_BAND)).astype(np.float32)
+            unsure |= y == 0.0
             redo = np.flatnonzero(unsure[:, 0] | unsure[:, 1])
             if redo.size:
-                exact = _box_muller(ub[redo], _exact_log(ub[redo, 0]), out=np.empty((redo.size, 2)))
+                exact = _box_muller(u[redo], np.empty((redo.size, 2)))
                 exact *= scale
-                yb[redo] = exact
-            out[lo:hi] = yb
-        return out.ravel()
+                y[redo] = exact
+            out[...] = y
+
+        return self._pairs("gaussians_f32", count, np.float32, rounded_pairs)
+
+    def _pairs(self, method: str, count: int, dtype, box_muller) -> np.ndarray:
+        """The first ``count`` of ``box_muller(u, out)`` over ``ceil(count / 2)`` uniform pairs ``u``."""
+        if count < 0:
+            raise InvalidInput(f"{method}() requires count >= 0, got {count}")
+        pairs = (count + 1) // 2
+        u = self.uniforms(2 * pairs).reshape(pairs, 2)
+        out = np.empty((pairs, 2), dtype=dtype)
+        # Blocks bound the Python float list that math.log goes through.
+        for lo in range(0, pairs, _BOX_MULLER_BLOCK):
+            box_muller(u[lo : lo + _BOX_MULLER_BLOCK], out[lo : lo + _BOX_MULLER_BLOCK])
+        return out.ravel()[:count]
 
 
 # Box-Muller's radius log: numpy's vectorised kernel for the float32 fast
@@ -317,8 +296,9 @@ def _exact_log(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, u.tolist()), np.float64, len(u))
 
 
-def _box_muller(u: np.ndarray, radius: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gaussian pairs from uniform pairs ``u`` into ``out``; ``radius`` holds ``log(u[:, 0])`` on entry."""
+def _box_muller(u: np.ndarray, out: np.ndarray, log=_exact_log) -> np.ndarray:
+    """Gaussian pairs from uniform pairs ``u`` into ``out``, each radius from ``log(u[:, 0])``."""
+    radius = log(u[:, 0])
     radius *= -2.0
     np.sqrt(radius, out=radius)
     theta = u[:, 1] * (2.0 * math.pi)

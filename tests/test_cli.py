@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import avprune
-from avprune import LayerRecord, PruneTrace, cli, tensorio
+from avprune import LayerRecord, Modality, PruneTrace, TokenTable, apply_intra, cli, tensorio
 from avprune.cli import main
 from avprune.config import ExperimentConfig, load_config_file
 from avprune.schedule import _BISECTION_TOL
@@ -560,6 +560,21 @@ class TestAnalyze:
         assert tokens.read_text().startswith('{"config_digest": ')
         read = cli._read_token_modalities(tokens)
         assert read == [MODALITIES[code] for code in seq.tokens.modality.tolist()]
+
+    def test_every_written_token_line_takes_the_fast_path(self):
+        # A line _TOKEN_LINE misses still reads, through json.loads, so only
+        # this catches the writer's form drifting away from the fast path.
+        tables = [ExperimentConfig.resolve(overrides=o).build_sequence().tokens for o in ({}, {"sequence.chunks": 4})]
+        cfg = ExperimentConfig.resolve(overrides={"intra.enabled": True})
+        seq = cfg.build_sequence()
+        tables.append(apply_intra(seq, cli._build_intra_plan(cfg, seq))[0].tokens)
+        assert len(tables[-1]) < len(seq.tokens)
+        video, query = Modality.VIDEO.code, Modality.QUERY_TEXT.code
+        tables.append(TokenTable(id=[2**63 - 1, 0], modality=[video, query], chunk=[2**63 - 1, -1]))
+        for tokens in tables:
+            lines = tokens.jsonl().splitlines(keepends=True)
+            assert len(lines) == len(tokens)
+            assert [line for line in lines if not cli._TOKEN_LINE.fullmatch(line)] == []
 
     def test_recall_of_an_all_zero_map_exits_4(self, capsys, tmp_path):
         path = tmp_path / "zero.omtn"

@@ -12,9 +12,14 @@ drifting unnoticed.
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import avprune
 from avprune.cli import main
 
 GOLDEN = {
@@ -24,8 +29,8 @@ GOLDEN = {
     "intra": (("--set", "intra.enabled=true"), "cbf6982d056dcb35"),
     "chunks-4": (("--set", "sequence.chunks=4"), "c0aef2277e2bbb94"),
     "chunks-1": (("--set", "sequence.chunks=1"), "12db76b9825b7ddb"),
-    # d=9: d*d and the per-row block widths are odd, so a Box-Muller spare
-    # carries across weight matrices and embedding rows.
+    # d=9: d*d and the per-row block widths are odd, so a Box-Muller pair
+    # straddles weight matrices and embedding rows.
     "odd-width": (
         ("--set", "sequence.d=9", "--set", "model.d=9", "--set", "model.heads=3"),
         "3f45eb2b7a724b1a",
@@ -60,6 +65,16 @@ def test_forward_digest_is_pinned_and_replays(name, capsys, tmp_path):
         capsys, ["simulate", *extra, "--out", str(replay), "--inject", str(forward / "attention")]
     )
     assert replayed == expected
+
+
+def test_seed_6_is_pinned_under_one_blas_thread(tmp_path):
+    # The tests above run at the host's BLAS thread count, where a context
+    # computed in 512-row blocks keeps seed-6's digest; one thread moves it.
+    extra, expected = GOLDEN["seed-6"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(avprune.__file__).parents[1]))
+    argv = [sys.executable, "-m", "avprune.cli", "simulate", *extra, "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert f"trace_digest={expected}" in done.stdout.splitlines()
 
 
 def test_default_outputs_are_pinned(capsys, tmp_path):

@@ -67,13 +67,21 @@ class TestRng:
             Rng(0).below(0)
 
 
+def reference_gaussians(rng: Rng, count: int) -> np.ndarray:
+    """What ``gaussians`` must equal: Box-Muller with ``math`` over ``uniform()`` pairs, cut to ``count``."""
+    draws = []
+    for _ in range((count + 1) // 2):
+        radius = math.sqrt(-2.0 * math.log(rng.uniform()))
+        theta = 2.0 * math.pi * rng.uniform()
+        draws += [radius * math.cos(theta), radius * math.sin(theta)]
+    return np.array(draws[:count], dtype=np.float64)
+
+
 class TestGaussian:
     def test_first_draws_reproduce(self):
-        r = Rng(0)
-        first_two = [r.gaussian(), r.gaussian()]
-        r2 = Rng(0)
-        assert first_two == [r2.gaussian(), r2.gaussian()]
-        assert first_two == pytest.approx([-0.014106797381248284, -1.0085864725210538])
+        first_two = Rng(0).gaussians(2)
+        assert first_two.tobytes() == reference_gaussians(Rng(0), 2).tobytes()
+        assert first_two.tolist() == pytest.approx([-0.014106797381248284, -1.0085864725210538])
 
     def test_moments_over_one_million_draws(self):
         draws = Rng(2024).gaussians(1_000_000)
@@ -88,42 +96,35 @@ BULK_COUNTS = st.sampled_from([0, 1, 2, 7, _LANE - 1, _LANE, _LANE + 1, 2 * _LAN
 
 class TestBulkDraws:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**64 - 1), n=BULK_COUNTS, spare=st.booleans())
-    def test_bulk_draws_continue_the_scalar_stream(self, seed, n, spare):
+    @given(seed=st.integers(0, 2**64 - 1), n=BULK_COUNTS)
+    def test_bulk_draws_continue_the_scalar_stream(self, seed, n):
         bulk, scalar = Rng(seed), Rng(seed)
-        if spare:  # leave a pending Box-Muller spare on both
-            assert bulk.gaussian() == scalar.gaussian()
-        expected = np.array([scalar.gaussian() for _ in range(n)], dtype=np.float64)
-        assert bulk.gaussians(n).tobytes() == expected.tobytes()
-        assert bulk.gaussian() == scalar.gaussian()
+        assert bulk.gaussians(n).tobytes() == reference_gaussians(scalar, n).tobytes()
+        assert bulk.gaussians(1).tobytes() == reference_gaussians(scalar, 1).tobytes()
         assert bulk.next_u64() == scalar.next_u64()
 
         expected = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
         assert bulk.uniforms(n).tobytes() == expected.tobytes()
         assert bulk.next_u64() == scalar.next_u64()
-        assert bulk.gaussian() == scalar.gaussian()
+        assert bulk.gaussians(1).tobytes() == reference_gaussians(scalar, 1).tobytes()
 
     def test_decoder_sized_draws_are_pinned(self):
-        # sha256 of the scalar stream's 368,832 draws (one default simulate).
+        # sha256 of the 368,832 draws of one default simulate.
         draws = Rng(1).gaussians(368_832)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == (
             "35107271acf58093228692919762c46bd3095d02c9c3c8deb16db860a42934cc"
         )
 
-    @pytest.mark.parametrize("spare", [False, True])
     @pytest.mark.parametrize("count", [2 * 2 * _BOX_MULLER_BLOCK - 1, 2 * 2 * _BOX_MULLER_BLOCK + 1])
-    def test_bulk_gaussians_match_the_scalar_stream_across_box_muller_blocks(self, count, spare):
+    def test_bulk_gaussians_match_the_scalar_stream_across_box_muller_blocks(self, count):
         # Box-Muller runs 2 * _BOX_MULLER_BLOCK draws per block; these counts
         # end one draw short of the second block's end or one draw into a third.
         bulk, scalar = Rng(count), Rng(count)
-        if spare:
-            assert bulk.gaussian() == scalar.gaussian()
-        expected = np.array([scalar.gaussian() for _ in range(count)])
-        assert bulk.gaussians(count).tobytes() == expected.tobytes()
-        assert (bulk._s, bulk._gauss_spare) == (scalar._s, scalar._gauss_spare)
+        assert bulk.gaussians(count).tobytes() == reference_gaussians(scalar, count).tobytes()
+        assert bulk._s == scalar._s
 
     def test_numpy_cos_and_sin_are_libm_bit_for_bit(self):
-        # gaussians() takes cos and sin of a block from numpy, gaussian() one
+        # gaussians() takes cos and sin of a block from numpy, the reference one
         # at a time from math, so the two streams agree only while numpy's
         # float64 loops return what libm returns. Angles are formed as there,
         # u * 2pi, plus 0 and the neighbours of each quarter turn.
@@ -160,9 +161,8 @@ class TestBulkDraws:
         expected = np.array([scalar.uniform() for _ in range(n)])
         assert bulk.uniforms(n).tobytes() == expected.tobytes()
         assert bulk._s == scalar._s
-        expected = np.array([scalar.gaussian() for _ in range(n)])
-        assert bulk.gaussians(n).tobytes() == expected.tobytes()
-        assert (bulk._s, bulk._gauss_spare) == (scalar._s, scalar._gauss_spare)
+        assert bulk.gaussians(n).tobytes() == reference_gaussians(scalar, n).tobytes()
+        assert bulk._s == scalar._s
         ns = np.random.default_rng(lanes).integers(1, 2**63, size=n, dtype=np.int64)
         assert bulk.belows(ns).tolist() == [scalar.below(int(b)) for b in ns]
         assert bulk._s == scalar._s
@@ -176,8 +176,14 @@ class TestBulkDraws:
 
     @pytest.mark.parametrize("method", ["gaussians", "uniforms"])
     def test_negative_count_rejected(self, method):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=rf"^{method}\(\) requires count >= 0, got -2$"):
             getattr(Rng(3), method)(-2)
+
+    def test_each_call_starts_on_a_fresh_pair(self):
+        r, scalar = Rng(4), Rng(4)
+        expected = reference_gaussians(scalar, 4)
+        assert np.concatenate((r.gaussians(1), r.gaussians(2))).tobytes() == expected[[0, 2, 3]].tobytes()
+        assert r._s == scalar._s
 
 
 # The decoder's draw count (28 layers at d=32), none, one pair, and one pair
@@ -204,38 +210,42 @@ class TestGaussiansF32:
         got = fast.gaussians_f32(count, scale)
         assert got.dtype == np.float32
         assert got.tobytes() == exact_f32(exact, count, scale).tobytes()
-        assert (fast._s, fast._gauss_spare) == (exact._s, exact._gauss_spare)
+        assert fast._s == exact._s
 
-    @pytest.mark.parametrize(
-        "count, spare",
-        [(1, False), (7, False), (2 * 2 * _BOX_MULLER_BLOCK + 1, False), (0, True), (2, True), (344_064, True)],
-    )
-    def test_odd_counts_and_a_pending_spare_take_the_exact_path(self, count, spare):
-        fast, exact = Rng(count), Rng(count)
-        if spare:
-            assert fast.gaussian() == exact.gaussian()
+    @pytest.mark.parametrize("count", [1, 7, 2 * 2 * _BOX_MULLER_BLOCK + 1, 344_063])
+    def test_odd_counts_take_whole_pairs(self, count):
+        # An odd count takes ceil(count / 2) pairs, count + 1 uniforms, in both streams.
+        fast, exact, scalar = Rng(count), Rng(count), Rng(count)
+        scalar.uniforms(count + 1)
         got = fast.gaussians_f32(count, F32_SCALES[2])
+        assert fast._s == scalar._s
         assert got.tobytes() == exact_f32(exact, count, F32_SCALES[2]).tobytes()
-        assert (fast._s, fast._gauss_spare) == (exact._s, exact._gauss_spare)
+        assert exact._s == scalar._s
+
+    def test_each_call_starts_on_a_fresh_pair(self):
+        r, scale = Rng(4), F32_SCALES[2]
+        got = np.concatenate((r.gaussians_f32(1, scale), r.gaussians_f32(2, scale)))
+        assert got.tobytes() == exact_f32(Rng(4), 4, scale)[[0, 2, 3]].tobytes()
 
     def test_negative_count_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^gaussians_f32\(\) requires count >= 0, got -2$"):
             Rng(3).gaussians_f32(-2, 1.0)
 
     def test_a_skewed_fast_log_changes_no_weight(self, monkeypatch):
         # A fast log off by a relative 2**-38, far more than any libm or SIMD
         # kernel, must stay inside the tie band. With the band at 0 the same
-        # skew must flip some weights, so these draws do reach the guard.
+        # skew must flip some weights at each count, odd and even, so these
+        # draws do reach the guard.
         monkeypatch.setattr(numerics, "_fast_log", lambda u: np.log(u) * (1.0 + 2.0**-38))
         scale = F32_SCALES[2]
-        expected = {seed: exact_f32(Rng(seed), 344_064, scale) for seed in range(3)}
-        for seed, want in expected.items():
-            assert Rng(seed).gaussians_f32(344_064, scale).tobytes() == want.tobytes()
+        expected = {(seed, n): exact_f32(Rng(seed), n, scale) for seed in range(3) for n in (344_064, 344_063)}
+        for (seed, n), want in expected.items():
+            assert Rng(seed).gaussians_f32(n, scale).tobytes() == want.tobytes()
         monkeypatch.setattr(numerics, "_TIE_BAND", 0.0)
-        flipped = sum(
-            int(np.count_nonzero(Rng(seed).gaussians_f32(344_064, scale) != want)) for seed, want in expected.items()
-        )
-        assert flipped >= 1
+        flipped = {n: 0 for n in (344_064, 344_063)}
+        for (seed, n), want in expected.items():
+            flipped[n] += int(np.count_nonzero(Rng(seed).gaussians_f32(n, scale) != want))
+        assert min(flipped.values()) >= 1
 
 
 # Bounds that never reject in practice, bounds in [2**62, 2**63) that reject
