@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from pathlib import Path
 from statistics import fmean
@@ -154,11 +153,15 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
         raise SchemaError(f"{manifest_path}: dump holds {dumped!r} layers, model.layers is {layers}")
     records = []
     for layer in range(layers):
-        tensor_path = path / f"layer_{layer:04d}.omtn"
-        ids_path = path / f"layer_{layer:04d}.ids"
-        if not tensor_path.exists() or not ids_path.exists():
-            raise InvalidInput(f"missing attention files for layer {layer} in {path}")
-        values, ids = tensorio.read_tensor(tensor_path), tensorio.read_ids(ids_path)
+        stem = os.path.join(path, f"layer_{layer:04d}")
+        tensor_path, ids_path = f"{stem}.omtn", f"{stem}.ids"
+        try:
+            values, ids = tensorio.read_tensor(tensor_path), tensorio.read_ids(ids_path)
+        except (FileNotFoundError, SchemaError) as exc:
+            # A missing file outranks a malformed one: a bad tensor without its sidecar is a missing file.
+            if isinstance(exc, FileNotFoundError) or not os.path.exists(ids_path):
+                raise InvalidInput(f"missing attention files for layer {layer} in {path}") from None
+            raise
         try:
             records.append(AttentionRecord(layer=layer, col_ids=ids, values=values))
         except SchemaError as exc:
@@ -235,6 +238,9 @@ def cmd_simulate(args) -> int:
     job = partial(_simulate_one, dump_attention=args.dump_attention, inject_dir=args.inject)
     workers = pool_size(cfg.workers, args.runs)
     if workers > 1:
+        # Imported here, not at the top: only this fan-out needs it, and the import slows every CLI start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             digests = list(pool.map(job, run_configs, run_dirs))
     else:

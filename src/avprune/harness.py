@@ -169,6 +169,18 @@ class AttentionRecord:
         return record
 
 
+def _survivor_mask(tokens: TokenTable, pruned: np.ndarray, layer: int) -> np.ndarray:
+    """Keep mask of ``tokens`` without ``pruned``; an id that is not a survivor is InvalidInput."""
+    # Token ids ascend, so a binary search finds each pruned id's row.
+    at = np.searchsorted(tokens.id, pruned).clip(max=len(tokens) - 1)
+    stray = np.flatnonzero(tokens.id[at] != pruned)
+    if stray.size:
+        raise InvalidInput(f"layer {layer}: selected token id {pruned[stray[0]]} is not a survivor")
+    keep = np.ones(len(tokens), dtype=bool)
+    keep[at] = False
+    return keep
+
+
 def _pruning_loop(
     seq: InterleavedSequence,
     sched: PruneScheduleConfig,
@@ -209,7 +221,7 @@ def _pruning_loop(
                 pruned = tds_select(query_importance(record.values, columns), k_l, tds, max_chunk)
             else:
                 pruned = plain_select(query_importance(record.values, columns), k_l)
-            tokens = tokens[~np.isin(tokens.id, pruned)]
+            tokens = tokens[_survivor_mask(tokens, pruned, layer)]
         records.append(
             LayerRecord(
                 layer=layer,
@@ -257,8 +269,8 @@ def run_with_pruning(
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         nonlocal x, held
-        x = x[np.isin(held, tokens.id)]  # drop the rows pruned since the last layer; ids are unique
-        held = tokens.id
+        if len(held) != len(tokens):  # drop the rows pruned since the last layer; ids ascend in both
+            x, held = x[np.searchsorted(held, tokens.id)], tokens.id
         x, avg = _forward_layer(x, model.weights[layer], model.heads, rows)
         return AttentionRecord(layer=layer, col_ids=tokens.id[cols], values=avg[:, cols])
 
@@ -298,21 +310,24 @@ def run_with_injected_attention(
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         # The record checked its own rules; what is left depends on this run.
         rec = maps[layer]
-        want = tokens.id[cols]
-        if layer == 0 and not np.array_equal(np.sort(rec.col_ids), np.sort(want)):
+        want = tokens.id[cols]  # ascending
+        order = np.argsort(rec.col_ids)
+        have = rec.col_ids[order]
+        if layer == 0 and not np.array_equal(have, want):
             raise SchemaError(
                 f"layer 0: the attention columns ({rec.col_ids.size}) are not the {want.size} "
                 f"audiovisual tokens entering it (chunks={seq.max_chunk_index + 1}, intra="
                 f"{'on' if intra else 'off'}); replay under the dump's sequence and intra settings"
             )
-        missing = want[~np.isin(want, rec.col_ids)]
+        slot = np.searchsorted(have, want)
+        # A wanted id above every column lands one past the end, where -1 matches no token id.
+        missing = want[np.append(have, -1)[slot] != want]
         if missing.size:
             raise SchemaError(f"layer {layer}: no attention column for token id {missing[0]}")
         if rec.values.shape[0] != len(rows):
             raise SchemaError(
                 f"layer {layer}: expected {len(rows)} text rows, got {rec.values.shape[0]}"
             )
-        order = np.argsort(rec.col_ids)
-        return rec.take(order[np.searchsorted(rec.col_ids, want, sorter=order)])
+        return rec.take(order[slot])
 
     return _pruning_loop(working, sched, tds, selector, layer_map, seed=replay_seed, observer=observer)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import struct
 from pathlib import Path
 
@@ -23,8 +22,10 @@ from .trace import LayerRecord, PruneTrace, RecordError
 
 MAGIC = b"OMTN"
 VERSION = 1
-# Decimal ids without sign, space or leading zero, one per line; 19 digits hold 2**63 - 1.
-_ID_LINES = re.compile(r"(?:(?:0|[1-9][0-9]{0,18})\n)*(?:0|[1-9][0-9]{0,18})?")
+# Sidecar byte kinds: 0 for any byte an id line cannot hold, 1 for a digit, 2 for a newline.
+_ID_BYTE_KIND = np.zeros(256, dtype=np.int8)
+_ID_BYTE_KIND[ord("0") : ord("9") + 1] = 1
+_ID_BYTE_KIND[ord("\n")] = 2
 
 
 def write_artifact(path, data: str | bytes) -> None:
@@ -54,7 +55,8 @@ def write_tensor(path, array) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:4] != MAGIC:
         raise SchemaError(f"{path}: bad magic {data[:4]!r}")
     if len(data) < 12:
@@ -80,15 +82,28 @@ def write_ids(path, ids) -> None:
 
 
 def read_ids(path) -> np.ndarray:
-    """Int64 ids of a sidecar whose every line is the decimal form of one id; else SchemaError."""
-    try:
-        text = Path(path).read_bytes().decode("ascii")  # no newline translation
-    except ValueError as exc:
-        raise SchemaError(f"{path}: malformed id list ({exc})") from None
-    if not _ID_LINES.fullmatch(text):
+    """Int64 ids of a sidecar whose every line is the decimal form of one id; else SchemaError.
+
+    A line is a decimal id without sign, space or leading zero, of at most 19
+    digits (enough for 2**63 - 1); only the part after the final newline may
+    be empty.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    kind = _ID_BYTE_KIND.take(raw)
+    # Newline positions bound the lines; -1 and len(data) close the first and the last.
+    bounds = np.concatenate(([-1], np.flatnonzero(kind == 2), [raw.size]))
+    width = np.diff(bounds) - 1
+    if (
+        not kind.all()
+        or width[:-1].min(initial=1) == 0
+        or width.max() > 19
+        or np.any(raw[bounds[:-1][width > 1] + 1] == ord("0"))
+    ):
         raise SchemaError(f"{path}: malformed id list (each line must be one decimal id)")
     # At most 19 digits a line, so every id fits in uint64 and the bound check sees it whole.
-    ids = np.fromstring(text, dtype=np.uint64, sep="\n")
+    ids = np.fromstring(data, dtype=np.uint64, sep="\n")
     if ids.max(initial=0) >= 2**63:
         raise SchemaError(f"{path}: token ids must lie in [0, 2**63)")
     return ids.astype(np.int64)

@@ -251,6 +251,13 @@ class TestSimulate:
         assert done.returncode == 1
         assert "absent.json: cannot read" in done.stderr
 
+    def test_import_leaves_the_process_pool_out(self):
+        # Only a multi-run fan-out with workers > 1 needs the pool; every other start skips its import.
+        env = dict(os.environ, PYTHONPATH=str(Path(avprune.__file__).parents[1]))
+        code = "import sys, avprune.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "False\n")
+
     def test_random_selector_stable(self, capsys, small_config, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -389,6 +396,26 @@ class TestSimulate:
         argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
         assert main(argv + ["--inject", str(dump / "attention")]) == 4
         assert "layer_0002.ids: token ids must lie in [0, 2**63)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gone", ["layer_0005.ids", "layer_0005.omtn"])
+    def test_missing_layer_file_exits_1(self, capsys, small_config, tmp_path, gone):
+        argv = ["simulate", "--config", small_config, "--set", "model.layers=6"]
+        dump = tmp_path / "dump"
+        assert main([*argv, "--out", str(dump), "--dump-attention"]) == 0
+        (dump / "attention" / gone).unlink()
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "x"), "--inject", str(dump / "attention")]) == 1
+        assert f"missing attention files for layer 5 in {dump / 'attention'}" in capsys.readouterr().err
+
+    def test_missing_sidecar_outranks_a_malformed_tensor(self, capsys, small_config, tmp_path):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        (dump / "attention" / "layer_0002.omtn").write_bytes(b"NOPE")
+        (dump / "attention" / "layer_0002.ids").unlink()
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        assert main([*argv, "--inject", str(dump / "attention")]) == 1
+        assert "missing attention files for layer 2 in" in capsys.readouterr().err
 
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(

@@ -24,6 +24,7 @@ from avprune import (
     run_with_injected_attention,
     run_with_pruning,
 )
+from avprune import harness
 from avprune.harness import _ROW_BLOCK, _apply_intra_plan, _forward_layer, sinusoidal_positions
 
 TDS = TdsConfig(lambda_div=0.2, start_layer=2)
@@ -307,6 +308,60 @@ class TestInjectedAttention:
         )
         assert replayed.digest == original.digest
 
+    def test_shuffled_columns_replay_to_the_forward_digest(self):
+        # Written dumps list columns in ascending id order; a record may list them in any.
+        seq, model, sched = small_setup()
+        dumped: list[AttentionRecord] = []
+        original = run_with_pruning(seq, model, sched, TDS, observer=dumped.append)
+        rng = np.random.default_rng(7)
+        shuffled = []
+        for rec in dumped:
+            perm = rng.permutation(rec.col_ids.size)
+            shuffled.append(AttentionRecord(layer=rec.layer, col_ids=rec.col_ids[perm], values=rec.values[:, perm]))
+            assert np.any(np.diff(shuffled[-1].col_ids) < 0)
+        redumped: list[AttentionRecord] = []
+        replayed = run_with_injected_attention(
+            seq, shuffled, sched, TDS, replay_seed=model.seed, observer=redumped.append
+        )
+        assert replayed == original
+        for a, b in zip(dumped, redumped):
+            assert np.array_equal(a.col_ids, b.col_ids)
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("layer", [1, 3])
+    def test_empty_record_names_the_first_missing_id(self, layer):
+        seq, _, sched = small_setup()
+        records = self._uniform_records(seq, 4)
+        trace = run_with_injected_attention(seq, records, sched, TDS, Selector.PLAIN)
+        gone = {i for rec in trace.layers[:layer] for i in rec.pruned_ids}
+        first = min(set(records[0].col_ids.tolist()) - gone)
+        rows = records[layer].values.shape[0]
+        records[layer] = AttentionRecord(
+            layer=layer, col_ids=np.empty(0, dtype=np.int64), values=np.zeros((rows, 0), dtype=np.float32)
+        )
+        with pytest.raises(SchemaError, match=f"^layer {layer}: no attention column for token id {first}$"):
+            run_with_injected_attention(seq, records, sched, TDS, Selector.PLAIN)
+
+    @pytest.mark.parametrize("stray", ["pruned-earlier", "above-every-id"])
+    def test_selected_non_survivor_is_invalid_input(self, monkeypatch, stray):
+        # The run must refuse it, not prune a neighbour or leave the survivors as they were.
+        seq, model, sched = small_setup()
+        pruning = [rec for rec in run_with_pruning(seq, model, sched, TDS, Selector.PLAIN).layers if rec.k_l]
+        assert len(pruning) >= 2
+        bad = pruning[0].pruned_ids[0] if stray == "pruned-earlier" else seq.tokens.id.max() + 1
+        plain_select, calls = harness.plain_select, []
+
+        def select(scores, k):
+            ids = plain_select(scores, k)
+            calls.append(k)
+            if len(calls) > 1:  # from the second pruning layer on, one pick is the stray id
+                ids[0] = bad
+            return np.sort(ids)
+
+        monkeypatch.setattr(harness, "plain_select", select)
+        with pytest.raises(InvalidInput, match=f"^layer {pruning[1].layer}: selected token id {bad} is not a survivor$"):
+            run_with_pruning(seq, model, sched, TDS, Selector.PLAIN)
+
     def test_uniform_attention_prunes_in_id_order(self):
         seq, _, sched = small_setup()
         records = self._uniform_records(seq, 4)
@@ -375,7 +430,8 @@ class TestInjectedAttention:
         records[2] = AttentionRecord(
             layer=2, col_ids=short.col_ids[:-1], values=short.values[:, :-1]
         )
-        with pytest.raises(SchemaError):
+        # The highest id is the last to go under uniform attention, so it enters layer 2.
+        with pytest.raises(SchemaError, match=f"^layer 2: no attention column for token id {short.col_ids[-1]}$"):
             run_with_injected_attention(seq, records, sched, TDS)
 
     def test_wrong_row_count_is_schema_error(self):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from avprune import LayerRecord, PruneTrace, SchemaError, Selector
 from avprune import tensorio
+from avprune.config import ExperimentConfig
 
 
 def test_round_trip_exact(tmp_path):
@@ -207,23 +209,76 @@ def test_read_tensor_fuzz(tmp_path, blob):
         assert out.shape == struct.unpack_from(f"<{rank}Q", blob, 12)
 
 
+# The id sidecar grammar as a regex: decimal ids without sign, space or leading
+# zero, one per line; 19 digits hold 2**63 - 1.
+ID_GRAMMAR = re.compile(rb"(?:(?:0|[1-9][0-9]{0,18})\n)*(?:0|[1-9][0-9]{0,18})?")
+
+
+def oracle_ids(blob: bytes) -> list[int] | None:
+    """The ids a sidecar holds by the grammar and the int64 range, or None if it is malformed."""
+    if not ID_GRAMMAR.fullmatch(blob):
+        return None
+    ids = [int(line) for line in blob.split()]
+    return ids if max(ids, default=0) < 2**63 else None
+
+
+def assert_reads_like_the_oracle(path, blob):
+    path.write_bytes(blob)
+    expected = oracle_ids(blob)
+    if expected is None:
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
+            tensorio.read_ids(path)
+    else:
+        out = tensorio.read_ids(path)
+        assert out.dtype == np.int64 and out.ndim == 1 and out.tolist() == expected
+
+
 @FUZZ
 @given(blob=st.binary(max_size=64) | ID_LINES)
 def test_read_ids_fuzz(tmp_path, blob):
-    path = tmp_path / "fuzz.ids"
-    path.write_bytes(blob)
-    out = _read_or_schema_error(tensorio.read_ids, path)
-    # Reference: the same format rule, then int() line by line.
-    text = blob.decode("ascii", "replace")
-    ids = [int(line) for line in text.split()] if tensorio._ID_LINES.fullmatch(text) else None
-    if ids is not None and max(ids, default=0) >= 2**63:
-        ids = None
-    if out is None:
-        assert ids is None
-    else:
-        assert out.dtype == np.int64 and out.ndim == 1 and out.tolist() == ids
+    assert_reads_like_the_oracle(tmp_path / "fuzz.ids", blob)
+    ids = oracle_ids(blob)
+    if ids is not None:
         lines = blob.split(b"\n")
         assert lines == [str(i).encode() for i in ids] + [b""] * (len(lines) > len(ids))
+
+
+ID_EDGES = [
+    b"", b"0", b"0\n", b"00", b"01", b"\n", b"1\n\n",
+    b"9" * 19 + b"\n", b"1" + b"0" * 19 + b"\n", b"1" * 19, b"9" * 20,
+    *(str(v).encode() + b"\n" for v in (2**63 - 1, 2**63, 2**64 - 1, 2**64)),
+    b"12\n7", b"12\r\n7\r\n", b"12\n\xc3\xa9\n", b"12\n\xff\n",
+]
+
+
+@pytest.mark.parametrize("blob", ID_EDGES, ids=[repr(b)[2:-1][:24] for b in ID_EDGES])
+def test_read_ids_edges_match_the_grammar(tmp_path, blob):
+    assert_reads_like_the_oracle(tmp_path / "edge.ids", blob)
+
+
+def test_read_ids_matches_the_grammar_on_sidecar_mutants(tmp_path):
+    # Layer 0's sidecar of a chunks=4 dump: every audiovisual id of the sequence.
+    tokens = ExperimentConfig.resolve({}, {"sequence.chunks": 4}).build_sequence().tokens
+    tensorio.write_ids(tmp_path / "real.ids", tokens.id[tokens.is_audiovisual])
+    real = (tmp_path / "real.ids").read_bytes()
+    assert real.count(b"\n") == 1352
+    alphabet = [bytes([c]) for c in b"0123456789\n x-\r"]
+    rng = np.random.default_rng(25)
+    accepted = 0
+    for _ in range(400):
+        blob = bytearray(real)
+        for _ in range(rng.integers(1, 4)):
+            at, byte = int(rng.integers(0, len(blob))), alphabet[rng.integers(0, len(alphabet))]
+            edit = rng.integers(0, 3)
+            if edit == 0:
+                blob[at : at + 1] = byte  # replace
+            elif edit == 1:
+                blob[at:at] = byte  # insert
+            else:
+                del blob[at]
+        accepted += oracle_ids(bytes(blob)) is not None
+        assert_reads_like_the_oracle(tmp_path / "mutant.ids", bytes(blob))
+    assert 0 < accepted < 400  # both outcomes are exercised
 
 
 @st.composite
