@@ -140,7 +140,7 @@ def _build_intra_plan(cfg: ExperimentConfig, seq) -> IntraPlan | None:
     )
 
 
-def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
+def _load_attention_dir(path: Path, cfg: ExperimentConfig) -> list[AttentionRecord]:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise InvalidInput(f"missing attention files in {path}: no manifest.json")
@@ -148,9 +148,13 @@ def _load_attention_dir(path: Path, layers: int) -> list[AttentionRecord]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or nesting too deep
         raise SchemaError(f"{manifest_path}: not UTF-8 JSON ({exc})") from None
-    dumped = manifest.get("layers") if isinstance(manifest, dict) else None
+    if not isinstance(manifest, dict):
+        manifest = {}
+    layers, dumped = cfg.raw["model"]["layers"], manifest.get("layers")
     if dumped != layers:
         raise SchemaError(f"{manifest_path}: dump holds {dumped!r} layers, model.layers is {layers}")
+    if (stamped := manifest.get("layout_digest")) != (layout := cfg.layout_digest):
+        raise SchemaError(f"{manifest_path}: layout digest {stamped!r}, but sequence and intra give {layout!r}")
     records = []
     for layer in range(layers):
         stem = os.path.join(path, f"layer_{layer:04d}")
@@ -180,7 +184,7 @@ def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inj
     dumped: list[AttentionRecord] = []
     observer = dumped.append if dump_attention else None
     if inject_dir is not None:
-        records = _load_attention_dir(Path(inject_dir), cfg.raw["model"]["layers"])
+        records = _load_attention_dir(Path(inject_dir), cfg)
         trace = run_with_injected_attention(
             seq, records, cfg.schedule, cfg.tds, cfg.selector, intra,
             replay_seed=cfg.raw["model"]["seed"], observer=observer,
@@ -206,7 +210,7 @@ def _simulate_one(cfg: ExperimentConfig, out_dir: str, dump_attention: bool, inj
         for rec in dumped:
             tensorio.write_tensor(attn_dir / f"layer_{rec.layer:04d}.omtn", rec.values)
             tensorio.write_ids(attn_dir / f"layer_{rec.layer:04d}.ids", rec.col_ids)
-        manifest = {"config_digest": digest, "layers": len(dumped)}
+        manifest = {"config_digest": digest, "layers": len(dumped), "layout_digest": cfg.layout_digest}
         tensorio.write_artifact(attn_dir / "manifest.json", _json(manifest))
     return trace.digest
 

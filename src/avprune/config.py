@@ -91,6 +91,12 @@ def _member(kind, value: str, path: str):
         raise InvalidInput(f"{path}: must be one of {sorted(m.value for m in kind)}") from None
 
 
+def _digest(document: dict) -> str:
+    """16 hex characters of the sha256 of the document's canonical JSON."""
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment settings: the document as given plus its typed parts."""
@@ -149,12 +155,14 @@ class ExperimentConfig:
         selector = _member(Selector, raw["selector"], "selector")
         return ExperimentConfig(raw=raw, schedule=schedule, tds=tds, chunk=chunk, selector=selector)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-
     @property
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()[:16]
+        return _digest(self.raw)
+
+    @property
+    def layout_digest(self) -> str:
+        """Digest of the ``sequence`` and ``intra`` sections, which fix the tokens an attention dump spans."""
+        return _digest({section: self.raw[section] for section in ("sequence", "intra")})
 
     @property
     def workers(self) -> int:

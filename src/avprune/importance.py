@@ -115,8 +115,8 @@ def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int)
 
 def random_select(ids, k: int, rng: Rng) -> np.ndarray:
     """Ascending uniform sample of k ids without replacement; clamps oversized budgets."""
-    pool = np.array(ids, dtype=np.int64)
+    pool = np.array(ids, dtype=np.int64).tolist()  # list swaps cost a fraction of array ones
     k = min(max(k, 0), len(pool))
     for i, t in enumerate(rng.belows(len(pool) - np.arange(k)).tolist()):
         pool[i], pool[i + t] = pool[i + t], pool[i]
-    return np.sort(pool[:k])
+    return np.sort(np.array(pool[:k], dtype=np.int64))

@@ -12,15 +12,14 @@ for each level m; the stream is cut into lanes of ``_LANE`` consecutive
 draws, and the start states are found in log depth: the level-m jump of the
 first ``2**m`` starts gives the next ``2**m``. All lanes then step together
 as ``np.uint64`` arrays.
-Gaussians are Box-Muller over whole pairs of ``uniforms`` per call. The
-float64 stream keeps ``math.log`` per element, because numpy's float64
-``log`` has its own SIMD kernel, which differs from libm in the last bit on
-some inputs. numpy's float64 ``cos`` and ``sin`` loops call libm, so they
-take a whole block at once, as do ``sqrt`` and the products, which are exact
-IEEE operations. ``Rng.gaussians_f32``, which draws the toy decoder's float32
-weights, takes numpy's ``log`` too: a last-bit difference can change a
-float32 only near a rounding tie, and Ziv's rounding test finds those few
-draws and computes them again with ``math.log``.
+Draws of fewer than ``_MIN_LANES`` lanes take the scalar stream instead.
+Gaussians are Box-Muller over whole pairs of ``uniforms`` per call, a block
+at a time, with libm's ``log``, ``cos`` and ``sin``, as ``math`` gives them.
+numpy's float64 ``cos`` and ``sin`` loops call libm. Its float64 ``log`` has
+its own SIMD kernel, which differs from libm in the last bit on some inputs;
+``_exact_log`` steers it to the scalar loop, which calls libm. ``sqrt`` and
+the products are exact IEEE operations. ``Rng.gaussians_f32``, which draws
+the toy decoder's float32 weights, scales each float64 block and casts it.
 """
 
 from __future__ import annotations
@@ -38,12 +37,15 @@ _MASK64 = (1 << 64) - 1
 # over all lanes. 128 beat 64 and 256 on a belows() of 51,200 bounds and
 # drew the decoder's weights as fast as 256 (64 was slower).
 _LANE = 128
+# Fewest lanes for the lane kernel; smaller draws step next_u64(). The kernel
+# costs about 0.6 ms however few lanes run. In process on a 2-CPU host, 128
+# draws took 0.97 ms through it against 0.09 ms scalar, 512 took 0.58 against
+# 0.37, 1024 took 0.59 against 0.73 and 4096 took 0.64 against 4.24.
+_MIN_LANES = 8
 # States per jump-table gather: a (4, 32, 64) uint64 block is 64 KiB.
 _JUMP_BLOCK = 32
+# Uniform pairs per Box-Muller block; blocks bound its float64 temporaries.
 _BOX_MULLER_BLOCK = 8192
-# Relative half-width of the band around a scaled draw in which
-# Rng.gaussians_f32 computes it again with math.log.
-_TIE_BAND = 2.0**-36
 # pca2's power iteration: stop at 1 - |<w, v>| <= tol, give up after max_iter steps.
 _PCA_TOL = 1e-8
 _PCA_MAX_ITER = 1000
@@ -198,14 +200,13 @@ class Rng:
                 return x % n
 
     def _outputs(self, count: int) -> np.ndarray:
-        """``count`` next_u64() outputs as uint64: whole lanes in bulk, the tail scalar."""
-        lanes, tail = divmod(count, _LANE)
-        bulk = np.empty(0, dtype=np.uint64)
-        if lanes:
-            bulk, self._s = _lane_outputs(self._s, lanes)
-        if not tail:
-            return bulk
-        return np.concatenate((bulk, np.fromiter((self.next_u64() for _ in range(tail)), np.uint64, tail)))
+        """``count`` next_u64() outputs as uint64, whole lanes in bulk from ``_MIN_LANES`` lanes on."""
+        if count < _MIN_LANES * _LANE:
+            return np.fromiter((self.next_u64() for _ in range(count)), np.uint64, count)
+        bulk, self._s = _lane_outputs(self._s, count // _LANE)
+        if tail := count % _LANE:
+            bulk = np.concatenate((bulk, np.fromiter((self.next_u64() for _ in range(tail)), np.uint64, tail)))
+        return bulk
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` draws identical to repeated uniform(), as float64."""
@@ -248,31 +249,15 @@ class Rng:
     def gaussians_f32(self, count: int, scale: float) -> np.ndarray:
         """``(self.gaussians(count) * scale).astype(np.float32)``, byte for byte.
 
-        numpy's vectorised ``log`` gives every radius, and Ziv's rounding
-        test finds the draws whose float32 value it could change: a draw is
-        unsure when some value within a relative ``_TIE_BAND`` of its scaled
-        float64 value rounds to another float32, or when it is zero. Only
-        the pairs holding an unsure draw are computed again with
-        ``math.log``. numpy's ``log`` is within a few ulp (about 2**-50
-        relative) of libm's, far inside the band.
+        Each block is the float64 stream's, scaled, then cast into the float32 block.
         """
 
-        def rounded_pairs(u: np.ndarray, out: np.ndarray) -> None:
-            y = _box_muller(u, np.empty((len(u), 2)), _fast_log)
+        def scaled_pairs(u: np.ndarray, out: np.ndarray) -> None:
+            y = _box_muller(u, np.empty((len(u), 2)))
             y *= scale
-            # Rounding is monotone, so where both band edges round to one
-            # float32, so does every value between them.
-            lower = (y * (1.0 - _TIE_BAND)).astype(np.float32)
-            unsure = lower != (y * (1.0 + _TIE_BAND)).astype(np.float32)
-            unsure |= y == 0.0
-            redo = np.flatnonzero(unsure[:, 0] | unsure[:, 1])
-            if redo.size:
-                exact = _box_muller(u[redo], np.empty((redo.size, 2)))
-                exact *= scale
-                y[redo] = exact
             out[...] = y
 
-        return self._pairs("gaussians_f32", count, np.float32, rounded_pairs)
+        return self._pairs("gaussians_f32", count, np.float32, scaled_pairs)
 
     def _pairs(self, method: str, count: int, dtype, box_muller) -> np.ndarray:
         """The first ``count`` of ``box_muller(u, out)`` over ``ceil(count / 2)`` uniform pairs ``u``."""
@@ -281,24 +266,24 @@ class Rng:
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs).reshape(pairs, 2)
         out = np.empty((pairs, 2), dtype=dtype)
-        # Blocks bound the Python float list that math.log goes through.
         for lo in range(0, pairs, _BOX_MULLER_BLOCK):
             box_muller(u[lo : lo + _BOX_MULLER_BLOCK], out[lo : lo + _BOX_MULLER_BLOCK])
         return out.ravel()[:count]
 
 
-# Box-Muller's radius log: numpy's vectorised kernel for the float32 fast
-# pass, and per-element libm, which the float64 stream is defined by.
-_fast_log = np.log
-
-
 def _exact_log(u: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, u.tolist()), np.float64, len(u))
+    """libm's ``log`` of each of ``u``: numpy's float64 ``log`` takes its own SIMD
+    kernel for a forward-stepping output or one element, its libm loop otherwise."""
+    if len(u) == 1:
+        return np.array([math.log(u[0])])
+    out = np.empty(len(u))
+    np.log(u, out=out[::-1])
+    return out[::-1]
 
 
-def _box_muller(u: np.ndarray, out: np.ndarray, log=_exact_log) -> np.ndarray:
+def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gaussian pairs from uniform pairs ``u`` into ``out``, each radius from ``log(u[:, 0])``."""
-    radius = log(u[:, 0])
+    radius = _exact_log(u[:, 0])
     radius *= -2.0
     np.sqrt(radius, out=radius)
     theta = u[:, 1] * (2.0 * math.pi)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -449,14 +450,49 @@ class TestSimulate:
         return out / "attention"
 
     @pytest.mark.parametrize(
+        "override", ["sequence.seed=5", "sequence.d=16", "intra.enabled=true", "sequence.chunks=1"]
+    )
+    def test_replay_under_another_layout_exits_4_naming_the_manifest(self, capsys, tmp_path, default_dump, override):
+        # sequence.seed and sequence.d keep every count, so layer 0's column check cannot see them.
+        argv = ["simulate", "--out", str(tmp_path / "x"), "--inject", str(default_dump), "--set", override]
+        if override == "sequence.d=16":
+            argv += ["--set", "model.d=16"]
+        capsys.readouterr()
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {default_dump / 'manifest.json'}: layout digest ")
+        assert not any((tmp_path / "x").iterdir())
+
+    @pytest.mark.parametrize("stamp", [None, "1feea8ec49fc45a7", 7])
+    def test_manifest_without_the_layout_digest_exits_4(self, capsys, tmp_path, default_dump, stamp):
+        dump = tmp_path / "dump"
+        shutil.copytree(default_dump, dump)
+        manifest = json.loads((dump / "manifest.json").read_text(encoding="utf-8"))
+        manifest.pop("layout_digest")
+        if stamp is not None:
+            manifest["layout_digest"] = stamp
+        (dump / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simulate", "--out", str(tmp_path / "x"), "--inject", str(dump)]) == 4
+        assert f": layout digest {stamp!r}, but sequence and intra give " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "override, entering, settings",
         [("intra.enabled=true", 300, "chunks=2, intra=on"), ("sequence.chunks=1", 338, "chunks=1, intra=off")],
     )
     def test_replay_under_another_layout_names_layer_0(
         self, capsys, tmp_path, default_dump, override, entering, settings
     ):
+        # A manifest stamped with the other layout's digest gets past the
+        # manifest check; layer 0's columns still refuse the dump.
+        dump = tmp_path / "dump"
+        shutil.copytree(default_dump, dump)
+        manifest = json.loads((dump / "manifest.json").read_text(encoding="utf-8"))
+        key, value = override.split("=")
+        manifest["layout_digest"] = ExperimentConfig.resolve(overrides={key: json.loads(value)}).layout_digest
+        (dump / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
-        argv = ["simulate", "--out", str(tmp_path / "x"), "--set", override, "--inject", str(default_dump)]
+        argv = ["simulate", "--out", str(tmp_path / "x"), "--set", override, "--inject", str(dump)]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"error: layer 0: the attention columns (676) are not the {entering} ")

@@ -119,7 +119,7 @@ SCHEDULE_DOCUMENT = {"model": {"layers": 12}, "schedule": {"kind": "exponential"
 # Files of the default dump, then the reports over it, keyed by the file the
 # report is written to; these pin every text the CLI formats.
 DUMP_OUTPUTS = {
-    "attention/manifest.json": "c7ea72ca120a4753",
+    "attention/manifest.json": "36f447ef5a5a4462",
     "attention/layer_0000.omtn": "205982007b19ad62",
     "attention/layer_0000.ids": "1b61ceebc7cc01bb",
 }

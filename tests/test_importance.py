@@ -222,7 +222,7 @@ class TestRandomSelect:
 
 
 def scalar_random_select(ids, k, rng):
-    """The list-based selector the array version replaced: Fisher-Yates swaps on Python ints."""
+    """Fisher-Yates swaps on Python ints over the ids as given: the picks random_select must make."""
     pool = [int(i) for i in ids]
     k = min(max(k, 0), len(pool))
     for i, t in enumerate(rng.belows(len(pool) - np.arange(k)).tolist()):

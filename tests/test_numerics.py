@@ -18,7 +18,7 @@ from avprune import (
     splitmix64,
 )
 from avprune import numerics
-from avprune.numerics import _BOX_MULLER_BLOCK, _LANE, _jump_table
+from avprune.numerics import _BOX_MULLER_BLOCK, _LANE, _MIN_LANES, _exact_log, _jump_table, _lane_outputs
 
 
 class TestSplitmix:
@@ -77,11 +77,39 @@ def reference_gaussians(rng: Rng, count: int) -> np.ndarray:
     return np.array(draws[:count], dtype=np.float64)
 
 
+def rng_starting_with(x0: int) -> Rng:
+    """An ``Rng`` whose first next_u64() is ``x0``: the scrambler rotl(s1 * 5, 7) * 9 inverted."""
+    rng = Rng(0)
+    m = x0 * pow(9, -1, 1 << 64) % (1 << 64)
+    s1 = ((m >> 7) | (m << 57)) % (1 << 64) * pow(5, -1, 1 << 64) % (1 << 64)
+    rng._s[1] = s1
+    return rng
+
+
+def libm_log(u: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, u.tolist()), np.float64, len(u))
+
+
+def simd_log_misses() -> np.ndarray:
+    """Uniforms on which numpy's contiguous float64 ``log`` is not libm's ``log``."""
+    u = Rng(9).uniforms(200_000)
+    return u[np.log(u) != libm_log(u)]
+
+
 class TestGaussian:
     def test_first_draws_reproduce(self):
         first_two = Rng(0).gaussians(2)
         assert first_two.tobytes() == reference_gaussians(Rng(0), 2).tobytes()
         assert first_two.tolist() == pytest.approx([-0.014106797381248284, -1.0085864725210538])
+
+    def test_a_first_pair_whose_log_numpy_rounds_otherwise(self):
+        # gaussians(2) takes the log of one uniform, the case where numpy's SIMD
+        # kernel runs whatever the output's stride.
+        for u in simd_log_misses()[:50].tolist():
+            x0 = (round(u * 2**53) - 1) << 11
+            assert rng_starting_with(x0).uniform() == u
+            got = rng_starting_with(x0).gaussians(2)
+            assert got.tobytes() == reference_gaussians(rng_starting_with(x0), 2).tobytes()
 
     def test_moments_over_one_million_draws(self):
         draws = Rng(2024).gaussians(1_000_000)
@@ -142,6 +170,23 @@ class TestBulkDraws:
             bulk(theta, out=out[:, column])
             assert out[:, column].tobytes() == expected.tobytes()
 
+    def test_exact_log_is_libm_bit_for_bit(self):
+        # gaussians() takes the log of a block from numpy, the reference one at
+        # a time from math. numpy's contiguous float64 log misses libm's in the
+        # last bit on these inputs; _exact_log must not, at the short lengths
+        # a small draw makes, over a whole block and down the strided column
+        # of uniform pairs that Box-Muller passes.
+        misses = simd_log_misses()
+        assert misses.size >= 500
+        for n in (1, 2, 3):
+            for lo in range(0, misses.size - n + 1, n):
+                assert _exact_log(misses[lo : lo + n]).tobytes() == libm_log(misses[lo : lo + n]).tobytes()
+        block = np.resize(misses, _BOX_MULLER_BLOCK)
+        assert _exact_log(block).tobytes() == libm_log(block).tobytes()
+        column = np.stack((block, block[::-1]), axis=1)[:, 0]
+        assert _exact_log(column).tobytes() == libm_log(block).tobytes()
+        assert _exact_log(column[:1]).tobytes() == libm_log(block[:1]).tobytes()
+
     def test_jump_table_is_built_on_first_use_not_at_import(self):
         src = str(Path(avprune.__file__).parents[1])
         probe = (
@@ -155,7 +200,12 @@ class TestBulkDraws:
     @pytest.mark.parametrize("lanes", [1, 2, 3, 4, 5, 63, 64, 65, 129])
     def test_lane_starts_match_the_scalar_stream_at_the_doubling_seams(self, lanes):
         # Lane starts are filled in rounds of 1, 2, 4, ... lanes; these counts
-        # end a round exactly, one lane short of it or one past it.
+        # end a round exactly, one lane short of it or one past it. The kernel
+        # is called directly, as draws under _MIN_LANES lanes never reach it.
+        scalar = Rng(lanes)
+        x, after = _lane_outputs(list(scalar._s), lanes)
+        assert x.tolist() == [scalar.next_u64() for _ in range(lanes * _LANE)]
+        assert after == scalar._s
         n = lanes * _LANE + 37
         bulk, scalar = Rng(lanes), Rng(lanes)
         expected = np.array([scalar.uniform() for _ in range(n)])
@@ -166,6 +216,33 @@ class TestBulkDraws:
         ns = np.random.default_rng(lanes).integers(1, 2**63, size=n, dtype=np.int64)
         assert bulk.belows(ns).tolist() == [scalar.below(int(b)) for b in ns]
         assert bulk._s == scalar._s
+
+    @pytest.mark.parametrize("count", [_MIN_LANES * _LANE + d for d in (-2, -1, 0, 1)])
+    def test_draws_match_the_scalar_stream_at_the_lane_threshold(self, count):
+        # gaussians() draws whole pairs, so only its first count stays under
+        # the threshold; each belows() call rejects its first draw.
+        bulk, scalar = Rng(count), Rng(count)
+        expected = np.array([scalar.uniform() for _ in range(count)])
+        assert bulk.uniforms(count).tobytes() == expected.tobytes()
+        assert bulk._s == scalar._s
+        assert bulk.gaussians(count).tobytes() == reference_gaussians(scalar, count).tobytes()
+        assert bulk._s == scalar._s
+        bulk, scalar = rng_starting_with(2**64 - 1), rng_starting_with(2**64 - 1)
+        ns = [1000] * count
+        assert bulk.belows(ns).tolist() == [scalar.below(b) for b in ns]
+        assert bulk._s == scalar._s
+
+    def test_draws_under_the_lane_threshold_skip_the_lane_kernel(self, monkeypatch):
+        def fail(state, lanes):
+            raise AssertionError(f"lane kernel called for {lanes} lanes")
+
+        monkeypatch.setattr(numerics, "_lane_outputs", fail)
+        rng = Rng(5)
+        rng.uniforms(_MIN_LANES * _LANE - 1)
+        rng.belows([7] * (_MIN_LANES * _LANE - 1))
+        rng.gaussians(_MIN_LANES * _LANE - 2)
+        with pytest.raises(AssertionError, match=f"for {_MIN_LANES} lanes"):
+            rng.uniforms(_MIN_LANES * _LANE)
 
     def test_jump_tables_stay_small(self):
         _jump_table.cache_clear()
@@ -231,35 +308,10 @@ class TestGaussiansF32:
         with pytest.raises(InvalidInput, match=r"^gaussians_f32\(\) requires count >= 0, got -2$"):
             Rng(3).gaussians_f32(-2, 1.0)
 
-    def test_a_skewed_fast_log_changes_no_weight(self, monkeypatch):
-        # A fast log off by a relative 2**-38, far more than any libm or SIMD
-        # kernel, must stay inside the tie band. With the band at 0 the same
-        # skew must flip some weights at each count, odd and even, so these
-        # draws do reach the guard.
-        monkeypatch.setattr(numerics, "_fast_log", lambda u: np.log(u) * (1.0 + 2.0**-38))
-        scale = F32_SCALES[2]
-        expected = {(seed, n): exact_f32(Rng(seed), n, scale) for seed in range(3) for n in (344_064, 344_063)}
-        for (seed, n), want in expected.items():
-            assert Rng(seed).gaussians_f32(n, scale).tobytes() == want.tobytes()
-        monkeypatch.setattr(numerics, "_TIE_BAND", 0.0)
-        flipped = {n: 0 for n in (344_064, 344_063)}
-        for (seed, n), want in expected.items():
-            flipped[n] += int(np.count_nonzero(Rng(seed).gaussians_f32(n, scale) != want))
-        assert min(flipped.values()) >= 1
-
 
 # Bounds that never reject in practice, bounds in [2**62, 2**63) that reject
 # up to half of all draws, and bounds spread over the whole range.
 BELOW_RANGES = st.sampled_from([(1, 1000), (2**62, 2**63), (1, 2**63)])
-
-
-def rng_starting_with(x0: int) -> Rng:
-    """An ``Rng`` whose first next_u64() is ``x0``: the scrambler rotl(s1 * 5, 7) * 9 inverted."""
-    rng = Rng(0)
-    m = x0 * pow(9, -1, 1 << 64) % (1 << 64)
-    s1 = ((m >> 7) | (m << 57)) % (1 << 64) * pow(5, -1, 1 << 64) % (1 << 64)
-    rng._s[1] = s1
-    return rng
 
 
 class TestBelows:
