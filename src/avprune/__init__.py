@@ -7,7 +7,6 @@ decoder harness, and analytic cost diagnostics.
 """
 
 from .errors import (
-    ConvergenceFailure,
     DegenerateInput,
     Infeasible,
     InvalidInput,
@@ -21,7 +20,6 @@ from .harness import (
     sinusoidal_positions,
 )
 from .importance import (
-    ImportanceScores,
     Selector,
     TdsConfig,
     plain_select,
@@ -71,10 +69,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionRecord",
     "ChunkSpec",
-    "ConvergenceFailure",
     "CosineHistogram",
     "DegenerateInput",
-    "ImportanceScores",
     "Infeasible",
     "InterleavedSequence",
     "IntraPlan",

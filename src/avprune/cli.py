@@ -6,7 +6,9 @@ file and a malformed command line), 2 infeasible calibration, 3 I/O failure
 analyze/cost input that cannot be read or has no defined result, and a
 simulate layer whose attention breaks the map rules, named). All commands
 are deterministic given config and seeds; re-running overwrites outputs
-byte-identically.
+byte-identically. Each input format is read beside its writer (``tensorio``
+for tensors, id sidecars and traces, ``sequence.read_token_modalities`` for
+``tokens.jsonl``); this module maps their errors to exit codes.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import cache, partial
 from pathlib import Path
 from statistics import fmean
 
 from .config import ExperimentConfig, load_config_file
-from .errors import ConvergenceFailure, DegenerateInput, Infeasible, InvalidInput, SchemaError
+from .errors import DegenerateInput, Infeasible, InvalidInput, SchemaError
 from .harness import AttentionRecord, run_with_injected_attention, run_with_pruning
 from .importance import Selector
 from .intra import IntraPlan, make_intra_plan
@@ -35,7 +36,7 @@ from .schedule import (
     prune_ratio,
     retention_trace,
 )
-from .sequence import Modality
+from .sequence import read_token_modalities
 from . import tensorio
 
 EXIT_OK = 0
@@ -271,58 +272,12 @@ def _analyze_retention(args) -> str:
     return _retention_csv(trace, summary.get("config_digest", "none"))
 
 
-# A tokens.jsonl record exactly as TokenTable.jsonl writes it. A line this
-# matches is one JSON object with a known modality, so it skips json.loads;
-# every other line (the header included) is parsed as before. Integers follow
-# JSON's ASCII grammar and stop at 19 digits, far below the digit limit at
-# which int(), and so json.loads, raises.
-_INT = r"-?(?:0|[1-9][0-9]{0,18})"
-_TOKEN_LINE = re.compile(
-    rf'\{{"chunk_index": (?:{_INT}|null), "id": {_INT}, '
-    rf'"modality": "({"|".join(re.escape(m.value) for m in Modality)})", '
-    rf'"original_position": {_INT}\}}\n?'
-)
-
-
-def _read_token_modalities(path) -> list[Modality]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except ValueError as exc:  # bad UTF-8
-        raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
-    by_value, modalities = {m.value: m for m in Modality}, []
-    for number, line in enumerate(lines, 1):
-        if match := _TOKEN_LINE.fullmatch(line):
-            modalities.append(by_value[match[1]])
-            continue
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)  # one value per line: two, or half of one, is an error
-        except (ValueError, RecursionError) as exc:  # bad JSON, or nesting too deep
-            raise SchemaError(f"{path}: line {number}: not JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{path}: line {number}: token record is not a JSON object")
-        if "modality" in obj:
-            value = obj["modality"]
-            if not (isinstance(value, str) and value in by_value):
-                raise SchemaError(f"{path}: line {number}: unknown modality {value!r}")
-            modalities.append(by_value[value])
-        elif "config_digest" not in obj:
-            raise SchemaError(f"{path}: line {number}: token record without a modality")
-    return modalities
-
-
 def _analyze_cosine(args) -> str:
     emb = tensorio.read_tensor(args.embeddings)
-    modalities = _read_token_modalities(args.tokens)
-    if len(modalities) != emb.shape[0]:
-        raise SchemaError(
-            f"{args.tokens}: {len(modalities)} tokens for {emb.shape[0]} embedding rows"
-        )
-    hist = cosine_distribution(
-        emb, modalities, PairKind(args.pair), sample_cap=args.cap, rng=Rng(args.seed)
-    )
+    modality = read_token_modalities(args.tokens)
+    if len(modality) != emb.shape[0]:
+        raise SchemaError(f"{args.tokens}: {len(modality)} tokens for {emb.shape[0]} embedding rows")
+    hist = cosine_distribution(emb, modality, PairKind(args.pair), sample_cap=args.cap, rng=Rng(args.seed))
     edges = hist.bin_edges
     rows = (f"{edges[i]:.2f},{edges[i + 1]:.2f},{c}" for i, c in enumerate(hist.counts))
     return _csv(f"pair_kind={args.pair} pairs_used={hist.pairs_used}", "bin_lo,bin_hi,count", rows)
@@ -355,7 +310,7 @@ def cmd_analyze(args) -> int:
             raise SchemaError(f"--metric {args.metric} requires --{name}")
     try:
         report = _read_inputs(handlers[args.metric], args)
-    except (InvalidInput, DegenerateInput, ConvergenceFailure) as exc:  # too small, or no defined result
+    except (InvalidInput, DegenerateInput) as exc:  # too small, or no defined result
         raise SchemaError(f"{getattr(args, required[args.metric][0])}: {exc}") from None
     _emit(args.out, report)
     return EXIT_OK

@@ -218,9 +218,9 @@ def _pruning_loop(
             if effective is Selector.RANDOM:
                 pruned = random_select(columns.id, k_l, selector_rng)
             elif effective is Selector.TDS:
-                pruned = tds_select(query_importance(record.values, columns), k_l, tds, max_chunk)
+                pruned = tds_select(columns, query_importance(record.values), k_l, tds, max_chunk)
             else:
-                pruned = plain_select(query_importance(record.values, columns), k_l)
+                pruned = plain_select(columns, query_importance(record.values), k_l)
             tokens = tokens[_survivor_mask(tokens, pruned, layer)]
         records.append(
             LayerRecord(

@@ -28,26 +28,6 @@ class Selector(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ImportanceScores:
-    """Importance score per surviving audiovisual token of ``tokens``."""
-
-    tokens: TokenTable
-    scores: np.ndarray  # float64
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        if scores.shape != (len(self.tokens),):
-            raise InvalidInput("one score per token required")
-        if scores.size and not np.all(np.isfinite(scores)):
-            raise InvalidInput("importance scores must be finite")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class TdsConfig:
     """Diversity weight and the layer from which the TDS selector kicks in."""
 
@@ -61,12 +41,12 @@ class TdsConfig:
             raise InvalidInput("start_layer: must be >= 0")
 
 
-def query_importance(values: np.ndarray, columns: TokenTable) -> ImportanceScores:
-    """Column mean over the text rows of an attention map onto ``columns``."""
+def query_importance(values: np.ndarray) -> np.ndarray:
+    """Importance per column of an attention map: the float64 mean over its text rows."""
     values = np.asarray(values)
     if values.shape[0] == 0:
         raise InvalidInput("attention map has no text rows")
-    return ImportanceScores(tokens=columns, scores=values.mean(axis=0, dtype=np.float64))
+    return values.mean(axis=0, dtype=np.float64)
 
 
 def prune_count(n_audio: int, n_video: int, p_l: float) -> int:
@@ -76,24 +56,27 @@ def prune_count(n_audio: int, n_video: int, p_l: float) -> int:
     return int(np.floor((n_audio + n_video) * p_l))
 
 
-def _ascending(scores: ImportanceScores) -> np.ndarray:
+def _ascending(columns: TokenTable, scores: np.ndarray) -> np.ndarray:
     # Positions ordered by (score, id): the global lower-id-first tie rule.
-    return np.lexsort((scores.tokens.id, scores.scores))
+    if np.shape(scores) != (len(columns),):
+        raise InvalidInput(f"one score per token required, got {np.shape(scores)} for {len(columns)} tokens")
+    return np.lexsort((columns.id, scores))
 
 
-def plain_select(scores: ImportanceScores, k: int) -> np.ndarray:
-    """Ascending ids of the k lowest-importance tokens; ties prune the lower id first."""
-    if k > len(scores):
+def plain_select(columns: TokenTable, scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending ids of the k lowest-scoring tokens of ``columns``; ties prune the lower id first."""
+    order = _ascending(columns, scores)
+    if k > len(columns):
         warnings.warn(
-            f"pruning budget {k} exceeds the {len(scores)} surviving tokens; clamping",
+            f"pruning budget {k} exceeds the {len(columns)} surviving tokens; clamping",
             RuntimeWarning,
             stacklevel=2,
         )
-        k = len(scores)
-    return np.sort(scores.tokens.id[_ascending(scores)[: max(k, 0)]])
+        k = len(columns)
+    return np.sort(columns.id[order[: max(k, 0)]])
 
 
-def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int) -> np.ndarray:
+def tds_select(columns: TokenTable, scores: np.ndarray, k: int, cfg: TdsConfig, max_chunk: int) -> np.ndarray:
     """Ascending ids pruned by diversity-aware selection over a 2k candidate buffer.
 
     The key chunk is the one holding the highest-importance token; buffer
@@ -102,12 +85,13 @@ def tds_select(scores: ImportanceScores, k: int, cfg: TdsConfig, max_chunk: int)
     is the maximum chunk index of the full sequence; a single-chunk sequence
     (max_chunk = 0) degenerates to plain selection.
     """
-    k = min(k, len(scores))
-    ids, chunks, vals = scores.tokens.id, scores.tokens.chunk, scores.scores
+    ids, chunks, vals = columns.id, columns.chunk, np.asarray(scores, dtype=np.float64)
+    order = _ascending(columns, vals)
+    k = min(k, len(columns))
     if k <= 0:
         return np.empty(0, dtype=np.int64)
     key_chunk = chunks[np.lexsort((ids, -vals))[0]]
-    buffer = _ascending(scores)[: 2 * k]
+    buffer = order[: 2 * k]
     distance = np.abs(key_chunk - chunks[buffer]) / max_chunk if max_chunk > 0 else 0.0
     rescored = vals[buffer] + cfg.lambda_div * distance
     return np.sort(ids[buffer][np.lexsort((ids[buffer], rescored))[:k]])

@@ -148,13 +148,15 @@ def _sample_distinct(n_total: int, k: int, rng: Rng) -> np.ndarray:
 
 def cosine_distribution(
     embeddings: np.ndarray,
-    modalities,
+    modality: np.ndarray,
     pair_kind: PairKind,
     sample_cap: int = 100_000,
     rng: Rng | None = None,
 ) -> CosineHistogram:
     """Histogram of pairwise cosines for one pair kind (AA, VV, or AV).
 
+    ``modality`` holds each embedding row's ``Modality.code``, as
+    ``TokenTable.modality`` and ``read_token_modalities`` give it.
     All pairs are used when they fit under ``sample_cap``; otherwise a
     uniform sample of distinct pairs is drawn from ``rng``. A zero or
     non-finite row among those of the pair kind raises DegenerateInput.
@@ -164,9 +166,9 @@ def cosine_distribution(
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2:
         raise InvalidInput(f"embeddings must be one row per token, got a rank-{emb.ndim} tensor")
-    modalities = list(modalities)
-    audio = np.flatnonzero([m is Modality.AUDIO for m in modalities])
-    video = np.flatnonzero([m is Modality.VIDEO for m in modalities])
+    modality = np.asarray(modality)
+    audio = np.flatnonzero(modality == Modality.AUDIO.code)
+    video = np.flatnonzero(modality == Modality.VIDEO.code)
     need = {PairKind.AA: (audio,), PairKind.VV: (video,), PairKind.AV: (audio, video)}[pair_kind]
     for group in need:
         if len(group) < 2:

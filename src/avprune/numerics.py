@@ -1,5 +1,5 @@
 """Deterministic numeric kernel: seeded PRNG, Gaussian draws, and rank-2
-PCA via power iteration.
+PCA via power iteration (``np.linalg.eigh`` when it runs out of steps).
 
 The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateInput, InvalidInput
+from .errors import DegenerateInput, InvalidInput
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,7 +46,7 @@ _MIN_LANES = 8
 _JUMP_BLOCK = 32
 # Uniform pairs per Box-Muller block; blocks bound its float64 temporaries.
 _BOX_MULLER_BLOCK = 8192
-# pca2's power iteration: stop at 1 - |<w, v>| <= tol, give up after max_iter steps.
+# pca2's power iteration: stop at 1 - |<w, v>| <= tol; after max_iter steps, eigh takes over.
 _PCA_TOL = 1e-8
 _PCA_MAX_ITER = 1000
 
@@ -319,9 +319,9 @@ def _dominant_eigenpair(
     tol: float,
     max_iter: int,
     orthogonal_to: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float] | None:
+    # None when max_iter steps leave 1 - |<w, v>| above tol.
     v = _start_vector(mat, orthogonal_to)
-    residual = 1.0
     for _ in range(max_iter):
         w = mat @ v
         if orthogonal_to is not None:
@@ -336,14 +336,16 @@ def _dominant_eigenpair(
         if residual <= tol:
             lam = float(v @ (mat @ v))
             return v, lam
-    raise ConvergenceFailure("power iteration did not converge", residual)
+    return None
 
 
 def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
     """Project rows onto the top-2 principal axes of their sample covariance.
 
-    Power iteration with deflation; axes are sign-canonicalized (largest
-    component positive) and returned eigenvalues satisfy ev1 >= ev2 >= 0.
+    Power iteration with deflation; when either power iteration runs out of
+    steps, both axes and eigenvalues come from ``np.linalg.eigh`` of the same
+    covariance. Axes are sign-canonicalized (largest component positive) and
+    returned eigenvalues satisfy ev1 >= ev2 >= 0.
     A row with a NaN or infinite entry raises DegenerateInput naming it.
 
     Returns:
@@ -357,9 +359,15 @@ def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
         raise DegenerateInput(f"row {bad[0]} is not finite, so the principal axes are undefined")
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (x.shape[0] - 1)
-    v1, ev1 = _dominant_eigenpair(cov, _PCA_TOL, _PCA_MAX_ITER)
-    deflated = cov - ev1 * np.outer(v1, v1)
-    v2, ev2 = _dominant_eigenpair(deflated, _PCA_TOL, _PCA_MAX_ITER, orthogonal_to=v1)
+    first, second = _dominant_eigenpair(cov, _PCA_TOL, _PCA_MAX_ITER), None
+    if first is not None:
+        v1, ev1 = first
+        second = _dominant_eigenpair(cov - ev1 * np.outer(v1, v1), _PCA_TOL, _PCA_MAX_ITER, orthogonal_to=v1)
+    if second is None:
+        # Out of steps, as near-equal top eigenvalues leave it: both pairs from eigh instead.
+        evs, vecs = np.linalg.eigh(cov)
+        first, second = (vecs[:, -1], float(evs[-1])), (vecs[:, -2], float(evs[-2]))
+    (v1, ev1), (v2, ev2) = first, second
     ev1 = max(ev1, 0.0)
     ev2 = min(max(ev2, 0.0), ev1)
     axes = np.stack([_canonical_sign(v1), _canonical_sign(v2)], axis=1)

@@ -6,16 +6,20 @@ original stream position and never changes, so later pruning stages can
 always refer back to the unpruned layout.
 Embeddings are synthetic: each modality is a Gaussian cloud concentrated in
 its own subspace, standing in for real encoder outputs.
+The ``tokens.jsonl`` format lives here too: ``TokenTable.jsonl`` writes it
+and ``read_token_modalities`` reads its modality column back.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidInput
+from .errors import DegenerateInput, InvalidInput, SchemaError
 from .numerics import Rng
 
 
@@ -49,6 +53,17 @@ _JSONL_ROWS = [
     '{{"chunk_index": %s, "id": {1}, "modality": "%s", "original_position": {1}}}\n'
     % ("null" if m.is_text else "{0}", m.value) for m in MODALITIES
 ]
+# A tokens.jsonl record exactly as TokenTable.jsonl writes it. A line this
+# matches is one JSON object with a known modality, so it skips json.loads;
+# every other line (the header included) is parsed as before. Integers follow
+# JSON's ASCII grammar and stop at 19 digits, far below the digit limit at
+# which int(), and so json.loads, raises.
+_INT = r"-?(?:0|[1-9][0-9]{0,18})"
+_TOKEN_LINE = re.compile(
+    rf'\{{"chunk_index": (?:{_INT}|null), "id": {_INT}, '
+    rf'"modality": "({"|".join(re.escape(m.value) for m in MODALITIES)})", '
+    rf'"original_position": {_INT}\}}\n?'
+)
 
 
 @dataclass(frozen=True)
@@ -132,6 +147,41 @@ class TokenTable:
         return "".join(map(str.format, rows, self.chunk.tolist(), self.id.tolist()))
 
 
+def read_token_modalities(path) -> np.ndarray:
+    """The int8 ``Modality.code`` column of a ``tokens.jsonl`` file, one entry per token line.
+
+    Lines in ``TokenTable.jsonl``'s form take the regex; every other non-blank
+    line is parsed on its own as JSON. A malformed line is a SchemaError
+    naming the file and the line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except ValueError as exc:  # bad UTF-8
+        raise SchemaError(f"{path}: not UTF-8 JSON lines ({exc})") from None
+    code_of, codes = {m.value: m.code for m in MODALITIES}, []
+    for number, line in enumerate(lines, 1):
+        if match := _TOKEN_LINE.fullmatch(line):
+            codes.append(code_of[match[1]])
+            continue
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)  # one value per line: two, or half of one, is an error
+        except (ValueError, RecursionError) as exc:  # bad JSON, or nesting too deep
+            raise SchemaError(f"{path}: line {number}: not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}: line {number}: token record is not a JSON object")
+        if "modality" in obj:
+            value = obj["modality"]
+            if not (isinstance(value, str) and value in code_of):
+                raise SchemaError(f"{path}: line {number}: unknown modality {value!r}")
+            codes.append(code_of[value])
+        elif "config_digest" not in obj:
+            raise SchemaError(f"{path}: line {number}: token record without a modality")
+    return np.array(codes, dtype=np.int8)
+
+
 @dataclass(frozen=True)
 class ChunkSpec:
     """Per-chunk token counts for one fixed temporal window."""
@@ -194,14 +244,6 @@ class InterleavedSequence:
     @property
     def d(self) -> int:
         return int(self.embeddings.shape[1])
-
-    @property
-    def text_count(self) -> int:
-        return int(np.count_nonzero(self.tokens.is_text))
-
-    @property
-    def audiovisual_count(self) -> int:
-        return self.n - self.text_count
 
     @property
     def max_chunk_index(self) -> int:

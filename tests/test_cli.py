@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import avprune
-from avprune import LayerRecord, Modality, PruneTrace, TokenTable, apply_intra, cli, tensorio
+from avprune import LayerRecord, PruneTrace, cli, tensorio
 from avprune.cli import main
 from avprune.config import ExperimentConfig, load_config_file
 from avprune.schedule import _BISECTION_TOL
-from avprune.sequence import MODALITIES
+from avprune.sequence import read_token_modalities
 from tests.test_metrics import constant_retention_trace, zero_schedule_trace
 from tests.test_schedule import SOLVED_WITHOUT_A_CLOSED_FORM
 
@@ -621,29 +621,29 @@ class TestAnalyze:
         capsys.readouterr()
         seq = ExperimentConfig.resolve(load_config_file(small_config)).build_sequence()
         assert tokens.read_text().startswith('{"config_digest": ')
-        read = cli._read_token_modalities(tokens)
-        assert read == [MODALITIES[code] for code in seq.tokens.modality.tolist()]
-
-    def test_every_written_token_line_takes_the_fast_path(self):
-        # A line _TOKEN_LINE misses still reads, through json.loads, so only
-        # this catches the writer's form drifting away from the fast path.
-        tables = [ExperimentConfig.resolve(overrides=o).build_sequence().tokens for o in ({}, {"sequence.chunks": 4})]
-        cfg = ExperimentConfig.resolve(overrides={"intra.enabled": True})
-        seq = cfg.build_sequence()
-        tables.append(apply_intra(seq, cli._build_intra_plan(cfg, seq))[0].tokens)
-        assert len(tables[-1]) < len(seq.tokens)
-        video, query = Modality.VIDEO.code, Modality.QUERY_TEXT.code
-        tables.append(TokenTable(id=[2**63 - 1, 0], modality=[video, query], chunk=[2**63 - 1, -1]))
-        for tokens in tables:
-            lines = tokens.jsonl().splitlines(keepends=True)
-            assert len(lines) == len(tokens)
-            assert [line for line in lines if not cli._TOKEN_LINE.fullmatch(line)] == []
+        read = read_token_modalities(tokens)
+        assert read.dtype == np.int8 and read.tolist() == seq.tokens.modality.tolist()
 
     def test_recall_of_an_all_zero_map_exits_4(self, capsys, tmp_path):
         path = tmp_path / "zero.omtn"
         tensorio.write_tensor(path, np.zeros((3, 5), dtype=np.float32))
         assert main(["analyze", "--metric", "recall", "--attention", str(path)]) == 4
         assert f"error: {path}: attention submatrix has no mass" in capsys.readouterr().err
+
+    def test_pca_with_near_equal_eigenvalues_exits_0(self, capsys, tmp_path):
+        # The embeddings of simulate --set sequence.chunks=4 --set sequence.seed=908:
+        # the second and third eigenvalues, 0.09105 and 0.09081, leave the
+        # power iteration out of steps, and eigh gives both axes.
+        path, out = tmp_path / "embeddings.omtn", tmp_path / "pca.csv"
+        cfg = ExperimentConfig.resolve(overrides={"sequence.chunks": 4, "sequence.seed": 908})
+        tensorio.write_tensor(path, cfg.build_sequence().embeddings)
+        assert main(["analyze", "--metric", "pca", "--embeddings", str(path), "--out", str(out)]) == 0
+        emb = tensorio.read_tensor(path).astype(np.float64)
+        centered = emb - emb.mean(axis=0)
+        exact = np.linalg.eigvalsh(centered.T @ centered / (len(emb) - 1))[::-1]
+        header, columns, *rows = out.read_text().splitlines()
+        assert header == f"# eigenvalues={exact[0]:.9f},{exact[1]:.9f}" and columns == "axis1,axis2"
+        assert len(rows) == len(emb)
 
     def test_pca_of_a_nan_row_exits_4(self, capsys, tmp_path):
         path = tmp_path / "emb.omtn"

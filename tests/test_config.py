@@ -84,7 +84,7 @@ def test_builders_produce_consistent_objects():
     seq = cfg.build_sequence()
     model = cfg.build_model()
     assert seq.d == model.d == 16
-    assert seq.audiovisual_count == 12
+    assert seq.tokens.is_audiovisual.sum() == 12
     assert cfg.schedule.layers == model.layers == 4
 
 

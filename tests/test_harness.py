@@ -178,7 +178,7 @@ class TestRunWithPruning:
     def test_budgets_match_schedule_module(self):
         seq, model, sched = small_setup()
         trace = run_with_pruning(seq, model, sched, TDS)
-        n_av = seq.audiovisual_count
+        n_av = int(np.count_nonzero(seq.tokens.is_audiovisual))
         for rec in trace.layers:
             assert rec.n_audio + rec.n_video == n_av
             assert rec.k_l == prune_count(rec.n_audio, rec.n_video, prune_ratio(rec.layer, sched))
@@ -197,7 +197,7 @@ class TestRunWithPruning:
         text_ids = set(seq.tokens.id[seq.tokens.is_text].tolist())
         for rec in trace.layers:
             assert not (set(rec.pruned_ids) & text_ids)
-            assert rec.n_text == seq.text_count
+            assert rec.n_text == len(text_ids)
 
     def test_causal_zeros_and_row_sums(self):
         seq, model, sched = small_setup()
@@ -351,8 +351,8 @@ class TestInjectedAttention:
         bad = pruning[0].pruned_ids[0] if stray == "pruned-earlier" else seq.tokens.id.max() + 1
         plain_select, calls = harness.plain_select, []
 
-        def select(scores, k):
-            ids = plain_select(scores, k)
+        def select(columns, scores, k):
+            ids = plain_select(columns, scores, k)
             calls.append(k)
             if len(calls) > 1:  # from the second pruning layer on, one pick is the stray id
                 ids[0] = bad
@@ -460,7 +460,7 @@ class TestPruneTrace:
     def test_accounting_identity(self):
         seq, model, sched = small_setup()
         trace = run_with_pruning(seq, model, sched, TDS)
-        assert trace.total_pruned + trace.final_survivors == seq.audiovisual_count
+        assert trace.total_pruned + trace.final_survivors == np.count_nonzero(seq.tokens.is_audiovisual)
 
     def test_rejects_inconsistent_counts(self):
         bad = (self._record(0, 2, 4, 4), self._record(1, 0, 4, 4))  # missing the -2

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avprune import (
-    ImportanceScores,
     InvalidInput,
     Modality,
     Rng,
@@ -18,20 +17,19 @@ from avprune import (
 
 
 def make_map(values):
-    # Query-text rows over video columns of chunk 0: (values, columns).
-    values = np.asarray(values, dtype=np.float32)
-    return values, TokenTable.from_runs([(Modality.VIDEO, values.shape[1], 0)])
+    # Query-text rows of a float32 attention map.
+    return np.asarray(values, dtype=np.float32)
 
 
 def make_scores(scores, chunks=None):
-    # Video tokens with ids 0..n-1, one per score, in the given chunks.
+    # (columns, scores): video tokens with ids 0..n-1, one per score, in the given chunks.
     n = len(scores)
-    tokens = TokenTable(
+    columns = TokenTable(
         id=np.arange(n),
         modality=np.full(n, Modality.VIDEO.code),
         chunk=chunks if chunks is not None else np.zeros(n, dtype=int),
     )
-    return ImportanceScores(tokens=tokens, scores=np.asarray(scores, dtype=np.float64))
+    return columns, np.asarray(scores, dtype=np.float64)
 
 
 def picked(ids) -> list[int]:
@@ -43,22 +41,23 @@ def picked(ids) -> list[int]:
 
 class TestQueryImportance:
     def test_uniform_attention(self):
-        out = query_importance(*make_map(np.full((3, 5), 0.2)))
-        assert np.allclose(out.scores, 0.2)
+        out = query_importance(make_map(np.full((3, 5), 0.2)))
+        assert out.dtype == np.float64 and out.shape == (5,)
+        assert np.allclose(out, 0.2)
 
     def test_column_mean_oracle(self):
-        out = query_importance(*make_map([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]))
-        assert out.scores == pytest.approx([0.3, 0.45, 0.25])
+        out = query_importance(make_map([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]))
+        assert out == pytest.approx([0.3, 0.45, 0.25])
 
     def test_duplicated_rows_leave_scores_unchanged(self):
         rows = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]], dtype=np.float32)
-        once = query_importance(*make_map(rows))
-        twice = query_importance(*make_map(np.vstack([rows, rows])))
-        assert np.allclose(once.scores, twice.scores)
+        once = query_importance(make_map(rows))
+        twice = query_importance(make_map(np.vstack([rows, rows])))
+        assert np.allclose(once, twice)
 
     def test_zero_rows_rejected(self):
         with pytest.raises(InvalidInput):
-            query_importance(*make_map(np.zeros((0, 4), dtype=np.float32)))
+            query_importance(make_map(np.zeros((0, 4), dtype=np.float32)))
 
 
 class TestPruneCount:
@@ -78,25 +77,25 @@ class TestPruneCount:
 
 class TestPlainSelect:
     def test_empty_budget(self):
-        assert picked(plain_select(make_scores([0.5, 0.2]), 0)) == []
+        assert picked(plain_select(*make_scores([0.5, 0.2]), 0)) == []
 
     def test_lowest_scores_pruned(self):
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3])
-        assert picked(plain_select(scores, 2)) == [1, 4]
+        assert picked(plain_select(*scores, 2)) == [1, 4]
 
     def test_tie_break_prunes_lower_id(self):
-        assert picked(plain_select(make_scores([0.5, 0.5, 0.5, 0.5]), 2)) == [0, 1]
+        assert picked(plain_select(*make_scores([0.5, 0.5, 0.5, 0.5]), 2)) == [0, 1]
 
     def test_oversized_budget_clamps_with_warning(self):
         scores = make_scores([0.1, 0.2])
         with pytest.warns(RuntimeWarning):
-            assert picked(plain_select(scores, 5)) == [0, 1]
+            assert picked(plain_select(*scores, 5)) == [0, 1]
 
     @given(st.floats(min_value=-10, max_value=10))
     def test_constant_shift_invariance(self, shift):
         base = [0.9, 0.1, 0.2, 0.15, 0.05, 0.3]
-        assert picked(plain_select(make_scores(base), 3)) == picked(
-            plain_select(make_scores([s + shift for s in base]), 3)
+        assert picked(plain_select(*make_scores(base), 3)) == picked(
+            plain_select(*make_scores([s + shift for s in base]), 3)
         )
 
 
@@ -107,24 +106,24 @@ class TestTdsSelect:
         # c_max = chunk 0; candidates {4,1,3,2}; the distance bonus rescues
         # the temporally distant token 4, and the 0.25 tie prunes id 3.
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 0, 1, 1, 2, 2])
-        assert picked(tds_select(scores, 2, self.CFG, max_chunk=2)) == [1, 3]
+        assert picked(tds_select(*scores, 2, self.CFG, max_chunk=2)) == [1, 3]
 
     def test_lambda_zero_equals_plain(self):
         scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 0, 1, 1, 2, 2])
         cfg = TdsConfig(lambda_div=0.0, start_layer=0)
-        assert picked(tds_select(scores, 2, cfg, max_chunk=2)) == picked(plain_select(scores, 2))
+        assert picked(tds_select(*scores, 2, cfg, max_chunk=2)) == picked(plain_select(*scores, 2))
 
     def test_zero_budget(self):
-        assert picked(tds_select(make_scores([0.1]), 0, self.CFG, max_chunk=0)) == []
+        assert picked(tds_select(*make_scores([0.1]), 0, self.CFG, max_chunk=0)) == []
 
     def test_single_chunk_degenerates_to_plain(self):
         scores = make_scores([0.4, 0.1, 0.3, 0.2])
-        assert picked(tds_select(scores, 2, self.CFG, max_chunk=0)) == picked(plain_select(scores, 2))
+        assert picked(tds_select(*scores, 2, self.CFG, max_chunk=0)) == picked(plain_select(*scores, 2))
 
     def test_output_within_candidate_buffer(self):
-        scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 1, 2, 3, 4, 5])
-        pruned = tds_select(scores, 2, self.CFG, max_chunk=5)
-        buffer_ids = {scores.tokens.id[i] for i in np.argsort(scores.scores, kind="stable")[:4]}
+        columns, scores = make_scores([0.9, 0.1, 0.2, 0.15, 0.05, 0.3], chunks=[0, 1, 2, 3, 4, 5])
+        pruned = tds_select(columns, scores, 2, self.CFG, max_chunk=5)
+        buffer_ids = {columns.id[i] for i in np.argsort(scores, kind="stable")[:4]}
         assert set(picked(pruned)) <= buffer_ids and len(pruned) == 2
 
     def test_large_lambda_orders_by_distance(self):
@@ -134,13 +133,13 @@ class TestTdsSelect:
             [1.0, 0.01, 0.02, 0.03, 0.04], chunks=[0, 1, 2, 3, 4]
         )
         cfg = TdsConfig(lambda_div=100.0, start_layer=0)
-        pruned = tds_select(scores, 2, cfg, max_chunk=4)
+        pruned = tds_select(*scores, 2, cfg, max_chunk=4)
         # candidates are ids 1..4 (chunks 1..4); the two nearest to c_max=0 go
         assert picked(pruned) == [1, 2]
 
     def test_budget_clamped_to_survivors(self):
         scores = make_scores([0.3, 0.1], chunks=[0, 1])
-        assert picked(tds_select(scores, 10, self.CFG, max_chunk=1)) == [0, 1]
+        assert picked(tds_select(*scores, 10, self.CFG, max_chunk=1)) == [0, 1]
 
     @given(st.floats(min_value=-5, max_value=5))
     def test_constant_shift_invariance(self, shift):
@@ -148,8 +147,8 @@ class TestTdsSelect:
         # float shift can legitimately re-split, so gaps here are wide.
         base = [0.9, 0.1, 0.22, 0.16, 0.05, 0.3]
         chunks = [0, 0, 1, 1, 2, 2]
-        first = tds_select(make_scores(base, chunks), 2, self.CFG, max_chunk=2)
-        second = tds_select(make_scores([s + shift for s in base], chunks), 2, self.CFG, max_chunk=2)
+        first = tds_select(*make_scores(base, chunks), 2, self.CFG, max_chunk=2)
+        second = tds_select(*make_scores([s + shift for s in base], chunks), 2, self.CFG, max_chunk=2)
         assert picked(first) == picked(second)
 
 
@@ -190,10 +189,28 @@ class TestTdsAgainstBruteForce:
             lam = rng.uniform() * 0.5
             max_chunk = n_chunks - 1
             got = tds_select(
-                make_scores(scores, chunks), k, TdsConfig(lambda_div=lam, start_layer=0), max_chunk
+                *make_scores(scores, chunks), k, TdsConfig(lambda_div=lam, start_layer=0), max_chunk
             )
             expected = brute_force_tds(scores, chunks, ids, k, lam, max_chunk)
             assert picked(got) == sorted(expected)
+
+
+class TestScoreLength:
+    @pytest.mark.parametrize("n_scores", [0, 3, 5])
+    @pytest.mark.parametrize("select", [
+        lambda columns, scores, k: plain_select(columns, scores, k),
+        lambda columns, scores, k: tds_select(columns, scores, k, TdsConfig(0.2, 0), max_chunk=1),
+    ], ids=["plain", "tds"])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_one_score_per_token_or_invalid_input(self, select, n_scores, k):
+        columns, _ = make_scores([0.1, 0.2, 0.3, 0.4], chunks=[0, 0, 1, 1])
+        with pytest.raises(InvalidInput, match="one score per token"):
+            select(columns, np.linspace(0.0, 1.0, n_scores), k)
+
+    def test_a_score_matrix_is_invalid_input(self):
+        columns, scores = make_scores([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(InvalidInput, match="one score per token"):
+            plain_select(columns, scores[None, :], 1)
 
 
 class TestRandomSelect:

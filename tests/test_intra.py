@@ -207,7 +207,7 @@ class TestApplyIntra:
         pruned, report = apply_intra(seq, plan(np.random.default_rng(0).random(50)))
         assert report.audio_retained == 35
         assert report.combined_retention == pytest.approx(0.444, abs=0.002)
-        assert pruned.text_count == seq.text_count
+        assert np.count_nonzero(pruned.tokens.is_text) == np.count_nonzero(seq.tokens.is_text)
 
     def test_identity_settings(self):
         seq = build_sequence(1, [ChunkSpec(8, 4)], 1, 8, 0)
@@ -224,7 +224,7 @@ class TestApplyIntra:
         pruned, report = apply_intra(seq, plan(saliency))
         assert report.audio_retained == 7
         assert report.video_retained == 16
-        assert pruned.audiovisual_count == 23
+        assert np.count_nonzero(pruned.tokens.is_audiovisual) == 23
 
     def test_survivor_order_is_stable(self):
         seq = build_sequence(1, [ChunkSpec(8, 6), ChunkSpec(8, 6)], 2, 8, 5)

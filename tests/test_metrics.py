@@ -41,10 +41,15 @@ def scalar_sample_distinct(n_total, k, rng):
     return sorted(chosen)
 
 
-def scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=100_000, rng=None):
-    """Reference histogram, pair by pair: (counts, pairs_used)."""
-    audio = [i for i, m in enumerate(modalities) if m is Modality.AUDIO]
-    video = [i for i, m in enumerate(modalities) if m is Modality.VIDEO]
+def codes(modalities) -> np.ndarray:
+    """The int8 ``Modality.code`` column of a list of modalities."""
+    return np.array([m.code for m in modalities], dtype=np.int8)
+
+
+def scalar_cosine_distribution(emb, modality, pair_kind, sample_cap=100_000, rng=None):
+    """Reference histogram, pair by pair, over a ``Modality.code`` column: (counts, pairs_used)."""
+    audio = [i for i, m in enumerate(modality.tolist()) if m == Modality.AUDIO.code]
+    video = [i for i, m in enumerate(modality.tolist()) if m == Modality.VIDEO.code]
     read = audio + video
     unit = np.zeros_like(emb)
     unit[read] = emb[read] / np.linalg.norm(emb[read], axis=1)[:, None]
@@ -168,7 +173,7 @@ class TestRetentionPerModality:
 
 class TestCosineDistribution:
     def _modalities(self, n_audio, n_video):
-        return [Modality.AUDIO] * n_audio + [Modality.VIDEO] * n_video
+        return codes([Modality.AUDIO] * n_audio + [Modality.VIDEO] * n_video)
 
     def test_identical_vectors_single_bin(self):
         emb = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
@@ -222,7 +227,7 @@ class TestCosineDistribution:
     def test_insufficient_tokens(self):
         emb = np.ones((2, 3))
         with pytest.raises(InvalidInput):
-            cosine_distribution(emb, [Modality.AUDIO, Modality.VIDEO], PairKind.AA)
+            cosine_distribution(emb, codes([Modality.AUDIO, Modality.VIDEO]), PairKind.AA)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_undefined_rows_of_the_pair_kind_are_degenerate(self, bad):
@@ -244,7 +249,7 @@ class TestCosineDistribution:
 
 @st.composite
 def cosine_cases(draw):
-    """(embeddings, modalities, cap): interleaved modalities, duplicated rows and integer rows.
+    """(embeddings, modality codes, cap): interleaved modalities, duplicated rows and integer rows.
 
     Widths reach 2048. Groups of 1000+ rows take caps of 1-20, so a block's
     few picks spread over many Gram windows.
@@ -264,15 +269,15 @@ def cosine_cases(draw):
         emb[dst] = emb[src] * draw(st.sampled_from([1.0, 2.0, -1.0]))
     modalities = [Modality.AUDIO] * n_audio + [Modality.VIDEO] * n_video + [Modality.QUERY_TEXT] * n_text
     order = rng.permutation(len(modalities))
-    return emb, [modalities[i] for i in order], cap
+    return emb, codes(modalities)[order], cap
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=cosine_cases(), pair_kind=st.sampled_from(list(PairKind)), seed=st.integers(0, 2**64 - 1))
 def test_cosine_distribution_matches_the_scalar_loop(case, pair_kind, seed):
-    emb, modalities, cap = case
-    hist = cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
-    expected = scalar_cosine_distribution(emb, modalities, pair_kind, sample_cap=cap, rng=Rng(seed))
+    emb, modality, cap = case
+    hist = cosine_distribution(emb, modality, pair_kind, sample_cap=cap, rng=Rng(seed))
+    expected = scalar_cosine_distribution(emb, modality, pair_kind, sample_cap=cap, rng=Rng(seed))
     assert (hist.counts, hist.pairs_used) == expected
 
 
@@ -281,7 +286,7 @@ def test_cosine_distribution_matches_the_scalar_loop(case, pair_kind, seed):
 def test_the_exact_path_outside_the_gram_bound(monkeypatch, pair_kind, out_of_range):
     emb = np.round(np.random.default_rng(3).normal(size=(90, 12)) * 2.0)
     emb[~emb.any(axis=1), 0] = 1.0
-    modalities = [Modality.AUDIO, Modality.VIDEO, Modality.VIDEO] * 30
+    modalities = codes([Modality.AUDIO, Modality.VIDEO, Modality.VIDEO] * 30)
     if out_of_range == "width":
         monkeypatch.setattr(metrics, "_GRAM_MAX_D", 11)
     else:
@@ -296,7 +301,7 @@ def test_peak_memory_of_a_benchmark_sized_vv_pass(cap, bound_mib):
     # The analyze benchmark's VV layout: 1152 video rows of width 32. A Gram
     # over all the rows a block's picks span would take 10 MiB.
     emb = np.random.default_rng(5).normal(size=(1152 + 200, 32))
-    modalities = [Modality.VIDEO] * 1152 + [Modality.AUDIO] * 200
+    modalities = codes([Modality.VIDEO] * 1152 + [Modality.AUDIO] * 200)
     tracemalloc.start()
     try:
         hist = cosine_distribution(emb, modalities, PairKind.VV, sample_cap=cap, rng=Rng(1))

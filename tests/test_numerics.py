@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import avprune
 from avprune import (
-    ConvergenceFailure,
     DegenerateInput,
     InvalidInput,
     Rng,
@@ -396,6 +395,17 @@ class TestPca2:
         assert ev1 >= ev2 >= 0.0
         assert proj[:, 0].var() >= proj[:, 1].var()
 
+    def test_out_of_steps_takes_both_pairs_from_eigh(self, monkeypatch):
+        data = np.random.default_rng(9).normal(size=(40, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.2])
+        monkeypatch.setattr(numerics, "_PCA_MAX_ITER", 1)
+        proj, (ev1, ev2) = pca2(data)
+        centered = data - data.mean(axis=0)
+        evs, vecs = np.linalg.eigh(centered.T @ centered / (data.shape[0] - 1))
+        axes = np.stack([numerics._canonical_sign(vecs[:, -1]), numerics._canonical_sign(vecs[:, -2])], axis=1)
+        assert (ev1, ev2) == (evs[-1], evs[-2])
+        assert np.array_equal(proj, centered @ axes)
+        assert all(axis[np.argmax(np.abs(axis))] > 0 for axis in axes.T)
+
     def test_rejects_tiny_input(self):
         with pytest.raises(InvalidInput):
             pca2(np.zeros((2, 3)))
@@ -407,13 +417,3 @@ class TestPca2:
         data[11, 0] = bad
         with pytest.raises(DegenerateInput, match="row 6 is not finite"):
             pca2(data)
-
-    def test_convergence_failure_carries_residual(self):
-        # A rotation-like matrix defeats plain power iteration.
-        theta = 0.7
-        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        from avprune.numerics import _dominant_eigenpair
-
-        with pytest.raises(ConvergenceFailure) as err:
-            _dominant_eigenpair(rot, tol=1e-14, max_iter=50)
-        assert err.value.residual > 0.0

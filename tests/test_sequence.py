@@ -19,7 +19,9 @@ from avprune import (
     make_intra_plan,
     synth_embeddings,
 )
-from avprune.sequence import MODALITIES
+from avprune.cli import _build_intra_plan
+from avprune.config import ExperimentConfig
+from avprune.sequence import _TOKEN_LINE, MODALITIES
 
 
 def reference_records(tokens: TokenTable) -> list[dict]:
@@ -77,8 +79,8 @@ def test_full_size_chunks():
     chunks = [ChunkSpec(288, 50)] * 2
     seq = build_sequence(3, chunks, 5, 8, 1)
     assert seq.n == 684
-    assert seq.audiovisual_count == 676
-    assert seq.text_count == 8
+    assert np.count_nonzero(seq.tokens.is_audiovisual) == 676
+    assert np.count_nonzero(seq.tokens.is_text) == 8
 
 
 def test_deterministic_embeddings():
@@ -279,6 +281,22 @@ class TestTokensJsonl:
             '"original_position": 9223372036854775807}\n'
             '{"chunk_index": null, "id": 4, "modality": "query_text", "original_position": 4}\n'
         )
+
+
+    def test_every_written_token_line_takes_the_fast_path(self):
+        # A line _TOKEN_LINE misses still reads, through json.loads, so only
+        # this catches the writer's form drifting away from the fast path.
+        tables = [ExperimentConfig.resolve(overrides=o).build_sequence().tokens for o in ({}, {"sequence.chunks": 4})]
+        cfg = ExperimentConfig.resolve(overrides={"intra.enabled": True})
+        seq = cfg.build_sequence()
+        tables.append(apply_intra(seq, _build_intra_plan(cfg, seq))[0].tokens)
+        assert len(tables[-1]) < len(seq.tokens)
+        video, query = Modality.VIDEO.code, Modality.QUERY_TEXT.code
+        tables.append(TokenTable(id=[2**63 - 1, 0], modality=[video, query], chunk=[2**63 - 1, -1]))
+        for tokens in tables:
+            lines = tokens.jsonl().splitlines(keepends=True)
+            assert len(lines) == len(tokens)
+            assert [line for line in lines if not _TOKEN_LINE.fullmatch(line)] == []
 
 
 class TestInterleavedSequence:
