@@ -224,6 +224,9 @@ def pool_size(workers: int, runs: int) -> int:
 def cmd_simulate(args) -> int:
     if args.runs < 1:
         raise InvalidInput(f"--runs must be at least 1, got {args.runs}")
+    if args.inject is not None and args.runs > 1:
+        # Run i draws sequence.seed + i, so no dump's layout matches more than one run.
+        raise InvalidInput(f"--inject replays one dump, so it takes --runs 1, got --runs {args.runs}")
     cfg = _load_experiment(args)
     out = Path(args.out)
     if args.runs == 1:

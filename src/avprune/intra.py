@@ -37,12 +37,6 @@ class IntraReport:
     video_total: int
     video_retained: int
 
-    @property
-    def combined_retention(self) -> float:
-        total = self.audio_total + self.video_total
-        kept = self.audio_retained + self.video_retained
-        return kept / total if total else 1.0
-
 
 @dataclass(frozen=True)
 class IntraPlan:

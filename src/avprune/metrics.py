@@ -78,8 +78,7 @@ def _mass_share(flat: np.ndarray) -> float:
 
 def retention_per_modality(trace: PruneTrace) -> tuple[list[float], list[float]]:
     """Per-layer (audio, video) retention relative to the layer-0 counts."""
-    a0 = trace.initial_audio
-    v0 = trace.initial_video
+    a0, v0 = trace.layers[0].n_audio, trace.layers[0].n_video
     audio = [rec.n_audio / a0 if a0 else 1.0 for rec in trace.layers]
     video = [rec.n_video / v0 if v0 else 1.0 for rec in trace.layers]
     return audio, video

@@ -19,7 +19,7 @@ numpy's float64 ``cos`` and ``sin`` loops call libm. Its float64 ``log`` has
 its own SIMD kernel, which differs from libm in the last bit on some inputs;
 ``_exact_log`` steers it to the scalar loop, which calls libm. ``sqrt`` and
 the products are exact IEEE operations. ``Rng.gaussians_f32``, which draws
-the toy decoder's float32 weights, scales each float64 block and casts it.
+the toy decoder's float32 weights, scales the float64 stream and casts it once.
 """
 
 from __future__ import annotations
@@ -244,31 +244,20 @@ class Rng:
 
         Pair k gives draws 2k (cos) and 2k + 1 (sin); an odd count drops its last sin.
         """
-        return self._pairs("gaussians", count, np.float64, _box_muller)
-
-    def gaussians_f32(self, count: int, scale: float) -> np.ndarray:
-        """``(self.gaussians(count) * scale).astype(np.float32)``, byte for byte.
-
-        Each block is the float64 stream's, scaled, then cast into the float32 block.
-        """
-
-        def scaled_pairs(u: np.ndarray, out: np.ndarray) -> None:
-            y = _box_muller(u, np.empty((len(u), 2)))
-            y *= scale
-            out[...] = y
-
-        return self._pairs("gaussians_f32", count, np.float32, scaled_pairs)
-
-    def _pairs(self, method: str, count: int, dtype, box_muller) -> np.ndarray:
-        """The first ``count`` of ``box_muller(u, out)`` over ``ceil(count / 2)`` uniform pairs ``u``."""
         if count < 0:
-            raise InvalidInput(f"{method}() requires count >= 0, got {count}")
+            raise InvalidInput(f"gaussians() requires count >= 0, got {count}")
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs).reshape(pairs, 2)
-        out = np.empty((pairs, 2), dtype=dtype)
+        out = np.empty((pairs, 2))
         for lo in range(0, pairs, _BOX_MULLER_BLOCK):
-            box_muller(u[lo : lo + _BOX_MULLER_BLOCK], out[lo : lo + _BOX_MULLER_BLOCK])
+            _box_muller(u[lo : lo + _BOX_MULLER_BLOCK], out[lo : lo + _BOX_MULLER_BLOCK])
         return out.ravel()[:count]
+
+    def gaussians_f32(self, count: int, scale: float) -> np.ndarray:
+        """``(self.gaussians(count) * scale).astype(np.float32)``, byte for byte."""
+        y = self.gaussians(count)
+        y *= scale
+        return y.astype(np.float32)
 
 
 def _exact_log(u: np.ndarray) -> np.ndarray:
@@ -281,7 +270,7 @@ def _exact_log(u: np.ndarray) -> np.ndarray:
     return out[::-1]
 
 
-def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
     """Gaussian pairs from uniform pairs ``u`` into ``out``, each radius from ``log(u[:, 0])``."""
     radius = _exact_log(u[:, 0])
     radius *= -2.0
@@ -290,7 +279,6 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.cos(theta, out=out[:, 0])
     np.sin(theta, out=out[:, 1])
     out *= radius[:, None]
-    return out
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:

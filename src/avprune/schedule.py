@@ -105,8 +105,6 @@ def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -
     if not (0.0 < target_mean < r0):
         raise InvalidInput("target must lie strictly between 0 and r0")
     cfg = PruneScheduleConfig(p_init=0.0, p_final=0.0, t_mid=0.5, beta=beta, layers=layers)
-    if not (0.0 < r0 <= 1.0):
-        raise InvalidInput("r0 must lie in (0, 1]")
     half_mid = (layers // 2) // 2
     r2 = 2.0 * target_mean - r0
     closed = 1.0 - (r2 / r0) ** (1.0 / half_mid) if half_mid >= 1 and r2 > 0.0 else None

@@ -28,18 +28,6 @@ class LayerRecord:
     n_text: int
     selector: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "layer": self.layer,
-            "p_l": self.p_l,
-            "k_l": self.k_l,
-            "pruned_ids": list(self.pruned_ids),
-            "n_audio": self.n_audio,
-            "n_video": self.n_video,
-            "n_text": self.n_text,
-            "selector": self.selector,
-        }
-
     @staticmethod
     def from_json_obj(obj) -> "LayerRecord":
         """Record from a parsed JSON line; SchemaError names a missing or mistyped key."""
@@ -111,32 +99,12 @@ class PruneTrace:
                     raise RecordError(index, rule)
             pruned |= ids
 
-    @property
-    def initial_audio(self) -> int:
-        return self.layers[0].n_audio
-
-    @property
-    def initial_video(self) -> int:
-        return self.layers[0].n_video
-
-    @property
-    def final_survivors(self) -> int:
-        last = self.layers[-1]
-        return last.n_audio + last.n_video - last.k_l
-
-    @property
-    def total_pruned(self) -> int:
-        return sum(rec.k_l for rec in self.layers)
-
     def canonical_lines(self) -> tuple[str, ...]:
         return self._lines
 
     @cached_property  # a run writes the lines and reads the digest: serialize once
     def _lines(self) -> tuple[str, ...]:
-        return tuple(
-            json.dumps(rec.to_json_obj(), sort_keys=True, separators=(",", ":"))
-            for rec in self.layers
-        )
+        return tuple(json.dumps(vars(rec), sort_keys=True, separators=(",", ":")) for rec in self.layers)
 
     @cached_property
     def digest(self) -> str:

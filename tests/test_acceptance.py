@@ -88,7 +88,8 @@ def test_criterion_3_intra_pruning_arithmetic():
             audio_keep=0.7, video_prune_rate=0.8, frames_per_chunk=4, saliency=rng.uniforms(50)
         )
         _, report = apply_intra(seq, plan)
-        assert abs(report.combined_retention - 0.444) <= 0.002
+        kept = report.audio_retained + report.video_retained
+        assert abs(kept / (report.audio_total + report.video_total) - 0.444) <= 0.002
 
         one_window = rng.gaussians(40 * 6).reshape(4, 10, 6)
         retained = video_ttm(one_window, prune_rate=0.8)

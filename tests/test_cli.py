@@ -335,6 +335,16 @@ class TestSimulate:
         assert "--runs" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_inject_with_several_runs_exits_1_before_writing(self, capsys, small_config, tmp_path):
+        dump = tmp_path / "a"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "r")]
+        assert main([*argv, "--runs", "2", "--inject", str(dump / "attention")]) == 1
+        err = capsys.readouterr().err
+        assert "--inject" in err and "--runs 2" in err
+        assert not (tmp_path / "r").exists()
+
     def test_pool_size_is_capped_by_runs_and_cpus(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert cli.pool_size(workers=4, runs=3) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -24,7 +26,7 @@ from avprune import (
     run_with_injected_attention,
     run_with_pruning,
 )
-from avprune import harness
+from avprune import harness, tensorio
 from avprune.harness import _ROW_BLOCK, _apply_intra_plan, _forward_layer, sinusoidal_positions
 
 TDS = TdsConfig(lambda_div=0.2, start_layer=2)
@@ -460,7 +462,22 @@ class TestPruneTrace:
     def test_accounting_identity(self):
         seq, model, sched = small_setup()
         trace = run_with_pruning(seq, model, sched, TDS)
-        assert trace.total_pruned + trace.final_survivors == np.count_nonzero(seq.tokens.is_audiovisual)
+        last = trace.layers[-1]
+        total_pruned = sum(rec.k_l for rec in trace.layers)
+        final_survivors = last.n_audio + last.n_video - last.k_l
+        assert total_pruned + final_survivors == np.count_nonzero(seq.tokens.is_audiovisual)
+
+    @pytest.mark.parametrize("selector", list(Selector))
+    def test_lines_hold_exactly_the_record_fields(self, tmp_path, selector):
+        seq, model, sched = small_setup()
+        trace = run_with_pruning(seq, model, sched, TDS, selector)
+        assert any(rec.k_l for rec in trace.layers)
+        fields = {field.name for field in dataclasses.fields(LayerRecord)}
+        assert all(json.loads(line).keys() == fields for line in trace.canonical_lines())
+        tensorio.write_trace_jsonl(tmp_path / "trace.jsonl", trace, config_digest="cfg")
+        back, summary = tensorio.read_trace_jsonl(tmp_path / "trace.jsonl")
+        assert back.layers == trace.layers
+        assert summary["digest"] == trace.digest
 
     def test_rejects_inconsistent_counts(self):
         bad = (self._record(0, 2, 4, 4), self._record(1, 0, 4, 4))  # missing the -2

@@ -206,7 +206,8 @@ class TestApplyIntra:
         seq = build_sequence(2, [ChunkSpec(288, 50)], 3, 16, 11)
         pruned, report = apply_intra(seq, plan(np.random.default_rng(0).random(50)))
         assert report.audio_retained == 35
-        assert report.combined_retention == pytest.approx(0.444, abs=0.002)
+        kept = report.audio_retained + report.video_retained
+        assert kept / (report.audio_total + report.video_total) == pytest.approx(0.444, abs=0.002)
         assert np.count_nonzero(pruned.tokens.is_text) == np.count_nonzero(seq.tokens.is_text)
 
     def test_identity_settings(self):
@@ -214,7 +215,7 @@ class TestApplyIntra:
         pruned, report = apply_intra(seq, plan([0.1, 0.2, 0.3, 0.4], 1.0, 0.0))
         for column in ("id", "modality", "chunk"):
             assert np.array_equal(getattr(pruned.tokens, column), getattr(seq.tokens, column))
-        assert report.combined_retention == 1.0
+        assert (report.audio_retained, report.video_retained) == (report.audio_total, report.video_total)
 
     def test_composition_of_both_oracles(self):
         # One chunk: 10 audio (keep 7) + 40 video as one 4-frame window of

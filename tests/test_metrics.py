@@ -156,7 +156,7 @@ class TestRetentionPerModality:
         sched = PruneScheduleConfig(0.0, 0.3, 0.5, 20.0, 4)
         trace = run_with_injected_attention(seq, records, sched, TdsConfig(0.2, 99))
         audio, video = retention_per_modality(trace)
-        assert trace.total_pruned > 0
+        assert any(rec.k_l for rec in trace.layers)
         assert audio[-1] == 1.0  # audio untouched while video supply lasts
         assert video[-1] < 1.0
         assert all(v <= a for a, v in zip(audio, video))

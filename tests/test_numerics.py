@@ -2,6 +2,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -304,8 +305,26 @@ class TestGaussiansF32:
         assert got.tobytes() == exact_f32(Rng(4), 4, scale)[[0, 2, 3]].tobytes()
 
     def test_negative_count_rejected(self):
-        with pytest.raises(InvalidInput, match=r"^gaussians_f32\(\) requires count >= 0, got -2$"):
+        with pytest.raises(InvalidInput, match=r"^gaussians\(\) requires count >= 0, got -2$"):
             Rng(3).gaussians_f32(-2, 1.0)
+
+
+class TestBoxMullerBlocks:
+    # The decoder's draw count. Blocks bound the float64 temporaries: Box-Muller
+    # over the whole array at once peaks near 3.1 x 8 x count bytes.
+    @pytest.mark.parametrize(
+        "draw", [Rng.gaussians, lambda rng, count: rng.gaussians_f32(count, 0.17)], ids=["f64", "f32"]
+    )
+    def test_peak_stays_near_two_float64_arrays(self, draw):
+        count = 344_064
+        Rng(0).gaussians(count)  # builds the jump tables this count needs
+        tracemalloc.start()
+        try:
+            draw(Rng(1), count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * count
 
 
 # Bounds that never reject in practice, bounds in [2**62, 2**63) that reject
