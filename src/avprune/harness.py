@@ -146,8 +146,8 @@ class AttentionRecord:
             raise SchemaError(f"{where}: attention values form a rank-{values.ndim} tensor, not a matrix")
         if ids.shape != (values.shape[1],):
             raise SchemaError(f"{where}: {ids.size} ids for {values.shape[1]} columns")
-        # Sorted neighbours find a repeat about ten times faster than np.unique.
-        ordered = np.sort(ids)
+        # Sorted neighbours find a repeat about ten times faster than np.unique; written ids are sorted.
+        ordered = ids if np.all(ids[1:] > ids[:-1]) else np.sort(ids)
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise SchemaError(f"{where}: token id {repeated[0]} names more than one column")
@@ -169,14 +169,14 @@ class AttentionRecord:
         return record
 
 
-def _survivor_mask(tokens: TokenTable, pruned: np.ndarray, layer: int) -> np.ndarray:
-    """Keep mask of ``tokens`` without ``pruned``; an id that is not a survivor is InvalidInput."""
-    # Token ids ascend, so a binary search finds each pruned id's row.
-    at = np.searchsorted(tokens.id, pruned).clip(max=len(tokens) - 1)
-    stray = np.flatnonzero(tokens.id[at] != pruned)
+def _survivor_mask(columns: TokenTable, pruned: np.ndarray, layer: int) -> np.ndarray:
+    """Keep mask of the audiovisual survivors ``columns`` without ``pruned``; any other id is InvalidInput."""
+    # Token ids ascend, so a binary search finds each pruned id's column.
+    at = np.searchsorted(columns.id, pruned).clip(max=len(columns) - 1)
+    stray = np.flatnonzero(columns.id[at] != pruned)
     if stray.size:
-        raise InvalidInput(f"layer {layer}: selected token id {pruned[stray[0]]} is not a survivor")
-    keep = np.ones(len(tokens), dtype=bool)
+        raise InvalidInput(f"layer {layer}: selected token id {pruned[stray[0]]} is not an audiovisual survivor")
+    keep = np.ones(len(columns), dtype=bool)
     keep[at] = False
     return keep
 
@@ -201,19 +201,22 @@ def _pruning_loop(
     tokens = seq.tokens
     selector_rng = Rng(derive_seed(seed, 0x5E1EC7))
     max_chunk = seq.max_chunk_index
+    # The stream is [system | audiovisual | query], and only audiovisual tokens are ever pruned.
+    n_sys, n_query, n_audio = (tokens.count(m) for m in (Modality.SYSTEM_TEXT, Modality.QUERY_TEXT, Modality.AUDIO))
+    n_text, audio = n_sys + n_query, Modality.AUDIO.code
     records = []
     for layer in range(sched.layers):
-        rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
-        cols = np.flatnonzero(tokens.is_audiovisual)
-        record, columns = layer_map(layer, tokens, rows, cols), tokens[cols]
+        n = len(tokens)
+        # Index arrays, not slices: ``layer_map`` averages ``probs[:, rows]`` and must keep its bytes.
+        rows, cols = np.arange(n - n_query, n), np.arange(n_sys, n - n_query)
+        record, columns = layer_map(layer, tokens, rows, cols), tokens[n_sys : n - n_query]
         if observer is not None:
             observer(record)
-        n_audio, n_video = tokens.count(Modality.AUDIO), tokens.count(Modality.VIDEO)
-        n_text = len(tokens) - n_audio - n_video
+        n_video = n - n_text - n_audio
         p_l = prune_ratio(layer, sched)
         k_l = prune_count(n_audio, n_video, p_l)
         effective = Selector.PLAIN if selector is Selector.TDS and layer < tds.start_layer else selector
-        pruned = np.empty(0, dtype=np.int64)
+        pruned, pruned_audio = np.empty(0, dtype=np.int64), 0
         if k_l > 0:
             if effective is Selector.RANDOM:
                 pruned = random_select(columns.id, k_l, selector_rng)
@@ -221,7 +224,9 @@ def _pruning_loop(
                 pruned = tds_select(columns, query_importance(record.values), k_l, tds, max_chunk)
             else:
                 pruned = plain_select(columns, query_importance(record.values), k_l)
-            tokens = tokens[_survivor_mask(tokens, pruned, layer)]
+            keep = _survivor_mask(columns, pruned, layer)
+            pruned_audio = int(np.count_nonzero(columns.modality[~keep] == audio))
+            tokens = tokens[np.concatenate((np.ones(n_sys, dtype=bool), keep, np.ones(n_query, dtype=bool)))]
         records.append(
             LayerRecord(
                 layer=layer,
@@ -234,6 +239,7 @@ def _pruning_loop(
                 selector=effective.value,
             )
         )
+        n_audio -= pruned_audio
     return PruneTrace(layers=tuple(records))
 
 
@@ -311,6 +317,8 @@ def run_with_injected_attention(
         # The record checked its own rules; what is left depends on this run.
         rec = maps[layer]
         want = tokens.id[cols]  # ascending
+        if rec.values.shape[0] == len(rows) and np.array_equal(rec.col_ids, want):
+            return rec  # as dumped: exactly these columns, in this order
         order = np.argsort(rec.col_ids)
         have = rec.col_ids[order]
         if layer == 0 and not np.array_equal(have, want):

@@ -48,10 +48,10 @@ _IS_TEXT = np.array([m.is_text for m in MODALITIES])
 # Stream phase per modality code: system text 0, audiovisual 1, query text 2.
 _PHASE = np.array([0 if m is Modality.SYSTEM_TEXT else 2 if m.is_text else 1 for m in MODALITIES])
 _COLUMNS = ("id", "modality", "chunk")
-# A tokens.jsonl row per modality code, as a str.format template of (chunk, id).
+# A tokens.jsonl row per modality code, as a % template of (chunk, id, id), or (id, id) for text.
 _JSONL_ROWS = [
-    '{{"chunk_index": %s, "id": {1}, "modality": "%s", "original_position": {1}}}\n'
-    % ("null" if m.is_text else "{0}", m.value) for m in MODALITIES
+    '{"chunk_index": %s, "id": %%s, "modality": "%s", "original_position": %%s}\n'
+    % ("null" if m.is_text else "%s", m.value) for m in MODALITIES
 ]
 # A tokens.jsonl record exactly as TokenTable.jsonl writes it. A line this
 # matches is one JSON object with a known modality, so it skips json.loads;
@@ -143,8 +143,8 @@ class TokenTable:
 
     def jsonl(self) -> str:
         """``tokens.jsonl`` rows: a ``json.dumps(row, sort_keys=True)`` line per token, text chunk null."""
-        rows = [_JSONL_ROWS[m] for m in self.modality.tolist()]
-        return "".join(map(str.format, rows, self.chunk.tolist(), self.id.tolist()))
+        rows = zip(self.modality.tolist(), self.chunk.tolist(), self.id.tolist())
+        return "".join([_JSONL_ROWS[m] % ((i, i) if c < 0 else (c, i, i)) for m, c, i in rows])
 
 
 def read_token_modalities(path) -> np.ndarray:

@@ -54,9 +54,13 @@ def write_tensor(path, array) -> None:
     write_artifact(path, header + arr.tobytes(order="C"))
 
 
-def read_tensor(path) -> np.ndarray:
+def _read(path) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def read_tensor(path) -> np.ndarray:
+    data = _read(path)
     if data[:4] != MAGIC:
         raise SchemaError(f"{path}: bad magic {data[:4]!r}")
     if len(data) < 12:
@@ -88,8 +92,32 @@ def read_ids(path) -> np.ndarray:
     digits (enough for 2**63 - 1); only the part after the final newline may
     be empty.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        return _parse_ids(_read(path))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def read_id_sidecars(paths) -> list[np.ndarray] | None:
+    """``read_ids`` of every path in one parse, or None if a file cannot be read or is not as written.
+
+    ``write_ids`` ends every non-empty sidecar in a newline, so the joined
+    bytes of such files hold exactly their lines, in order, and pass the
+    grammar only if each file does. None hands the files to ``read_ids``,
+    one by one, for its errors.
+    """
+    try:
+        blobs = [_read(path) for path in paths]
+        if any(blob[-1:] not in (b"", b"\n") for blob in blobs):
+            return None
+        ids = _parse_ids(b"".join(blobs))
+    except (OSError, SchemaError):
+        return None
+    return np.split(ids, np.cumsum([blob.count(b"\n") for blob in blobs])[:-1])
+
+
+def _parse_ids(data: bytes) -> np.ndarray:
+    """The ids of sidecar bytes under ``read_ids``'s grammar; a break is a SchemaError without the path."""
     raw = np.frombuffer(data, dtype=np.uint8)
     kind = _ID_BYTE_KIND.take(raw)
     # Newline positions bound the lines; -1 and len(data) close the first and the last.
@@ -101,11 +129,11 @@ def read_ids(path) -> np.ndarray:
         or width.max() > 19
         or np.any(raw[bounds[:-1][width > 1] + 1] == ord("0"))
     ):
-        raise SchemaError(f"{path}: malformed id list (each line must be one decimal id)")
+        raise SchemaError("malformed id list (each line must be one decimal id)")
     # At most 19 digits a line, so every id fits in uint64 and the bound check sees it whole.
     ids = np.fromstring(data, dtype=np.uint64, sep="\n")
     if ids.max(initial=0) >= 2**63:
-        raise SchemaError(f"{path}: token ids must lie in [0, 2**63)")
+        raise SchemaError("token ids must lie in [0, 2**63)")
     return ids.astype(np.int64)
 
 

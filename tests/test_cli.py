@@ -428,6 +428,21 @@ class TestSimulate:
         assert main([*argv, "--inject", str(dump / "attention")]) == 1
         assert "missing attention files for layer 2 in" in capsys.readouterr().err
 
+    def test_dump_loads_in_one_sidecar_parse_as_layer_by_layer(self, monkeypatch, small_config, tmp_path):
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        cfg = ExperimentConfig.resolve(load_config_file(small_config), {})
+        read_ids, per_file = tensorio.read_ids, []
+        monkeypatch.setattr(tensorio, "read_ids", lambda path: per_file.append(path) or read_ids(path))
+        joined = cli._load_attention_dir(dump / "attention", cfg)
+        assert per_file == []
+        monkeypatch.setattr(tensorio, "read_id_sidecars", lambda paths: None)
+        layered = cli._load_attention_dir(dump / "attention", cfg)
+        assert len(per_file) == len(joined) == len(layered) == SMALL_CONFIG["model"]["layers"]
+        for a, b in zip(joined, layered):
+            assert a.layer == b.layer and a.col_ids.tolist() == b.col_ids.tolist()
+            assert a.values.tobytes() == b.values.tobytes()
+
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(
             capsys, "simulate", "--config", small_config, "--out", str(tmp_path / "w"),

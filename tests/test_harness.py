@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avprune import (
     AttentionRecord,
@@ -285,6 +286,64 @@ class TestInjectedAttention:
             for l in range(layers)
         ]
 
+    @staticmethod
+    def _count_takes(monkeypatch) -> list[int]:
+        """Record the layer of every ``AttentionRecord.take`` call from now on."""
+        take, layers = AttentionRecord.take, []
+
+        def counted(rec, cols):
+            layers.append(rec.layer)
+            return take(rec, cols)
+
+        monkeypatch.setattr(AttentionRecord, "take", counted)
+        return layers
+
+    @pytest.mark.parametrize(
+        "selector, intra",
+        [(Selector.TDS, False), (Selector.PLAIN, False), (Selector.RANDOM, False), (Selector.TDS, True)],
+        ids=["tds", "plain", "random", "intra"],
+    )
+    def test_own_dump_replays_as_dumped(self, monkeypatch, selector, intra):
+        # A run's own dump holds exactly each layer's entering columns, so replay reindexes none.
+        seq, model, sched = small_setup(chunks=[ChunkSpec(8, 4), ChunkSpec(8, 4)])
+        plan = None
+        if intra:
+            plan = make_intra_plan(seq, audio_keep=0.5, video_prune_rate=0.5, frames_per_chunk=4, seed=7)
+        dumped: list[AttentionRecord] = []
+        original = run_with_pruning(seq, model, sched, TDS, selector, plan, observer=dumped.append)
+        assert sum(rec.k_l > 0 for rec in original.layers) >= 2
+        takes, redumped = self._count_takes(monkeypatch), []
+        replayed = run_with_injected_attention(
+            seq, dumped, sched, TDS, selector, plan, replay_seed=model.seed, observer=redumped.append
+        )
+        assert replayed == original
+        assert takes == []
+        assert all(a is b for a, b in zip(dumped, redumped, strict=True))
+
+    def test_widened_records_replay_through_take(self, monkeypatch):
+        # Past layer 0, a record may hold columns no survivor needs; replay drops them.
+        seq, model, sched = small_setup()
+        dumped: list[AttentionRecord] = []
+        original = run_with_pruning(seq, model, sched, TDS, observer=dumped.append)
+        extra = seq.tokens.id.max() + 1  # no token's id
+        widened = [dumped[0]] + [
+            AttentionRecord(
+                layer=rec.layer,
+                col_ids=np.append(rec.col_ids, extra),
+                values=np.hstack([rec.values, np.zeros((rec.values.shape[0], 1), np.float32)]),
+            )
+            for rec in dumped[1:]
+        ]
+        takes, redumped = self._count_takes(monkeypatch), []
+        replayed = run_with_injected_attention(
+            seq, widened, sched, TDS, replay_seed=model.seed, observer=redumped.append
+        )
+        assert replayed == original
+        assert takes == [rec.layer for rec in widened[1:]]
+        for a, b in zip(dumped, redumped, strict=True):
+            assert np.array_equal(a.col_ids, b.col_ids) and b.col_ids.dtype == np.int64
+            assert a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()
+
     def test_round_trip_reproduces_digest(self):
         seq, model, sched = small_setup()
         dumped: list[AttentionRecord] = []
@@ -310,7 +369,7 @@ class TestInjectedAttention:
         )
         assert replayed.digest == original.digest
 
-    def test_shuffled_columns_replay_to_the_forward_digest(self):
+    def test_shuffled_columns_replay_to_the_forward_digest(self, monkeypatch):
         # Written dumps list columns in ascending id order; a record may list them in any.
         seq, model, sched = small_setup()
         dumped: list[AttentionRecord] = []
@@ -321,11 +380,12 @@ class TestInjectedAttention:
             perm = rng.permutation(rec.col_ids.size)
             shuffled.append(AttentionRecord(layer=rec.layer, col_ids=rec.col_ids[perm], values=rec.values[:, perm]))
             assert np.any(np.diff(shuffled[-1].col_ids) < 0)
-        redumped: list[AttentionRecord] = []
+        takes, redumped = self._count_takes(monkeypatch), []
         replayed = run_with_injected_attention(
             seq, shuffled, sched, TDS, replay_seed=model.seed, observer=redumped.append
         )
         assert replayed == original
+        assert takes == [rec.layer for rec in shuffled]
         for a, b in zip(dumped, redumped):
             assert np.array_equal(a.col_ids, b.col_ids)
             assert a.values.tobytes() == b.values.tobytes()
@@ -344,13 +404,19 @@ class TestInjectedAttention:
         with pytest.raises(SchemaError, match=f"^layer {layer}: no attention column for token id {first}$"):
             run_with_injected_attention(seq, records, sched, TDS, Selector.PLAIN)
 
-    @pytest.mark.parametrize("stray", ["pruned-earlier", "above-every-id"])
+    @pytest.mark.parametrize("stray", ["pruned-earlier", "above-every-id", "text-token"])
     def test_selected_non_survivor_is_invalid_input(self, monkeypatch, stray):
-        # The run must refuse it, not prune a neighbour or leave the survivors as they were.
+        # The run must refuse it at the layer that picked it, not prune a
+        # neighbour, a text token, or leave the survivors as they were.
         seq, model, sched = small_setup()
         pruning = [rec for rec in run_with_pruning(seq, model, sched, TDS, Selector.PLAIN).layers if rec.k_l]
         assert len(pruning) >= 2
-        bad = pruning[0].pruned_ids[0] if stray == "pruned-earlier" else seq.tokens.id.max() + 1
+        bad = {
+            "pruned-earlier": pruning[0].pruned_ids[0],
+            "above-every-id": seq.tokens.id.max() + 1,
+            "text-token": 0,  # a system token, which survives every layer
+        }[stray]
+        assert stray != "text-token" or seq.tokens.modality[bad] == Modality.SYSTEM_TEXT.code
         plain_select, calls = harness.plain_select, []
 
         def select(columns, scores, k):
@@ -361,7 +427,8 @@ class TestInjectedAttention:
             return np.sort(ids)
 
         monkeypatch.setattr(harness, "plain_select", select)
-        with pytest.raises(InvalidInput, match=f"^layer {pruning[1].layer}: selected token id {bad} is not a survivor$"):
+        message = f"^layer {pruning[1].layer}: selected token id {bad} is not an audiovisual survivor$"
+        with pytest.raises(InvalidInput, match=message):
             run_with_pruning(seq, model, sched, TDS, Selector.PLAIN)
 
     def test_uniform_attention_prunes_in_id_order(self):
@@ -444,6 +511,42 @@ class TestInjectedAttention:
         )
         with pytest.raises(SchemaError):
             run_with_injected_attention(seq, records, sched, TDS)
+
+
+def recounted(seq, trace) -> list[tuple[int, int, int]]:
+    """Each layer's entering (n_audio, n_video, n_text), recounted from the survivors the trace leaves."""
+    tokens, counts = seq.tokens, []
+    for rec in trace.layers:
+        n_audio, n_video = tokens.count(Modality.AUDIO), tokens.count(Modality.VIDEO)
+        counts.append((n_audio, n_video, len(tokens) - n_audio - n_video))
+        pruned = np.isin(tokens.id, rec.pruned_ids)
+        assert np.count_nonzero(pruned) == rec.k_l and not np.any(tokens.is_text[pruned])
+        tokens = tokens[~pruned]
+    return counts
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    sys_len=st.integers(0, 3),
+    query_len=st.integers(1, 3),
+    # (n_v, n_a) per chunk; n_v splits into 2 intra frames, and either count may be 0.
+    chunks=st.lists(
+        st.tuples(st.sampled_from([0, 2, 4, 6]), st.integers(0, 4)).filter(any), min_size=1, max_size=3
+    ),
+    selector=st.sampled_from(list(Selector)),
+    intra=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_carried_counts_match_a_recount(sys_len, query_len, chunks, selector, intra, seed):
+    seq = build_sequence(sys_len, [ChunkSpec(n_v, n_a) for n_v, n_a in chunks], query_len, 8, seed)
+    model = ToyDecoder(layers=6, heads=2, d=8, seed=seed + 1)
+    sched = PruneScheduleConfig(0.0, 0.6, 0.5, 20.0, 6)
+    plan = None
+    if intra:
+        plan = make_intra_plan(seq, audio_keep=0.5, video_prune_rate=0.5, frames_per_chunk=2, seed=seed)
+    trace = run_with_pruning(seq, model, sched, TDS, selector, plan)
+    layers = [(rec.n_audio, rec.n_video, rec.n_text) for rec in trace.layers]
+    assert layers == recounted(_apply_intra_plan(seq, plan), trace)
 
 
 class TestPruneTrace:

@@ -263,11 +263,8 @@ class TestBulkDraws:
         assert r._s == scalar._s
 
 
-# The decoder's draw count (28 layers at d=32), none, one pair, and one pair
-# either side of the end of the second Box-Muller block.
-F32_COUNTS = [0, 2, 2 * 2 * _BOX_MULLER_BLOCK - 2, 2 * 2 * _BOX_MULLER_BLOCK + 2, 344_064]
-# Scales 1/sqrt(d) of decoder widths 1, 9 and 32.
-F32_SCALES = [1.0 / math.sqrt(d) for d in (1, 9, 32)]
+# The scale 1/sqrt(d) of the default decoder width.
+F32_SCALE = 1.0 / math.sqrt(32)
 
 
 def exact_f32(rng: Rng, count: int, scale: float) -> np.ndarray:
@@ -276,31 +273,18 @@ def exact_f32(rng: Rng, count: int, scale: float) -> np.ndarray:
 
 
 class TestGaussiansF32:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        count=st.sampled_from(F32_COUNTS),
-        scale=st.sampled_from(F32_SCALES),
-    )
-    def test_matches_the_rounded_float64_stream(self, seed, count, scale):
-        fast, exact = Rng(seed), Rng(seed)
-        got = fast.gaussians_f32(count, scale)
-        assert got.dtype == np.float32
-        assert got.tobytes() == exact_f32(exact, count, scale).tobytes()
-        assert fast._s == exact._s
-
     @pytest.mark.parametrize("count", [1, 7, 2 * 2 * _BOX_MULLER_BLOCK + 1, 344_063])
     def test_odd_counts_take_whole_pairs(self, count):
         # An odd count takes ceil(count / 2) pairs, count + 1 uniforms, in both streams.
         fast, exact, scalar = Rng(count), Rng(count), Rng(count)
         scalar.uniforms(count + 1)
-        got = fast.gaussians_f32(count, F32_SCALES[2])
+        got = fast.gaussians_f32(count, F32_SCALE)
         assert fast._s == scalar._s
-        assert got.tobytes() == exact_f32(exact, count, F32_SCALES[2]).tobytes()
+        assert got.tobytes() == exact_f32(exact, count, F32_SCALE).tobytes()
         assert exact._s == scalar._s
 
     def test_each_call_starts_on_a_fresh_pair(self):
-        r, scale = Rng(4), F32_SCALES[2]
+        r, scale = Rng(4), F32_SCALE
         got = np.concatenate((r.gaussians_f32(1, scale), r.gaussians_f32(2, scale)))
         assert got.tobytes() == exact_f32(Rng(4), 4, scale)[[0, 2, 3]].tobytes()
 

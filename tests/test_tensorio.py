@@ -256,15 +256,15 @@ def test_read_ids_edges_match_the_grammar(tmp_path, blob):
     assert_reads_like_the_oracle(tmp_path / "edge.ids", blob)
 
 
-def test_read_ids_matches_the_grammar_on_sidecar_mutants(tmp_path):
-    # Layer 0's sidecar of a chunks=4 dump: every audiovisual id of the sequence.
+def sidecar_mutants(tmp_path) -> tuple[bytes, list[bytes]]:
+    """Layer 0's sidecar of a chunks=4 dump (every audiovisual id), and 400 copies with 1-3 byte edits."""
     tokens = ExperimentConfig.resolve({}, {"sequence.chunks": 4}).build_sequence().tokens
     tensorio.write_ids(tmp_path / "real.ids", tokens.id[tokens.is_audiovisual])
     real = (tmp_path / "real.ids").read_bytes()
     assert real.count(b"\n") == 1352
     alphabet = [bytes([c]) for c in b"0123456789\n x-\r"]
     rng = np.random.default_rng(25)
-    accepted = 0
+    mutants = []
     for _ in range(400):
         blob = bytearray(real)
         for _ in range(rng.integers(1, 4)):
@@ -276,9 +276,65 @@ def test_read_ids_matches_the_grammar_on_sidecar_mutants(tmp_path):
                 blob[at:at] = byte  # insert
             else:
                 del blob[at]
-        accepted += oracle_ids(bytes(blob)) is not None
-        assert_reads_like_the_oracle(tmp_path / "mutant.ids", bytes(blob))
+        mutants.append(bytes(blob))
+    return real, mutants
+
+
+def test_read_ids_matches_the_grammar_on_sidecar_mutants(tmp_path):
+    _, mutants = sidecar_mutants(tmp_path)
+    accepted = 0
+    for blob in mutants:
+        accepted += oracle_ids(blob) is not None
+        assert_reads_like_the_oracle(tmp_path / "mutant.ids", blob)
     assert 0 < accepted < 400  # both outcomes are exercised
+
+
+def assert_joined_read_is_read_ids_or_none(tmp_path, blobs):
+    """``read_id_sidecars`` gives ``read_ids``'s arrays if every file is as written, else None.
+
+    A ``None`` blob is a missing file. As written means present, valid and,
+    unless empty, ending in a newline.
+    """
+    paths = [tmp_path / f"layer_{i:04d}.ids" for i in range(len(blobs))]
+    for path, blob in zip(paths, blobs):
+        path.unlink(missing_ok=True)
+        if blob is not None:
+            path.write_bytes(blob)
+    joined = tensorio.read_id_sidecars(paths)
+    if all(blob is not None and blob[-1:] in (b"", b"\n") and oracle_ids(blob) is not None for blob in blobs):
+        assert joined is not None and len(joined) == len(paths)
+        for ids, path in zip(joined, paths):
+            assert ids.dtype == np.int64 and ids.tolist() == tensorio.read_ids(path).tolist()
+    else:
+        assert joined is None
+
+
+def test_joined_sidecar_read_matches_read_ids_on_mutants(tmp_path):
+    real, mutants = sidecar_mutants(tmp_path)
+    joined = 0
+    for blob in mutants:
+        joined += blob.endswith(b"\n") and oracle_ids(blob) is not None
+        assert_joined_read_is_read_ids_or_none(tmp_path, [real, blob, real[: real.index(b"\n") + 1]])
+        assert_joined_read_is_read_ids_or_none(tmp_path, [blob])
+    assert 0 < joined < 400  # both outcomes are exercised
+
+
+@pytest.mark.parametrize(
+    "blobs",
+    [
+        [b"", b"3\n4\n", b""],  # empty files hold no ids
+        [b""],
+        [b"3\n", None, b"5\n"],  # a missing file
+        [b"3\n4", b"5\n"],  # valid, but no final newline
+        [b"5\n", b"3\n4"],
+        [b"3\n", b"\n"],  # an empty line
+        [b"3\n", b"04\n"],
+        [b"1\n2\n", b"9223372036854775808\n"],  # past int64
+        [b"9223372036854775807\n", b"0\n"],
+    ],
+)
+def test_joined_sidecar_read_edges(tmp_path, blobs):
+    assert_joined_read_is_read_ids_or_none(tmp_path, blobs)
 
 
 @st.composite
