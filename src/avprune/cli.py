@@ -156,14 +156,13 @@ def _load_attention_dir(path: Path, cfg: ExperimentConfig) -> list[AttentionReco
         raise SchemaError(f"{manifest_path}: dump holds {dumped!r} layers, model.layers is {layers}")
     if (stamped := manifest.get("layout_digest")) != (layout := cfg.layout_digest):
         raise SchemaError(f"{manifest_path}: layout digest {stamped!r}, but sequence and intra give {layout!r}")
-    stems = [os.path.join(path, f"layer_{layer:04d}") for layer in range(layers)]
-    sidecars = tensorio.read_id_sidecars([f"{stem}.ids" for stem in stems])
     records = []
-    for layer, stem in enumerate(stems):
+    for layer in range(layers):
+        stem = os.path.join(path, f"layer_{layer:04d}")
         tensor_path, ids_path = f"{stem}.omtn", f"{stem}.ids"
         try:
             values = tensorio.read_tensor(tensor_path)
-            ids = tensorio.read_ids(ids_path) if sidecars is None else sidecars[layer]
+            ids = tensorio.read_ids(ids_path)
         except (FileNotFoundError, SchemaError) as exc:
             # A missing file outranks a malformed one: a bad tensor without its sidecar is a missing file.
             if isinstance(exc, FileNotFoundError) or not os.path.exists(ids_path):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +63,8 @@ def _ascending(columns: TokenTable, scores: np.ndarray) -> np.ndarray:
 
 
 def plain_select(columns: TokenTable, scores: np.ndarray, k: int) -> np.ndarray:
-    """Ascending ids of the k lowest-scoring tokens of ``columns``; ties prune the lower id first."""
-    order = _ascending(columns, scores)
-    if k > len(columns):
-        warnings.warn(
-            f"pruning budget {k} exceeds the {len(columns)} surviving tokens; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        k = len(columns)
-    return np.sort(columns.id[order[: max(k, 0)]])
+    """Ascending ids of the k lowest-scoring tokens of ``columns``, k clamped; ties prune the lower id first."""
+    return np.sort(columns.id[_ascending(columns, scores)[: max(k, 0)]])
 
 
 def tds_select(columns: TokenTable, scores: np.ndarray, k: int, cfg: TdsConfig, max_chunk: int) -> np.ndarray:

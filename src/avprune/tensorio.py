@@ -2,8 +2,9 @@
 
 Tensor format, bit-exact: magic "OMTN", then u32-LE version (=1), u32-LE
 rank, one u64-LE per dimension, then the data as little-endian IEEE-754
-float32 in row-major order. Id sidecars are plain text, one decimal token id
-per line in column order. Every file the package writes goes through
+float32 in row-major order. Id sidecars: magic "OMID", u32-LE version (=1),
+then one int64-LE token id per column in column order; the 8-byte header
+keeps the ids aligned. Every file the package writes goes through
 ``write_artifact``, so it appears whole or not at all.
 """
 
@@ -22,10 +23,7 @@ from .trace import LayerRecord, PruneTrace, RecordError
 
 MAGIC = b"OMTN"
 VERSION = 1
-# Sidecar byte kinds: 0 for any byte an id line cannot hold, 1 for a digit, 2 for a newline.
-_ID_BYTE_KIND = np.zeros(256, dtype=np.int8)
-_ID_BYTE_KIND[ord("0") : ord("9") + 1] = 1
-_ID_BYTE_KIND[ord("\n")] = 2
+_ID_HEADER = b"OMID" + struct.pack("<I", VERSION)
 
 
 def write_artifact(path, data: str | bytes) -> None:
@@ -82,59 +80,20 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_ids(path, ids) -> None:
-    write_artifact(path, "".join([f"{i}\n" for i in np.asarray(ids).tolist()]))
+    write_artifact(path, _ID_HEADER + np.asarray(ids, dtype="<i8").tobytes())
 
 
 def read_ids(path) -> np.ndarray:
-    """Int64 ids of a sidecar whose every line is the decimal form of one id; else SchemaError.
-
-    A line is a decimal id without sign, space or leading zero, of at most 19
-    digits (enough for 2**63 - 1); only the part after the final newline may
-    be empty.
-    """
-    try:
-        return _parse_ids(_read(path))
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-
-
-def read_id_sidecars(paths) -> list[np.ndarray] | None:
-    """``read_ids`` of every path in one parse, or None if a file cannot be read or is not as written.
-
-    ``write_ids`` ends every non-empty sidecar in a newline, so the joined
-    bytes of such files hold exactly their lines, in order, and pass the
-    grammar only if each file does. None hands the files to ``read_ids``,
-    one by one, for its errors.
-    """
-    try:
-        blobs = [_read(path) for path in paths]
-        if any(blob[-1:] not in (b"", b"\n") for blob in blobs):
-            return None
-        ids = _parse_ids(b"".join(blobs))
-    except (OSError, SchemaError):
-        return None
-    return np.split(ids, np.cumsum([blob.count(b"\n") for blob in blobs])[:-1])
-
-
-def _parse_ids(data: bytes) -> np.ndarray:
-    """The ids of sidecar bytes under ``read_ids``'s grammar; a break is a SchemaError without the path."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    kind = _ID_BYTE_KIND.take(raw)
-    # Newline positions bound the lines; -1 and len(data) close the first and the last.
-    bounds = np.concatenate(([-1], np.flatnonzero(kind == 2), [raw.size]))
-    width = np.diff(bounds) - 1
-    if (
-        not kind.all()
-        or width[:-1].min(initial=1) == 0
-        or width.max() > 19
-        or np.any(raw[bounds[:-1][width > 1] + 1] == ord("0"))
-    ):
-        raise SchemaError("malformed id list (each line must be one decimal id)")
-    # At most 19 digits a line, so every id fits in uint64 and the bound check sees it whole.
-    ids = np.fromstring(data, dtype=np.uint64, sep="\n")
-    if ids.max(initial=0) >= 2**63:
-        raise SchemaError("token ids must lie in [0, 2**63)")
-    return ids.astype(np.int64)
+    """The int64 ids of a sidecar; a SchemaError naming the file if it is not one as written."""
+    data = _read(path)
+    if data[:8] != _ID_HEADER:
+        raise SchemaError(f"{path}: not an OMID version 1 id sidecar (header {data[:8]!r})")
+    if len(data) % 8:
+        raise SchemaError(f"{path}: payload is not a whole number of int64 ids")
+    ids = np.frombuffer(data, dtype="<i8", offset=8).astype(np.int64)
+    if ids.min(initial=0) < 0:
+        raise SchemaError(f"{path}: token ids must lie in [0, 2**63)")
+    return ids
 
 
 def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:

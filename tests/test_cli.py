@@ -401,12 +401,25 @@ class TestSimulate:
         dump = tmp_path / "dump"
         assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
         ids_path = dump / "attention" / "layer_0002.ids"
-        ids = ids_path.read_text().splitlines()
-        ids_path.write_text("".join(f"{i}\n" for i in [big, *ids[1:]]))
+        blob = ids_path.read_bytes()
+        # The first id as u64: 2**63 or more reads as a negative int64.
+        ids_path.write_bytes(blob[:8] + np.array([int(big)], "<u8").tobytes() + blob[16:])
         capsys.readouterr()
         argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
         assert main(argv + ["--inject", str(dump / "attention")]) == 4
         assert "layer_0002.ids: token ids must lie in [0, 2**63)" in capsys.readouterr().err
+
+    def test_text_sidecar_exits_4(self, capsys, small_config, tmp_path):
+        # Sidecars were once one decimal id per line; such a dump is refused, not misread.
+        dump = tmp_path / "dump"
+        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
+        ids_path = dump / "attention" / "layer_0002.ids"
+        ids_path.write_text("".join(f"{i}\n" for i in tensorio.read_ids(ids_path).tolist()))
+        capsys.readouterr()
+        argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
+        assert main(argv + ["--inject", str(dump / "attention")]) == 4
+        err = capsys.readouterr().err
+        assert "layer_0002.ids: not an OMID version 1 id sidecar" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("gone", ["layer_0005.ids", "layer_0005.omtn"])
     def test_missing_layer_file_exits_1(self, capsys, small_config, tmp_path, gone):
@@ -427,21 +440,6 @@ class TestSimulate:
         argv = ["simulate", "--config", small_config, "--out", str(tmp_path / "x")]
         assert main([*argv, "--inject", str(dump / "attention")]) == 1
         assert "missing attention files for layer 2 in" in capsys.readouterr().err
-
-    def test_dump_loads_in_one_sidecar_parse_as_layer_by_layer(self, monkeypatch, small_config, tmp_path):
-        dump = tmp_path / "dump"
-        assert main(["simulate", "--config", small_config, "--out", str(dump), "--dump-attention"]) == 0
-        cfg = ExperimentConfig.resolve(load_config_file(small_config), {})
-        read_ids, per_file = tensorio.read_ids, []
-        monkeypatch.setattr(tensorio, "read_ids", lambda path: per_file.append(path) or read_ids(path))
-        joined = cli._load_attention_dir(dump / "attention", cfg)
-        assert per_file == []
-        monkeypatch.setattr(tensorio, "read_id_sidecars", lambda paths: None)
-        layered = cli._load_attention_dir(dump / "attention", cfg)
-        assert len(per_file) == len(joined) == len(layered) == SMALL_CONFIG["model"]["layers"]
-        for a, b in zip(joined, layered):
-            assert a.layer == b.layer and a.col_ids.tolist() == b.col_ids.tolist()
-            assert a.values.tobytes() == b.values.tobytes()
 
     def test_missing_inject_dir_exits_1(self, capsys, small_config, tmp_path):
         code, _ = run_cli(

@@ -65,16 +65,12 @@ def test_ids_round_trip(tmp_path):
     ids = tensorio.read_ids(path)
     assert ids.dtype == np.int64 and ids.tolist() == [3, 1, 41, 0]
     tensorio.write_ids(path, np.array([2**63 - 1, 5], dtype=np.int64))
-    assert path.read_text() == "9223372036854775807\n5\n"
+    assert path.read_bytes() == b"OMID" + struct.pack("<Iqq", 1, 2**63 - 1, 5)
     assert tensorio.read_ids(path).tolist() == [2**63 - 1, 5]
-    path.write_bytes(b"")
+    tensorio.write_ids(path, [])
+    assert path.read_bytes() == b"OMID\x01\x00\x00\x00"
     empty = tensorio.read_ids(path)
     assert empty.dtype == np.int64 and empty.shape == (0,)
-    # One decimal id per line: no other character, no sign, no leading zero, no empty line.
-    for text in ("1\nx\n", "1_0\n+3\n 4 5\n", "1_0\n", "+3\n", " 4\n", "4 5\n", "4\r\n", "\n", "1\n\n2\n", "007\n"):
-        path.write_bytes(text.encode())
-        with pytest.raises(SchemaError, match="cols.ids"):
-            tensorio.read_ids(path)
 
 
 def _trace():
@@ -128,10 +124,11 @@ def test_rank_beyond_numpy_is_schema_error(tmp_path):
 
 
 def test_ids_out_of_int64_range(tmp_path):
+    # An id of 2**63 or more, written as u64, reads as a negative int64.
     path = tmp_path / "cols.ids"
-    for text in ("-1\n", f"{2**63}\n", "9999999999999999999\n", f"4\n{2**63}\n"):
-        path.write_text(text)
-        with pytest.raises(SchemaError, match="cols.ids"):
+    for ids in ([2**63], [2**64 - 1], [4, 2**63]):
+        path.write_bytes(b"OMID" + struct.pack(f"<I{len(ids)}Q", 1, *ids))
+        with pytest.raises(SchemaError, match=r"cols.ids: token ids must lie in \[0, 2\*\*63\)"):
             tensorio.read_ids(path)
 
 
@@ -151,16 +148,6 @@ JSON_VALUES = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=8), kids, max_size=3),
     max_leaves=6,
 )
-
-# Decimal ids mixed with lines that int() would also take: signs, spaces, "_", "\r", leading zeros;
-# and ids around the int64 and uint64 limits.
-ID_LINES = st.lists(
-    st.integers().map(str)
-    | st.integers(2**63 - 2, 2**63 + 1).map(str)
-    | st.integers(10**19 - 2, 2**64 + 1).map(str)
-    | st.text("0123456789+-_ \t\r", max_size=4),
-    max_size=5,
-).map(lambda lines: "\n".join(lines).encode())
 
 # Values of the right JSON type for each trace key that may still break a trace rule.
 RULE_VALUES = {
@@ -209,132 +196,66 @@ def test_read_tensor_fuzz(tmp_path, blob):
         assert out.shape == struct.unpack_from(f"<{rank}Q", blob, 12)
 
 
-# The id sidecar grammar as a regex: decimal ids without sign, space or leading
-# zero, one per line; 19 digits hold 2**63 - 1.
-ID_GRAMMAR = re.compile(rb"(?:(?:0|[1-9][0-9]{0,18})\n)*(?:0|[1-9][0-9]{0,18})?")
+HEADER = b"OMID" + struct.pack("<I", 1)
 
 
-def oracle_ids(blob: bytes) -> list[int] | None:
-    """The ids a sidecar holds by the grammar and the int64 range, or None if it is malformed."""
-    if not ID_GRAMMAR.fullmatch(blob):
+def sidecar_ids(blob: bytes) -> list[int] | None:
+    """The ids a sidecar holds by its format, unpacked one by one, or None if it is malformed."""
+    if blob[:8] != HEADER or len(blob) % 8:
         return None
-    ids = [int(line) for line in blob.split()]
-    return ids if max(ids, default=0) < 2**63 else None
+    ids = [struct.unpack_from("<q", blob, at)[0] for at in range(8, len(blob), 8)]
+    return ids if min(ids, default=0) >= 0 else None
 
 
-def assert_reads_like_the_oracle(path, blob):
+def assert_reads_as_the_format(path, blob) -> bool:
+    """``read_ids`` gives exactly the payload's int64 ids, or a SchemaError naming the file; True if it read."""
     path.write_bytes(blob)
-    expected = oracle_ids(blob)
+    expected = sidecar_ids(blob)
     if expected is None:
         with pytest.raises(SchemaError, match=re.escape(str(path))):
             tensorio.read_ids(path)
-    else:
-        out = tensorio.read_ids(path)
-        assert out.dtype == np.int64 and out.ndim == 1 and out.tolist() == expected
+        return False
+    out = tensorio.read_ids(path)
+    assert out.dtype == np.int64 and out.ndim == 1
+    assert out.tolist() == expected == np.frombuffer(blob[8:], "<i8").tolist()
+    return True
+
+
+# Well-formed headers over any payload, ids near the sign bit, and other versions.
+SIDECARS = st.builds(
+    lambda head, ids, tail: head + struct.pack(f"<{len(ids)}q", *ids) + tail,
+    st.just(HEADER) | st.builds(lambda v: b"OMID" + struct.pack("<I", v), st.integers(0, 2**32 - 1)),
+    st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(2**63 - 2, 2**63 - 1) | st.integers(-2, 2), max_size=5),
+    st.binary(max_size=9),
+)
 
 
 @FUZZ
-@given(blob=st.binary(max_size=64) | ID_LINES)
+@given(blob=SIDECARS | st.binary(max_size=64))
 def test_read_ids_fuzz(tmp_path, blob):
-    assert_reads_like_the_oracle(tmp_path / "fuzz.ids", blob)
-    ids = oracle_ids(blob)
-    if ids is not None:
-        lines = blob.split(b"\n")
-        assert lines == [str(i).encode() for i in ids] + [b""] * (len(lines) > len(ids))
+    assert_reads_as_the_format(tmp_path / "fuzz.ids", blob)
 
 
-ID_EDGES = [
-    b"", b"0", b"0\n", b"00", b"01", b"\n", b"1\n\n",
-    b"9" * 19 + b"\n", b"1" + b"0" * 19 + b"\n", b"1" * 19, b"9" * 20,
-    *(str(v).encode() + b"\n" for v in (2**63 - 1, 2**63, 2**64 - 1, 2**64)),
-    b"12\n7", b"12\r\n7\r\n", b"12\n\xc3\xa9\n", b"12\n\xff\n",
-]
+def sidecar_mutants(real: bytes) -> list[bytes]:
+    """Copies of ``real``, cut inside or at the end of the header, lengthened, or with one byte or field broken."""
+    mutants = [real[:n] for n in range(9)]  # a short header, then no ids
+    mutants += [real + bytes(range(1, n + 1)) for n in range(1, 8)]  # a partial id
+    at = [*range(8), 8, 15, len(real) // 2, len(real) - 1]  # the header, the first id's low and sign bytes, ...
+    mutants += [real[:i] + bytes([real[i] ^ 0xFF]) + real[i + 1 :] for i in at]
+    mutants += [b"OMTN" + real[4:], real[:4] + struct.pack("<I", 2) + real[8:], real[:4] + b"\xff" * 4 + real[8:]]
+    # The sign bit set in the first, a middle and the last id.
+    mutants += [real[:i] + bytes([real[i] | 0x80]) + real[i + 1 :] for i in (15, len(real) // 2 + 7, len(real) - 1)]
+    return mutants
 
 
-@pytest.mark.parametrize("blob", ID_EDGES, ids=[repr(b)[2:-1][:24] for b in ID_EDGES])
-def test_read_ids_edges_match_the_grammar(tmp_path, blob):
-    assert_reads_like_the_oracle(tmp_path / "edge.ids", blob)
-
-
-def sidecar_mutants(tmp_path) -> tuple[bytes, list[bytes]]:
-    """Layer 0's sidecar of a chunks=4 dump (every audiovisual id), and 400 copies with 1-3 byte edits."""
+def test_read_ids_on_mutants_of_a_real_sidecar(tmp_path):
+    # Layer 0's sidecar of a chunks=4 dump holds every audiovisual id.
     tokens = ExperimentConfig.resolve({}, {"sequence.chunks": 4}).build_sequence().tokens
     tensorio.write_ids(tmp_path / "real.ids", tokens.id[tokens.is_audiovisual])
     real = (tmp_path / "real.ids").read_bytes()
-    assert real.count(b"\n") == 1352
-    alphabet = [bytes([c]) for c in b"0123456789\n x-\r"]
-    rng = np.random.default_rng(25)
-    mutants = []
-    for _ in range(400):
-        blob = bytearray(real)
-        for _ in range(rng.integers(1, 4)):
-            at, byte = int(rng.integers(0, len(blob))), alphabet[rng.integers(0, len(alphabet))]
-            edit = rng.integers(0, 3)
-            if edit == 0:
-                blob[at : at + 1] = byte  # replace
-            elif edit == 1:
-                blob[at:at] = byte  # insert
-            else:
-                del blob[at]
-        mutants.append(bytes(blob))
-    return real, mutants
-
-
-def test_read_ids_matches_the_grammar_on_sidecar_mutants(tmp_path):
-    _, mutants = sidecar_mutants(tmp_path)
-    accepted = 0
-    for blob in mutants:
-        accepted += oracle_ids(blob) is not None
-        assert_reads_like_the_oracle(tmp_path / "mutant.ids", blob)
-    assert 0 < accepted < 400  # both outcomes are exercised
-
-
-def assert_joined_read_is_read_ids_or_none(tmp_path, blobs):
-    """``read_id_sidecars`` gives ``read_ids``'s arrays if every file is as written, else None.
-
-    A ``None`` blob is a missing file. As written means present, valid and,
-    unless empty, ending in a newline.
-    """
-    paths = [tmp_path / f"layer_{i:04d}.ids" for i in range(len(blobs))]
-    for path, blob in zip(paths, blobs):
-        path.unlink(missing_ok=True)
-        if blob is not None:
-            path.write_bytes(blob)
-    joined = tensorio.read_id_sidecars(paths)
-    if all(blob is not None and blob[-1:] in (b"", b"\n") and oracle_ids(blob) is not None for blob in blobs):
-        assert joined is not None and len(joined) == len(paths)
-        for ids, path in zip(joined, paths):
-            assert ids.dtype == np.int64 and ids.tolist() == tensorio.read_ids(path).tolist()
-    else:
-        assert joined is None
-
-
-def test_joined_sidecar_read_matches_read_ids_on_mutants(tmp_path):
-    real, mutants = sidecar_mutants(tmp_path)
-    joined = 0
-    for blob in mutants:
-        joined += blob.endswith(b"\n") and oracle_ids(blob) is not None
-        assert_joined_read_is_read_ids_or_none(tmp_path, [real, blob, real[: real.index(b"\n") + 1]])
-        assert_joined_read_is_read_ids_or_none(tmp_path, [blob])
-    assert 0 < joined < 400  # both outcomes are exercised
-
-
-@pytest.mark.parametrize(
-    "blobs",
-    [
-        [b"", b"3\n4\n", b""],  # empty files hold no ids
-        [b""],
-        [b"3\n", None, b"5\n"],  # a missing file
-        [b"3\n4", b"5\n"],  # valid, but no final newline
-        [b"5\n", b"3\n4"],
-        [b"3\n", b"\n"],  # an empty line
-        [b"3\n", b"04\n"],
-        [b"1\n2\n", b"9223372036854775808\n"],  # past int64
-        [b"9223372036854775807\n", b"0\n"],
-    ],
-)
-def test_joined_sidecar_read_edges(tmp_path, blobs):
-    assert_joined_read_is_read_ids_or_none(tmp_path, blobs)
+    assert len(real) == 8 + 8 * 1352 and assert_reads_as_the_format(tmp_path / "real.ids", real)
+    read = [assert_reads_as_the_format(tmp_path / "mutant.ids", blob) for blob in sidecar_mutants(real)]
+    assert 0 < sum(read) < len(read)  # both outcomes are exercised
 
 
 @st.composite
