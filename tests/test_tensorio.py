@@ -236,26 +236,64 @@ def test_read_ids_fuzz(tmp_path, blob):
     assert_reads_as_the_format(tmp_path / "fuzz.ids", blob)
 
 
-def sidecar_mutants(real: bytes) -> list[bytes]:
-    """Copies of ``real``, cut inside or at the end of the header, lengthened, or with one byte or field broken."""
-    mutants = [real[:n] for n in range(9)]  # a short header, then no ids
-    mutants += [real + bytes(range(1, n + 1)) for n in range(1, 8)]  # a partial id
-    at = [*range(8), 8, 15, len(real) // 2, len(real) - 1]  # the header, the first id's low and sign bytes, ...
-    mutants += [real[:i] + bytes([real[i] ^ 0xFF]) + real[i + 1 :] for i in at]
-    mutants += [b"OMTN" + real[4:], real[:4] + struct.pack("<I", 2) + real[8:], real[:4] + b"\xff" * 4 + real[8:]]
+def _flip(at, mask=0xFF):
+    """Break byte ``at`` (counted from the end if negative, or ``at(real)``) by XOR with ``mask``."""
+
+    def mutate(real: bytes) -> bytes:
+        i = (at(real) if callable(at) else at) % len(real)
+        return real[:i] + bytes([real[i] ^ mask]) + real[i + 1 :]
+
+    return mutate
+
+
+def _middle_byte(real: bytes) -> int:
+    return len(real) // 2
+
+
+def _middle_id_sign_byte(real: bytes) -> int:
+    return 8 + 8 * ((len(real) - 8) // 16) + 7
+
+
+# Mutants of a real sidecar: (name, mutation, reads). A mutant that does not
+# read must raise a SchemaError naming the file; one that reads must give
+# exactly its payload's int64 ids.
+SIDECAR_MUTANTS = [
+    *[(f"cut-{n}", lambda real, n=n: real[:n], n == 8) for n in range(9)],  # a short header, then no ids
+    *[(f"append-{n}", lambda real, n=n: real + bytes(range(1, n + 1)), False) for n in range(1, 8)],  # a partial id
+    *[(f"flip-header-{i}", _flip(i), False) for i in range(8)],
+    ("flip-first-id-low-byte", _flip(8), True),
+    ("flip-first-id-sign-byte", _flip(15), False),
+    ("flip-middle-byte", _flip(_middle_byte), True),  # byte 4 of an id: its value moves, its sign does not
+    ("flip-last-id-sign-byte", _flip(-1), False),
+    ("bad-magic", lambda real: b"OMTN" + real[4:], False),
+    ("version-2", lambda real: real[:4] + struct.pack("<I", 2) + real[8:], False),
+    ("version-max", lambda real: real[:4] + b"\xff" * 4 + real[8:], False),
     # The sign bit set in the first, a middle and the last id.
-    mutants += [real[:i] + bytes([real[i] | 0x80]) + real[i + 1 :] for i in (15, len(real) // 2 + 7, len(real) - 1)]
-    return mutants
+    ("sign-first-id", _flip(15, 0x80), False),
+    ("sign-middle-id", _flip(_middle_id_sign_byte, 0x80), False),
+    ("sign-last-id", _flip(-1, 0x80), False),
+]
 
 
-def test_read_ids_on_mutants_of_a_real_sidecar(tmp_path):
-    # Layer 0's sidecar of a chunks=4 dump holds every audiovisual id.
+@pytest.fixture(scope="module")
+def real_sidecar(tmp_path_factory):
+    """Layer 0's sidecar of a chunks=4 dump, which holds every audiovisual id."""
     tokens = ExperimentConfig.resolve({}, {"sequence.chunks": 4}).build_sequence().tokens
-    tensorio.write_ids(tmp_path / "real.ids", tokens.id[tokens.is_audiovisual])
-    real = (tmp_path / "real.ids").read_bytes()
-    assert len(real) == 8 + 8 * 1352 and assert_reads_as_the_format(tmp_path / "real.ids", real)
-    read = [assert_reads_as_the_format(tmp_path / "mutant.ids", blob) for blob in sidecar_mutants(real)]
-    assert 0 < sum(read) < len(read)  # both outcomes are exercised
+    path = tmp_path_factory.mktemp("sidecar") / "real.ids"
+    tensorio.write_ids(path, tokens.id[tokens.is_audiovisual])
+    return path.read_bytes()
+
+
+def test_read_ids_on_a_real_sidecar(tmp_path, real_sidecar):
+    assert len(real_sidecar) == 8 + 8 * 1352
+    assert assert_reads_as_the_format(tmp_path / "real.ids", real_sidecar)
+
+
+@pytest.mark.parametrize(("mutate", "reads"), [m[1:] for m in SIDECAR_MUTANTS], ids=[m[0] for m in SIDECAR_MUTANTS])
+def test_read_ids_on_mutants_of_a_real_sidecar(tmp_path, real_sidecar, mutate, reads):
+    blob = mutate(real_sidecar)
+    assert blob != real_sidecar or reads
+    assert assert_reads_as_the_format(tmp_path / "mutant.ids", blob) == reads
 
 
 @st.composite
