@@ -32,7 +32,7 @@ from .schedule import PruneScheduleConfig, prune_ratio
 from .sequence import InterleavedSequence, Modality, TokenTable
 from .trace import LayerRecord, PruneTrace
 
-# Rows of the score buffer that one softmax pass covers.
+# Rows of the score buffer that one block covers.
 _ROW_BLOCK = 64
 
 
@@ -83,37 +83,48 @@ def sinusoidal_positions(positions, d: int) -> np.ndarray:
 
 
 def _forward_layer(
-    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray
+    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray, scores: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``)."""
+    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``).
+
+    ``scores`` is a float32 (heads, m, m) buffer, m >= n, whose entries above
+    the diagonal are +0.0; the layer works in its ``[:, :n, :n]`` corner and
+    leaves them so, which lets a run pass one buffer through its shrinking
+    lengths. Without one the layer allocates its own.
+    """
     n, d = x.shape
     head_dim = d // heads
     q = (x @ w.wq).reshape(n, heads, head_dim).transpose(1, 0, 2)
-    k = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 0, 2)
+    kt = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 2, 0)  # each head's k transposed
     v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
 
-    # One (heads, n, n) buffer goes from scores to probs in place. Both of its
-    # products are single full-size calls, never row blocks: OpenBLAS picks
-    # its sgemm path from M*N*K, so a block's row count could change the
-    # rounding.
-    probs = q @ k.transpose(0, 2, 1)
+    if scores is None:
+        scores = np.zeros((heads, n, n), dtype=np.float32)
+    probs = scores[:, :n, :n]
     scale = np.float32(math.sqrt(head_dim))
-    col = np.arange(_ROW_BLOCK)
+    col = np.arange(_ROW_BLOCK + 1)
     upper = col > col[:, None]  # the causal mask of a diagonal block
-    # The softmax runs over rows [lo, hi) at a time and computes only their
-    # columns [0, hi); the causal entries right of them are exact zeros,
-    # as exp(-inf) would give. Each row's sum still runs over the full row,
-    # because numpy's pairwise sum groups a row by its length.
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        block = probs[:, lo:hi, :hi]
+    # Rows [lo, hi) at a time, only their columns [0, hi): the causal entries
+    # right of them stay the buffer's +0.0, as exp(-inf) would give. Blocks
+    # of q @ kT keep the full product's bits, except a one-row block, which
+    # takes numpy's matrix-vector path; so a one-row last block joins the one
+    # before it. Each row's sum still runs over the full row, because numpy's
+    # pairwise sum groups a row by its length.
+    bounds = [*range(0, n, _ROW_BLOCK), n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = q[:, lo:hi] @ kt[:, :, :hi]  # a contiguous scratch
         block /= scale
         np.copyto(block[:, :, lo:], -np.inf, where=upper[: hi - lo, : hi - lo])
         block -= block.max(axis=2, keepdims=True)
         np.exp(block, out=block)
-        probs[:, lo:hi, hi:] = 0.0
-        block /= probs[:, lo:hi].sum(axis=2, keepdims=True)
+        probs[:, lo:hi, :hi] = block
+        del block  # so that no two blocks, and no block and the feed-forward, are held at once
+        probs[:, lo:hi, :hi] /= probs[:, lo:hi].sum(axis=2, keepdims=True)
 
+    # probs @ v stays one full-size call: in 512-row blocks it moves the
+    # seed-6 golden digest.
     context = (probs @ v).transpose(1, 0, 2).reshape(n, d)
     x = x + context @ w.wo
     x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2
@@ -272,12 +283,13 @@ def run_with_pruning(
     working = _apply_intra_plan(seq, intra)
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.id, model.d)
     held = working.tokens.id  # token id of each row of x
+    scores = np.zeros((model.heads, len(held), len(held)), dtype=np.float32)  # every layer's, in its corner
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         nonlocal x, held
         if len(held) != len(tokens):  # drop the rows pruned since the last layer; ids ascend in both
             x, held = x[np.searchsorted(held, tokens.id)], tokens.id
-        x, avg = _forward_layer(x, model.weights[layer], model.heads, rows)
+        x, avg = _forward_layer(x, model.weights[layer], model.heads, rows, scores)
         return AttentionRecord(layer=layer, col_ids=tokens.id[cols], values=avg[:, cols])
 
     return _pruning_loop(working, sched, tds, selector, layer_map, seed=model.seed, observer=observer)

@@ -69,8 +69,13 @@ def test_forward_digest_is_pinned_and_replays(name, capsys, tmp_path):
 
 # The suite runs at one BLAS thread (conftest.py). At two, odd-width's
 # forward pass rounds a product differently and prunes other ids from layer
-# 17 on; seed-6 reads the same digest at both.
-TWO_THREAD_DIGESTS = {"odd-width": "3f45eb2b7a724b1a", "seed-6": "4a358ab73c0db034"}
+# 17 on; seed-6 and chunks-4 read the same digest at both. chunks-4 is the
+# golden run whose layer 10 (n = 1345) ends on a one-row score block.
+TWO_THREAD_DIGESTS = {
+    "odd-width": "3f45eb2b7a724b1a",
+    "seed-6": "4a358ab73c0db034",
+    "chunks-4": "c0aef2277e2bbb94",
+}
 
 
 @pytest.mark.parametrize("name", list(TWO_THREAD_DIGESTS))

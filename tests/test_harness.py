@@ -28,6 +28,7 @@ from avprune import (
     run_with_pruning,
 )
 from avprune import harness, tensorio
+from avprune.config import ExperimentConfig
 from avprune.harness import _ROW_BLOCK, _apply_intra_plan, _forward_layer, sinusoidal_positions
 
 TDS = TdsConfig(lambda_div=0.2, start_layer=2)
@@ -169,6 +170,22 @@ class TestForwardLayer:
             tracemalloc.stop()
         assert peak <= 1.5 * heads * n * n * 4
 
+    def test_one_score_buffer_serves_shrinking_lengths(self):
+        # A run's lengths shrink through one buffer. 1345, 129 and 65 are 1 mod
+        # 64, so their last block would hold one row; chunks-4 layer 10 has n = 1345.
+        lengths, d, heads = [1345, 688, 687, 129, 65, 64, 2, 1], 32, 4
+        scores = np.zeros((heads, lengths[0], lengths[0]), dtype=np.float32)
+        above = np.triu(np.ones(scores.shape[1:], dtype=bool), k=1)
+        for n in lengths:
+            w = ToyDecoder(1, heads, d, seed=n).weights[0]
+            x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
+            want_x, want_avg = reference_forward_layer(x, w, heads)
+            got_x, got_avg = _forward_layer(x, w, heads, np.arange(n), scores)
+            assert got_x.tobytes() == want_x.tobytes(), n
+            assert got_avg.tobytes() == want_avg.tobytes(), n
+            # All bits clear: +0.0, with no sign bit.
+            assert not scores.view(np.uint32)[:, above].any(), n
+
 
 class TestRunWithPruning:
     def test_zero_schedule_prunes_nothing(self):
@@ -214,6 +231,18 @@ class TestRunWithPruning:
             assert np.all(upper == 0.0)
             sums = np.sum(avg, axis=1, dtype=np.float64)
             assert np.all(np.abs(sums - 1.0) < 1e-5)
+
+    def test_default_run_peaks_near_one_score_tensor(self):
+        cfg = ExperimentConfig.resolve()
+        model = cfg.build_model()  # the weights are the run's input, not its working memory
+        tracemalloc.start()
+        try:
+            run_with_pruning(cfg.build_sequence(), model, cfg.schedule, cfg.tds, cfg.selector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One float32 score tensor of the default config's 4 heads over n0 = 688 tokens.
+        assert peak <= 1.25 * 4 * 688 * 688 * 4
 
     def test_selector_random_is_seed_stable(self):
         seq, model, sched = small_setup()
