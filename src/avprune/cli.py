@@ -245,7 +245,7 @@ def cmd_simulate(args) -> int:
     ]
     run_dirs = [str(out / f"run_{i:04d}") for i in range(args.runs)]
     job = partial(_simulate_one, dump_attention=args.dump_attention, inject_dir=args.inject)
-    workers = pool_size(cfg.workers, args.runs)
+    workers = pool_size(cfg.raw["workers"], args.runs)
     if workers > 1:
         # Imported here, not at the top: only this fan-out needs it, and the import slows every CLI start.
         from concurrent.futures import ProcessPoolExecutor
@@ -294,29 +294,27 @@ def _analyze_pca(args) -> str:
     return _csv(f"eigenvalues={ev1:.9f},{ev2:.9f}", "axis1,axis2", rows)
 
 
+# Each metric's report and the inputs it reads; the first names the file an undefined result blames.
+_ANALYZE = {
+    "recall": (_analyze_recall, ("attention",)),
+    "retention": (_analyze_retention, ("trace",)),
+    "cosine": (_analyze_cosine, ("embeddings", "tokens")),
+    "pca": (_analyze_pca, ("embeddings",)),
+}
+
+
 def cmd_analyze(args) -> int:
     if args.cap < 1:
         raise InvalidInput(f"--cap must be at least 1, got {args.cap}")
-    handlers = {
-        "recall": _analyze_recall,
-        "retention": _analyze_retention,
-        "cosine": _analyze_cosine,
-        "pca": _analyze_pca,
-    }
-    required = {
-        "recall": ["attention"],
-        "retention": ["trace"],
-        "cosine": ["embeddings", "tokens"],
-        "pca": ["embeddings"],
-    }
-    for name in required[args.metric]:
+    report, inputs = _ANALYZE[args.metric]
+    for name in inputs:
         if getattr(args, name) is None:
             raise SchemaError(f"--metric {args.metric} requires --{name}")
     try:
-        report = _read_inputs(handlers[args.metric], args)
+        text = _read_inputs(report, args)
     except (InvalidInput, DegenerateInput) as exc:  # too small, or no defined result
-        raise SchemaError(f"{getattr(args, required[args.metric][0])}: {exc}") from None
-    _emit(args.out, report)
+        raise SchemaError(f"{getattr(args, inputs[0])}: {exc}") from None
+    _emit(args.out, text)
     return EXIT_OK
 
 
@@ -390,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="diagnostics over dumped artifacts")
-    ana.add_argument("--metric", choices=["recall", "retention", "cosine", "pca"], required=True)
+    ana.add_argument("--metric", choices=list(_ANALYZE), required=True)
     ana.add_argument("--trace")
     ana.add_argument("--attention")
     ana.add_argument("--embeddings")

@@ -164,10 +164,6 @@ class ExperimentConfig:
         """Digest of the ``sequence`` and ``intra`` sections, which fix the tokens an attention dump spans."""
         return _digest({section: self.raw[section] for section in ("sequence", "intra")})
 
-    @property
-    def workers(self) -> int:
-        return self.raw["workers"]
-
     def build_sequence(self) -> InterleavedSequence:
         s = self.raw["sequence"]
         return build_sequence(s["sys_len"], [self.chunk] * s["chunks"], s["query_len"], s["d"], s["seed"])

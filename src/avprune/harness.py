@@ -61,7 +61,9 @@ class ToyDecoder:
         scale = 1.0 / math.sqrt(d)
         shapes = ((d, d),) * 4 + ((d, 4 * d), (4 * d, d))  # wq wk wv wo w1 w2, layer by layer
         sizes = [rows * cols for rows, cols in shapes] * layers
-        draws = np.split(Rng(seed).gaussians_f32(sum(sizes), scale), np.cumsum(sizes)[:-1])
+        draws = Rng(seed).gaussians(sum(sizes))
+        draws *= scale
+        draws = np.split(draws.astype(np.float32), np.cumsum(sizes)[:-1])  # frees the float64 draws
 
         def weight(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
             w = g.reshape(shape).copy()  # its own buffer, not a view of all the draws
@@ -83,14 +85,14 @@ def sinusoidal_positions(positions, d: int) -> np.ndarray:
 
 
 def _forward_layer(
-    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray, scores: np.ndarray | None = None
+    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray, scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``).
 
     ``scores`` is a float32 (heads, m, m) buffer, m >= n, whose entries above
     the diagonal are +0.0; the layer works in its ``[:, :n, :n]`` corner and
     leaves them so, which lets a run pass one buffer through its shrinking
-    lengths. Without one the layer allocates its own.
+    lengths.
     """
     n, d = x.shape
     head_dim = d // heads
@@ -98,8 +100,6 @@ def _forward_layer(
     kt = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 2, 0)  # each head's k transposed
     v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
 
-    if scores is None:
-        scores = np.zeros((heads, n, n), dtype=np.float32)
     probs = scores[:, :n, :n]
     scale = np.float32(math.sqrt(head_dim))
     col = np.arange(_ROW_BLOCK + 1)
@@ -169,15 +169,6 @@ class AttentionRecord:
         over = np.flatnonzero(sums > 1.0 + 1e-4)
         if over.size:
             raise SchemaError(f"{where}: text row {over[0]} sums to {sums[over[0]]:.6g}, above 1")
-
-    def take(self, cols: np.ndarray) -> AttentionRecord:
-        """The record restricted to distinct columns ``cols``; a column subset of a valid map needs no checks."""
-        record, values = object.__new__(AttentionRecord), self.values[:, cols]
-        values.setflags(write=False)
-        object.__setattr__(record, "layer", self.layer)
-        object.__setattr__(record, "col_ids", self.col_ids[cols])
-        object.__setattr__(record, "values", values)
-        return record
 
 
 def _survivor_mask(columns: TokenTable, pruned: np.ndarray, layer: int) -> np.ndarray:
@@ -254,10 +245,6 @@ def _pruning_loop(
     return PruneTrace(layers=tuple(records))
 
 
-def _apply_intra_plan(seq: InterleavedSequence, intra: IntraPlan | None) -> InterleavedSequence:
-    return seq if intra is None else apply_intra(seq, intra)[0]
-
-
 def run_with_pruning(
     seq: InterleavedSequence,
     model: ToyDecoder,
@@ -280,7 +267,7 @@ def run_with_pruning(
     if seq.d != model.d:
         raise InvalidInput(f"sequence dim {seq.d} does not match model dim {model.d}")
 
-    working = _apply_intra_plan(seq, intra)
+    working = seq if intra is None else apply_intra(seq, intra)[0]
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.id, model.d)
     held = working.tokens.id  # token id of each row of x
     scores = np.zeros((model.heads, len(held), len(held)), dtype=np.float32)  # every layer's, in its corner
@@ -323,7 +310,7 @@ def run_with_injected_attention(
         if rec.layer != layer:
             raise InvalidInput(f"attention map {layer} labeled {rec.layer}")
 
-    working = _apply_intra_plan(seq, intra)
+    working = seq if intra is None else apply_intra(seq, intra)[0]
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         # The record checked its own rules; what is left depends on this run.
@@ -348,6 +335,7 @@ def run_with_injected_attention(
             raise SchemaError(
                 f"layer {layer}: expected {len(rows)} text rows, got {rec.values.shape[0]}"
             )
-        return rec.take(order[slot])
+        at = order[slot]
+        return AttentionRecord(layer=layer, col_ids=rec.col_ids[at], values=rec.values[:, at])
 
     return _pruning_loop(working, sched, tds, selector, layer_map, seed=replay_seed, observer=observer)

@@ -1,5 +1,5 @@
 """Deterministic numeric kernel: seeded PRNG, Gaussian draws, and rank-2
-PCA via power iteration (``np.linalg.eigh`` when it runs out of steps).
+PCA via power iteration (``np.linalg.eigh`` when that cannot settle).
 
 The PRNG is a pure integer recurrence (a splitmix64-expanded seed driving a
 256-bit xoshiro256** state), so a 64-bit seed reproduces the exact same
@@ -18,8 +18,7 @@ at a time, with libm's ``log``, ``cos`` and ``sin``, as ``math`` gives them.
 numpy's float64 ``cos`` and ``sin`` loops call libm. Its float64 ``log`` has
 its own SIMD kernel, which differs from libm in the last bit on some inputs;
 ``_exact_log`` steers it to the scalar loop, which calls libm. ``sqrt`` and
-the products are exact IEEE operations. ``Rng.gaussians_f32``, which draws
-the toy decoder's float32 weights, scales the float64 stream and casts it once.
+the products are exact IEEE operations.
 """
 
 from __future__ import annotations
@@ -253,12 +252,6 @@ class Rng:
             _box_muller(u[lo : lo + _BOX_MULLER_BLOCK], out[lo : lo + _BOX_MULLER_BLOCK])
         return out.ravel()[:count]
 
-    def gaussians_f32(self, count: int, scale: float) -> np.ndarray:
-        """``(self.gaussians(count) * scale).astype(np.float32)``, byte for byte."""
-        y = self.gaussians(count)
-        y *= scale
-        return y.astype(np.float32)
-
 
 def _exact_log(u: np.ndarray) -> np.ndarray:
     """libm's ``log`` of each of ``u``: numpy's float64 ``log`` takes its own SIMD
@@ -287,37 +280,29 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
-def _start_vector(mat: np.ndarray, orthogonal_to: np.ndarray | None) -> np.ndarray:
-    # Column of largest norm is a cheap one-step head start; fall back to
-    # basis vectors if the matrix is (numerically) zero.
-    norms = np.linalg.norm(mat, axis=0)
-    candidates = list(np.argsort(-norms))
-    for j in candidates + list(range(mat.shape[0])):
-        v = mat[:, int(j)].copy() if norms[int(j)] > 0 else np.eye(mat.shape[0])[int(j)]
-        if orthogonal_to is not None:
-            v = v - (v @ orthogonal_to) * orthogonal_to
-        n = float(np.linalg.norm(v))
-        if n > 1e-12:
-            return v / n
-    raise DegenerateInput("no usable start vector")
-
-
 def _dominant_eigenpair(
     mat: np.ndarray,
     tol: float,
     max_iter: int,
     orthogonal_to: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float] | None:
-    # None when max_iter steps leave 1 - |<w, v>| above tol.
-    v = _start_vector(mat, orthogonal_to)
+    # None when the start vector or an iterate vanishes, or when max_iter
+    # steps leave 1 - |<w, v>| above tol. The column of largest norm is a
+    # cheap one-step head start.
+    v = mat[:, int(np.argsort(-np.linalg.norm(mat, axis=0))[0])]
+    if orthogonal_to is not None:
+        v = v - (v @ orthogonal_to) * orthogonal_to
+    n = float(np.linalg.norm(v))
+    if n <= 1e-12:
+        return None
+    v = v / n
     for _ in range(max_iter):
         w = mat @ v
         if orthogonal_to is not None:
             w = w - (w @ orthogonal_to) * orthogonal_to
         n = float(np.linalg.norm(w))
         if n < 1e-300:
-            # v is (numerically) in the nullspace: eigenvalue 0.
-            return v, 0.0
+            return None
         w = w / n
         residual = 1.0 - abs(float(w @ v))
         v = w
@@ -330,18 +315,20 @@ def _dominant_eigenpair(
 def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
     """Project rows onto the top-2 principal axes of their sample covariance.
 
-    Power iteration with deflation; when either power iteration runs out of
-    steps, both axes and eigenvalues come from ``np.linalg.eigh`` of the same
-    covariance. Axes are sign-canonicalized (largest component positive) and
-    returned eigenvalues satisfy ev1 >= ev2 >= 0.
+    Power iteration with deflation; when either power iteration cannot
+    settle (it runs out of steps, or its start vector or an iterate
+    vanishes, as a zero or rank-1 covariance leaves them), both axes and
+    eigenvalues come from ``np.linalg.eigh`` of the same covariance. Axes
+    are sign-canonicalized (largest component positive) and returned
+    eigenvalues satisfy ev1 >= ev2 >= 0.
     A row with a NaN or infinite entry raises DegenerateInput naming it.
 
     Returns:
         (projections n x 2, (ev1, ev2))
     """
     x = np.asarray(rows, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise InvalidInput("pca2 expects a matrix with at least 3 rows")
+    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
+        raise InvalidInput("pca2 expects a matrix with at least 3 rows and 2 columns")
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         raise DegenerateInput(f"row {bad[0]} is not finite, so the principal axes are undefined")
@@ -352,7 +339,7 @@ def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
         v1, ev1 = first
         second = _dominant_eigenpair(cov - ev1 * np.outer(v1, v1), _PCA_TOL, _PCA_MAX_ITER, orthogonal_to=v1)
     if second is None:
-        # Out of steps, as near-equal top eigenvalues leave it: both pairs from eigh instead.
+        # Unsettled, as near-equal top eigenvalues or a vanishing vector leave it: both pairs from eigh.
         evs, vecs = np.linalg.eigh(cov)
         first, second = (vecs[:, -1], float(evs[-1])), (vecs[:, -2], float(evs[-2]))
     (v1, ev1), (v2, ev2) = first, second

@@ -47,7 +47,7 @@ def write_artifact(path, data: str | bytes) -> None:
 
 
 def write_tensor(path, array) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.asarray(array, dtype="<f4")
     header = MAGIC + struct.pack(f"<II{arr.ndim}Q", VERSION, arr.ndim, *arr.shape)
     write_artifact(path, header + arr.tobytes(order="C"))
 
@@ -103,7 +103,7 @@ def write_trace_jsonl(path, trace: PruneTrace, config_digest: str) -> None:
         sort_keys=True,
         separators=(",", ":"),
     )
-    write_artifact(path, "\n".join([*trace.canonical_lines(), summary]) + "\n")
+    write_artifact(path, "\n".join([*trace.lines, summary]) + "\n")
 
 
 def read_trace_jsonl(path) -> tuple[PruneTrace, dict]:

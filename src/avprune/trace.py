@@ -99,14 +99,12 @@ class PruneTrace:
                     raise RecordError(index, rule)
             pruned |= ids
 
-    def canonical_lines(self) -> tuple[str, ...]:
-        return self._lines
-
     @cached_property  # a run writes the lines and reads the digest: serialize once
-    def _lines(self) -> tuple[str, ...]:
+    def lines(self) -> tuple[str, ...]:
+        """One canonical JSON line per layer record: the trace file's lines, which the digest hashes."""
         return tuple(json.dumps(vars(rec), sort_keys=True, separators=(",", ":")) for rec in self.layers)
 
     @cached_property
     def digest(self) -> str:
-        payload = "\n".join(self._lines).encode("utf-8")
+        payload = "\n".join(self.lines).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]

@@ -757,6 +757,12 @@ class TestAnalyze:
         assert main(["analyze", "--metric", "pca", "--embeddings", str(path)]) == 4
         assert f"error: {path}: pca2 expects a matrix with at least 3 rows" in capsys.readouterr().err
 
+    def test_pca_of_one_column_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "emb.omtn"
+        tensorio.write_tensor(path, np.arange(5, dtype=np.float32)[:, None])
+        assert main(["analyze", "--metric", "pca", "--embeddings", str(path)]) == 4
+        assert f"error: {path}: pca2 expects a matrix with at least 3 rows and 2 columns" in capsys.readouterr().err
+
     def test_schema_mismatch_exits_4(self, capsys, tmp_path):
         emb = tmp_path / "emb.omtn"
         tokens = tmp_path / "tokens.jsonl"

@@ -20,6 +20,7 @@ from avprune import (
     Selector,
     TdsConfig,
     ToyDecoder,
+    apply_intra,
     build_sequence,
     make_intra_plan,
     prune_count,
@@ -29,7 +30,7 @@ from avprune import (
 )
 from avprune import harness, tensorio
 from avprune.config import ExperimentConfig
-from avprune.harness import _ROW_BLOCK, _apply_intra_plan, _forward_layer, sinusoidal_positions
+from avprune.harness import _ROW_BLOCK, _forward_layer, sinusoidal_positions
 
 TDS = TdsConfig(lambda_div=0.2, start_layer=2)
 
@@ -42,13 +43,14 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
     AttentionRecord the run handed its observer, so what the tests check on
     these maps is what the run computed.
     """
-    working = _apply_intra_plan(seq, intra)
+    working = seq if intra is None else apply_intra(seq, intra)[0]
     tokens = working.tokens
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(tokens.id, model.d)
     assert [obs.layer for obs in observed] == [rec.layer for rec in trace.layers]
     maps = []
     for rec, obs in zip(trace.layers, observed):
-        x, avg = _forward_layer(x, model.weights[rec.layer], model.heads, np.arange(len(x)))
+        w = model.weights[rec.layer]
+        x, avg = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x, model.heads))
         rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
         cols = np.flatnonzero(tokens.is_audiovisual)
         assert np.array_equal(obs.col_ids, tokens.id[cols])
@@ -59,6 +61,11 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
         keep = ~np.isin(tokens.id, rec.pruned_ids)
         x, tokens = x[keep], tokens[keep]
     return maps
+
+
+def zeroed(x, heads):
+    """A fresh score buffer for one ``_forward_layer`` call on ``x``."""
+    return np.zeros((heads, len(x), len(x)), dtype=np.float32)
 
 
 def reference_forward_layer(x, w, heads):
@@ -119,6 +126,19 @@ class TestToyDecoder:
         want = (Rng(seed).gaussians(got.size) * (1.0 / math.sqrt(d))).astype(np.float32)
         assert got.tobytes() == want.tobytes()
 
+    def test_init_peak_stays_near_two_float64_arrays(self):
+        # The default decoder's 344,064 draws: Box-Muller blocks bound the
+        # float64 temporaries, and the weights are cast from the draws once.
+        count = 28 * 12 * 32 * 32
+        ToyDecoder(28, 4, 32, 0)  # builds the jump tables this count needs
+        tracemalloc.start()
+        try:
+            ToyDecoder(28, 4, 32, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * count
+
     def test_every_weight_owns_its_memory(self):
         # Views of one shared buffer raised the default run's peak RSS.
         for layer in ToyDecoder(3, 4, 32, seed=1).weights:
@@ -152,7 +172,7 @@ class TestForwardLayer:
         x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
         want_x, want_avg = reference_forward_layer(x, w, heads)
         picked = ROW_SETS[rows](n)
-        got_x, got_avg = _forward_layer(x, w, heads, picked)
+        got_x, got_avg = _forward_layer(x, w, heads, picked, zeroed(x, heads))
         assert got_x.tobytes() == want_x.tobytes()
         want_rows = want_avg[picked]
         assert got_avg.shape == want_rows.shape
@@ -164,7 +184,7 @@ class TestForwardLayer:
         x = np.random.default_rng(0).standard_normal((n, d)).astype(np.float32)
         tracemalloc.start()
         try:
-            _forward_layer(x, w, heads, np.arange(n - 8, n))  # the default config's 8 query rows
+            _forward_layer(x, w, heads, np.arange(n - 8, n), zeroed(x, heads))  # the default config's 8 query rows
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -282,13 +302,15 @@ class TestRunWithPruning:
         x = seq.embeddings.astype(np.float32) + sinusoidal_positions(seq.tokens.id, model.d)
         kept = seq.tokens
         for layer in range(first_prune + 1):
-            x, probs = _forward_layer(x, model.weights[layer], model.heads, np.arange(len(x)))
+            w = model.weights[layer]
+            x, probs = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x, model.heads))
             assert np.array_equal(probs, full_maps[layer])
             pruned = set(trace.layers[layer].pruned_ids)
             dropped = np.isin(kept.id, list(pruned))
             x = np.delete(x, np.flatnonzero(dropped), axis=0)
             kept = kept[~dropped]
-        _, probs_next = _forward_layer(x, model.weights[first_prune + 1], model.heads, np.arange(len(x)))
+        w = model.weights[first_prune + 1]
+        _, probs_next = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x, model.heads))
         assert np.array_equal(probs_next, full_maps[first_prune + 1])
 
     def test_intra_plan_shrinks_layer_zero(self):
@@ -316,15 +338,15 @@ class TestInjectedAttention:
         ]
 
     @staticmethod
-    def _count_takes(monkeypatch) -> list[int]:
-        """Record the layer of every ``AttentionRecord.take`` call from now on."""
-        take, layers = AttentionRecord.take, []
+    def _count_records(monkeypatch) -> list[int]:
+        """Record the layer of every AttentionRecord the harness builds from now on."""
+        layers = []
 
-        def counted(rec, cols):
-            layers.append(rec.layer)
-            return take(rec, cols)
+        def counted(**fields):
+            layers.append(fields["layer"])
+            return AttentionRecord(**fields)
 
-        monkeypatch.setattr(AttentionRecord, "take", counted)
+        monkeypatch.setattr(harness, "AttentionRecord", counted)
         return layers
 
     @pytest.mark.parametrize(
@@ -341,15 +363,15 @@ class TestInjectedAttention:
         dumped: list[AttentionRecord] = []
         original = run_with_pruning(seq, model, sched, TDS, selector, plan, observer=dumped.append)
         assert sum(rec.k_l > 0 for rec in original.layers) >= 2
-        takes, redumped = self._count_takes(monkeypatch), []
+        built, redumped = self._count_records(monkeypatch), []
         replayed = run_with_injected_attention(
             seq, dumped, sched, TDS, selector, plan, replay_seed=model.seed, observer=redumped.append
         )
         assert replayed == original
-        assert takes == []
+        assert built == []
         assert all(a is b for a, b in zip(dumped, redumped, strict=True))
 
-    def test_widened_records_replay_through_take(self, monkeypatch):
+    def test_widened_records_replay_through_a_column_subset(self, monkeypatch):
         # Past layer 0, a record may hold columns no survivor needs; replay drops them.
         seq, model, sched = small_setup()
         dumped: list[AttentionRecord] = []
@@ -363,12 +385,12 @@ class TestInjectedAttention:
             )
             for rec in dumped[1:]
         ]
-        takes, redumped = self._count_takes(monkeypatch), []
+        built, redumped = self._count_records(monkeypatch), []
         replayed = run_with_injected_attention(
             seq, widened, sched, TDS, replay_seed=model.seed, observer=redumped.append
         )
         assert replayed == original
-        assert takes == [rec.layer for rec in widened[1:]]
+        assert built == [rec.layer for rec in widened[1:]]
         for a, b in zip(dumped, redumped, strict=True):
             assert np.array_equal(a.col_ids, b.col_ids) and b.col_ids.dtype == np.int64
             assert a.values.shape == b.values.shape and a.values.tobytes() == b.values.tobytes()
@@ -409,12 +431,12 @@ class TestInjectedAttention:
             perm = rng.permutation(rec.col_ids.size)
             shuffled.append(AttentionRecord(layer=rec.layer, col_ids=rec.col_ids[perm], values=rec.values[:, perm]))
             assert np.any(np.diff(shuffled[-1].col_ids) < 0)
-        takes, redumped = self._count_takes(monkeypatch), []
+        built, redumped = self._count_records(monkeypatch), []
         replayed = run_with_injected_attention(
             seq, shuffled, sched, TDS, replay_seed=model.seed, observer=redumped.append
         )
         assert replayed == original
-        assert takes == [rec.layer for rec in shuffled]
+        assert built == [rec.layer for rec in shuffled]
         for a, b in zip(dumped, redumped):
             assert np.array_equal(a.col_ids, b.col_ids)
             assert a.values.tobytes() == b.values.tobytes()
@@ -575,7 +597,7 @@ def test_carried_counts_match_a_recount(sys_len, query_len, chunks, selector, in
         plan = make_intra_plan(seq, audio_keep=0.5, video_prune_rate=0.5, frames_per_chunk=2, seed=seed)
     trace = run_with_pruning(seq, model, sched, TDS, selector, plan)
     layers = [(rec.n_audio, rec.n_video, rec.n_text) for rec in trace.layers]
-    assert layers == recounted(_apply_intra_plan(seq, plan), trace)
+    assert layers == recounted(seq if plan is None else apply_intra(seq, plan)[0], trace)
 
 
 class TestPruneTrace:
@@ -605,7 +627,7 @@ class TestPruneTrace:
         trace = run_with_pruning(seq, model, sched, TDS, selector)
         assert any(rec.k_l for rec in trace.layers)
         fields = {field.name for field in dataclasses.fields(LayerRecord)}
-        assert all(json.loads(line).keys() == fields for line in trace.canonical_lines())
+        assert all(json.loads(line).keys() == fields for line in trace.lines)
         tensorio.write_trace_jsonl(tmp_path / "trace.jsonl", trace, config_digest="cfg")
         back, summary = tensorio.read_trace_jsonl(tmp_path / "trace.jsonl")
         assert back.layers == trace.layers

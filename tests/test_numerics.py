@@ -263,48 +263,15 @@ class TestBulkDraws:
         assert r._s == scalar._s
 
 
-# The scale 1/sqrt(d) of the default decoder width.
-F32_SCALE = 1.0 / math.sqrt(32)
-
-
-def exact_f32(rng: Rng, count: int, scale: float) -> np.ndarray:
-    """What gaussians_f32 must equal: the float64 stream, scaled, then rounded."""
-    return (rng.gaussians(count) * scale).astype(np.float32)
-
-
-class TestGaussiansF32:
-    @pytest.mark.parametrize("count", [1, 7, 2 * 2 * _BOX_MULLER_BLOCK + 1, 344_063])
-    def test_odd_counts_take_whole_pairs(self, count):
-        # An odd count takes ceil(count / 2) pairs, count + 1 uniforms, in both streams.
-        fast, exact, scalar = Rng(count), Rng(count), Rng(count)
-        scalar.uniforms(count + 1)
-        got = fast.gaussians_f32(count, F32_SCALE)
-        assert fast._s == scalar._s
-        assert got.tobytes() == exact_f32(exact, count, F32_SCALE).tobytes()
-        assert exact._s == scalar._s
-
-    def test_each_call_starts_on_a_fresh_pair(self):
-        r, scale = Rng(4), F32_SCALE
-        got = np.concatenate((r.gaussians_f32(1, scale), r.gaussians_f32(2, scale)))
-        assert got.tobytes() == exact_f32(Rng(4), 4, scale)[[0, 2, 3]].tobytes()
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidInput, match=r"^gaussians\(\) requires count >= 0, got -2$"):
-            Rng(3).gaussians_f32(-2, 1.0)
-
-
 class TestBoxMullerBlocks:
     # The decoder's draw count. Blocks bound the float64 temporaries: Box-Muller
     # over the whole array at once peaks near 3.1 x 8 x count bytes.
-    @pytest.mark.parametrize(
-        "draw", [Rng.gaussians, lambda rng, count: rng.gaussians_f32(count, 0.17)], ids=["f64", "f32"]
-    )
-    def test_peak_stays_near_two_float64_arrays(self, draw):
+    def test_peak_stays_near_two_float64_arrays(self):
         count = 344_064
         Rng(0).gaussians(count)  # builds the jump tables this count needs
         tracemalloc.start()
         try:
-            draw(Rng(1), count)
+            Rng(1).gaussians(count)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -412,6 +379,27 @@ class TestPca2:
     def test_rejects_tiny_input(self):
         with pytest.raises(InvalidInput):
             pca2(np.zeros((2, 3)))
+
+    def test_rejects_a_single_column(self):
+        with pytest.raises(InvalidInput, match="at least 3 rows and 2 columns"):
+            pca2(np.arange(5.0)[:, None])
+
+    def test_constant_rows_project_to_zero(self):
+        # Zero covariance: the first start vector vanishes, and eigh takes both pairs.
+        proj, (ev1, ev2) = pca2(np.full((6, 3), 2.5))
+        assert (ev1, ev2) == (0.0, 0.0)
+        assert proj.shape == (6, 2) and not proj.any()
+
+    def test_points_on_a_line_match_the_eigh_oracle(self):
+        # Rank-1 covariance: the first pair converges, the deflated start
+        # vector vanishes, and eigh takes both pairs.
+        data = np.arange(-4.0, 5.0)[:, None] * np.array([1.0, 2.0])
+        proj, (ev1, ev2) = pca2(data)
+        centered = data - data.mean(axis=0)
+        evs, vecs = np.linalg.eigh(centered.T @ centered / (data.shape[0] - 1))
+        axes = np.stack([numerics._canonical_sign(vecs[:, -1]), numerics._canonical_sign(vecs[:, -2])], axis=1)
+        assert (ev1, ev2) == (evs[-1], 0.0)
+        assert np.array_equal(proj, centered @ axes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_row_is_named(self, bad):

@@ -25,6 +25,17 @@ def test_round_trip_exact(tmp_path):
     assert np.array_equal(back, arr.astype(np.float32))
 
 
+@pytest.mark.parametrize(
+    "arr", [np.float32(3.0), np.arange(12.0).reshape(3, 4).T], ids=["rank-0", "transposed-float64"]
+)
+def test_round_trip_keeps_rank_and_order(tmp_path, arr):
+    path = tmp_path / "t.omtn"
+    tensorio.write_tensor(path, arr)
+    back = tensorio.read_tensor(path)
+    assert back.shape == np.shape(arr)
+    assert np.array_equal(back, arr)
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "t.omtn"
     tensorio.write_tensor(path, np.zeros((2, 5), dtype=np.float32))
@@ -102,7 +113,7 @@ def test_trace_jsonl_digest_mismatch(tmp_path):
 
 def test_trace_jsonl_requires_summary(tmp_path):
     path = tmp_path / "trace.jsonl"
-    lines = _trace().canonical_lines()
+    lines = _trace().lines
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SchemaError):
         tensorio.read_trace_jsonl(path)
@@ -298,7 +309,7 @@ def test_read_ids_on_mutants_of_a_real_sidecar(tmp_path, real_sidecar, mutate, r
 
 @st.composite
 def trace_files(draw):
-    records = [json.loads(line) for line in _trace().canonical_lines()]
+    records = [json.loads(line) for line in _trace().lines]
     for _ in range(draw(st.integers(0, 2))):
         rec = records[draw(st.integers(0, len(records) - 1))]
         key = draw(st.sampled_from(sorted(rec)))
