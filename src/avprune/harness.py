@@ -84,15 +84,28 @@ def sinusoidal_positions(positions, d: int) -> np.ndarray:
     return pe.astype(np.float32)
 
 
+def _pairwise_width(n: int, hi: int) -> int:
+    """How far a length-``n`` row that is +0.0 from column ``hi`` on must be summed to keep its bits.
+
+    numpy's pairwise sum splits a row of length l > 128 at l // 2 rounded
+    down to a multiple of 8; the +0.0 half right of a split adds nothing, so
+    the shortest such leading part that holds ``hi`` sums to the same bits.
+    """
+    width = n
+    while width > 128 and hi <= (half := width // 2 - width // 2 % 8):
+        width = half
+    return width
+
+
 def _forward_layer(
     x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray, scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``).
 
-    ``scores`` is a float32 (heads, m, m) buffer, m >= n, whose entries above
-    the diagonal are +0.0; the layer works in its ``[:, :n, :n]`` corner and
-    leaves them so, which lets a run pass one buffer through its shrinking
-    lengths.
+    ``scores`` is a float32 (m, m) buffer, m >= n, whose entries above the
+    diagonal are +0.0. The heads take its ``[:n, :n]`` corner in turn and
+    leave those entries so, which lets a run pass one buffer through every
+    head and its shrinking lengths.
     """
     n, d = x.shape
     head_dim = d // heads
@@ -100,7 +113,7 @@ def _forward_layer(
     kt = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 2, 0)  # each head's k transposed
     v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
 
-    probs = scores[:, :n, :n]
+    probs = scores[:n, :n]
     scale = np.float32(math.sqrt(head_dim))
     col = np.arange(_ROW_BLOCK + 1)
     upper = col > col[:, None]  # the causal mask of a diagonal block
@@ -108,27 +121,31 @@ def _forward_layer(
     # right of them stay the buffer's +0.0, as exp(-inf) would give. Blocks
     # of q @ kT keep the full product's bits, except a one-row block, which
     # takes numpy's matrix-vector path; so a one-row last block joins the one
-    # before it. Each row's sum still runs over the full row, because numpy's
-    # pairwise sum groups a row by its length.
+    # before it.
     bounds = [*range(0, n, _ROW_BLOCK), n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
-    for lo, hi in zip(bounds, bounds[1:]):
-        block = q[:, lo:hi] @ kt[:, :, :hi]  # a contiguous scratch
-        block /= scale
-        np.copyto(block[:, :, lo:], -np.inf, where=upper[: hi - lo, : hi - lo])
-        block -= block.max(axis=2, keepdims=True)
-        np.exp(block, out=block)
-        probs[:, lo:hi, :hi] = block
-        del block  # so that no two blocks, and no block and the feed-forward, are held at once
-        probs[:, lo:hi, :hi] /= probs[:, lo:hi].sum(axis=2, keepdims=True)
+    widths = [_pairwise_width(n, hi) for hi in bounds[1:]]
+    context = np.empty((heads, n, head_dim), dtype=np.float32)
+    picked = np.empty((heads, len(rows), n), dtype=np.float32)
+    for h in range(heads):
+        for lo, hi, width in zip(bounds, bounds[1:], widths):
+            block = q[h, lo:hi] @ kt[h, :, :hi]  # a contiguous scratch
+            block /= scale
+            np.copyto(block[:, lo:], -np.inf, where=upper[: hi - lo, : hi - lo])
+            block -= block.max(axis=1, keepdims=True)
+            np.exp(block, out=block)
+            probs[lo:hi, :hi] = block
+            del block  # so that no two blocks, and no block and the feed-forward, are held at once
+            probs[lo:hi, :hi] /= probs[lo:hi, :width].sum(axis=1, keepdims=True)
+        # probs @ v stays one full-size call per head: in 512-row blocks it
+        # moves the seed-6 golden digest.
+        np.matmul(probs, v[h], out=context[h])
+        picked[h] = probs[rows]
 
-    # probs @ v stays one full-size call: in 512-row blocks it moves the
-    # seed-6 golden digest.
-    context = (probs @ v).transpose(1, 0, 2).reshape(n, d)
-    x = x + context @ w.wo
+    x = x + context.transpose(1, 0, 2).reshape(n, d) @ w.wo
     x = x + np.maximum(x @ w.w1, np.float32(0.0)) @ w.w2
-    return x, probs[:, rows].mean(axis=0)
+    return x, picked.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -270,7 +287,7 @@ def run_with_pruning(
     working = seq if intra is None else apply_intra(seq, intra)[0]
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.id, model.d)
     held = working.tokens.id  # token id of each row of x
-    scores = np.zeros((model.heads, len(held), len(held)), dtype=np.float32)  # every layer's, in its corner
+    scores = np.zeros((len(held), len(held)), dtype=np.float32)  # every head's and layer's, in its corner
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         nonlocal x, held

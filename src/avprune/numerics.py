@@ -281,19 +281,27 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 
 
 def _dominant_eigenpair(
-    mat: np.ndarray,
+    cov: np.ndarray,
     tol: float,
     max_iter: int,
-    orthogonal_to: np.ndarray | None = None,
+    deflate: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, float] | None:
-    # None when the start vector or an iterate vanishes, or when max_iter
-    # steps leave 1 - |<w, v>| above tol. The column of largest norm is a
-    # cheap one-step head start.
-    v = mat[:, int(np.argsort(-np.linalg.norm(mat, axis=0))[0])]
+    # The dominant pair of cov, or with deflate = (v1, ev1) of cov without
+    # that pair, orthogonal to v1. None when the start vector or an iterate
+    # vanishes, or when max_iter steps leave 1 - |<w, v>| above tol. The
+    # column of largest norm is a cheap one-step head start.
+    mat, orthogonal_to = cov, None
+    if deflate is not None:
+        orthogonal_to, ev = deflate
+        mat = cov - ev * np.outer(orthogonal_to, orthogonal_to)
+    j = int(np.argsort(-np.linalg.norm(mat, axis=0))[0])
+    v = mat[:, j]
     if orthogonal_to is not None:
         v = v - (v @ orthogonal_to) * orthogonal_to
     n = float(np.linalg.norm(v))
-    if n <= 1e-12:
+    # Relative to cov's column, so that the rounding a deflation leaves of a
+    # rank-1 cov counts as vanished at every scale.
+    if n <= 1e-12 * float(np.linalg.norm(cov[:, j])):
         return None
     v = v / n
     for _ in range(max_iter):
@@ -336,8 +344,7 @@ def pca2(rows) -> tuple[np.ndarray, tuple[float, float]]:
     cov = (centered.T @ centered) / (x.shape[0] - 1)
     first, second = _dominant_eigenpair(cov, _PCA_TOL, _PCA_MAX_ITER), None
     if first is not None:
-        v1, ev1 = first
-        second = _dominant_eigenpair(cov - ev1 * np.outer(v1, v1), _PCA_TOL, _PCA_MAX_ITER, orthogonal_to=v1)
+        second = _dominant_eigenpair(cov, _PCA_TOL, _PCA_MAX_ITER, deflate=first)
     if second is None:
         # Unsettled, as near-equal top eigenvalues or a vanishing vector leave it: both pairs from eigh.
         evs, vecs = np.linalg.eigh(cov)

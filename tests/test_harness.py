@@ -50,7 +50,7 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
     maps = []
     for rec, obs in zip(trace.layers, observed):
         w = model.weights[rec.layer]
-        x, avg = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x, model.heads))
+        x, avg = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x))
         rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
         cols = np.flatnonzero(tokens.is_audiovisual)
         assert np.array_equal(obs.col_ids, tokens.id[cols])
@@ -63,9 +63,9 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
     return maps
 
 
-def zeroed(x, heads):
+def zeroed(x):
     """A fresh score buffer for one ``_forward_layer`` call on ``x``."""
-    return np.zeros((heads, len(x), len(x)), dtype=np.float32)
+    return np.zeros((len(x), len(x)), dtype=np.float32)
 
 
 def reference_forward_layer(x, w, heads):
@@ -172,30 +172,32 @@ class TestForwardLayer:
         x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
         want_x, want_avg = reference_forward_layer(x, w, heads)
         picked = ROW_SETS[rows](n)
-        got_x, got_avg = _forward_layer(x, w, heads, picked, zeroed(x, heads))
+        got_x, got_avg = _forward_layer(x, w, heads, picked, zeroed(x))
         assert got_x.tobytes() == want_x.tobytes()
         want_rows = want_avg[picked]
         assert got_avg.shape == want_rows.shape
         assert got_avg.tobytes() == want_rows.tobytes()
 
     def test_peak_memory_is_about_one_score_tensor(self):
+        # The heads take one (n, n) buffer in turn; measured 1.33 of it.
         n, d, heads = 1364, 32, 4
         w = ToyDecoder(1, heads, d, seed=0).weights[0]
         x = np.random.default_rng(0).standard_normal((n, d)).astype(np.float32)
         tracemalloc.start()
         try:
-            _forward_layer(x, w, heads, np.arange(n - 8, n), zeroed(x, heads))  # the default config's 8 query rows
+            _forward_layer(x, w, heads, np.arange(n - 8, n), zeroed(x))  # the default config's 8 query rows
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * heads * n * n * 4
+        assert peak <= 1.5 * n * n * 4
 
     def test_one_score_buffer_serves_shrinking_lengths(self):
-        # A run's lengths shrink through one buffer. 1345, 129 and 65 are 1 mod
-        # 64, so their last block would hold one row; chunks-4 layer 10 has n = 1345.
+        # A run's lengths shrink through one buffer, which every head of a
+        # layer takes in turn. 1345, 129 and 65 are 1 mod 64, so their last
+        # block would hold one row; chunks-4 layer 10 has n = 1345.
         lengths, d, heads = [1345, 688, 687, 129, 65, 64, 2, 1], 32, 4
-        scores = np.zeros((heads, lengths[0], lengths[0]), dtype=np.float32)
-        above = np.triu(np.ones(scores.shape[1:], dtype=bool), k=1)
+        scores = np.zeros((lengths[0], lengths[0]), dtype=np.float32)
+        above = np.triu(np.ones(scores.shape, dtype=bool), k=1)
         for n in lengths:
             w = ToyDecoder(1, heads, d, seed=n).weights[0]
             x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
@@ -204,7 +206,30 @@ class TestForwardLayer:
             assert got_x.tobytes() == want_x.tobytes(), n
             assert got_avg.tobytes() == want_avg.tobytes(), n
             # All bits clear: +0.0, with no sign bit.
-            assert not scores.view(np.uint32)[:, above].any(), n
+            assert not scores.view(np.uint32)[above].any(), n
+
+    def test_row_sums_over_the_pairwise_width_keep_the_full_sums_bits(self):
+        # The layer sums a block's rows over [:width] and relies on the +0.0
+        # right of hi adding nothing there. A numpy whose pairwise sum groups
+        # a row another way fails here first.
+        rng = np.random.default_rng(34)
+        drawn = moved = 0
+        for n in [*range(1, 130), *range(1, 2800, 64), 688, 1364, 2716]:
+            ends = {*range(_ROW_BLOCK, n, _ROW_BLOCK), n}  # where the layer's blocks end
+            draws = set(rng.integers(1, n + 1, size=24).tolist())
+            rows = np.empty((8, n + 3), dtype=np.float32)[:, :n]  # strided, as the layer's corner is
+            for hi in sorted(ends | draws):
+                rows[:, :hi] = rng.random((8, hi), dtype=np.float32)
+                rows[:, hi:] = 0.0
+                full = rows.sum(axis=1)
+                width = harness._pairwise_width(n, hi)
+                assert hi <= width <= n
+                assert rows[:, :width].sum(axis=1).tobytes() == full.tobytes(), (n, hi, width)
+                if n > 128 and hi in draws:  # numpy splits rows longer than 128
+                    drawn += 1
+                    moved += rows[:, :hi].sum(axis=1).tobytes() != full.tobytes()
+        # The control: cut at hi instead, most of the drawn blocks' sums move.
+        assert drawn > 1000 and moved > 0.8 * drawn
 
 
 class TestRunWithPruning:
@@ -261,8 +286,21 @@ class TestRunWithPruning:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One float32 score tensor of the default config's 4 heads over n0 = 688 tokens.
-        assert peak <= 1.25 * 4 * 688 * 688 * 4
+        # One float32 (n0, n0) score matrix over n0 = 688 tokens; measured 1.73 of it.
+        assert peak <= 2 * 688 * 688 * 4
+
+    def test_chunks_4_run_peaks_near_one_score_tensor(self):
+        cfg = ExperimentConfig.resolve(overrides={"sequence.chunks": 4})
+        model, seq = cfg.build_model(), cfg.build_sequence()
+        n0 = seq.n
+        tracemalloc.start()
+        try:
+            run_with_pruning(seq, model, cfg.schedule, cfg.tds, cfg.selector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # n0 = 1364 here; measured 1.37 of one (n0, n0) float32 matrix.
+        assert peak <= 1.5 * n0 * n0 * 4
 
     def test_selector_random_is_seed_stable(self):
         seq, model, sched = small_setup()
@@ -303,14 +341,14 @@ class TestRunWithPruning:
         kept = seq.tokens
         for layer in range(first_prune + 1):
             w = model.weights[layer]
-            x, probs = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x, model.heads))
+            x, probs = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x))
             assert np.array_equal(probs, full_maps[layer])
             pruned = set(trace.layers[layer].pruned_ids)
             dropped = np.isin(kept.id, list(pruned))
             x = np.delete(x, np.flatnonzero(dropped), axis=0)
             kept = kept[~dropped]
         w = model.weights[first_prune + 1]
-        _, probs_next = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x, model.heads))
+        _, probs_next = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x))
         assert np.array_equal(probs_next, full_maps[first_prune + 1])
 
     def test_intra_plan_shrinks_layer_zero(self):

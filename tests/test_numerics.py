@@ -401,6 +401,18 @@ class TestPca2:
         assert (ev1, ev2) == (evs[-1], 0.0)
         assert np.array_equal(proj, centered @ axes)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_points_on_a_line_take_the_eigh_path_at_every_scale(self, monkeypatch, scale):
+        # Rank-1 at any scale: the rounding the deflation leaves must count as
+        # vanished relative to the covariance, or at 1e3 it came back as a
+        # noise axis with ev2 = 0.0.
+        data = scale * Rng(5).gaussians(30)[:, None] * np.array([0.3, -0.7, 0.2, 0.5])
+        proj, evs = pca2(data)
+        monkeypatch.setattr(numerics, "_PCA_MAX_ITER", 0)  # no step settles: eigh takes both pairs
+        eigh_proj, eigh_evs = pca2(data)
+        assert evs == eigh_evs and evs[1] > 0.0
+        assert proj.tobytes() == eigh_proj.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_row_is_named(self, bad):
         data = np.random.default_rng(4).normal(size=(20, 3))
