@@ -19,7 +19,6 @@ import os
 import sys
 from functools import cache, partial
 from pathlib import Path
-from statistics import fmean
 
 from .config import ExperimentConfig, load_config_file
 from .errors import DegenerateInput, Infeasible, InvalidInput, SchemaError
@@ -120,7 +119,7 @@ def cmd_schedule(args) -> int:
     sched = cfg.schedule
     trace = retention_trace(sched, args.r0)
     rows = (f"{l},{prune_ratio(l, sched):.9f},{r:.9f}" for l, r in enumerate(trace))
-    footer = [f"mean_retention={fmean(trace):.9f}"]
+    footer = [f"mean_retention={mean_retention(sched, args.r0):.9f}"]
     _emit(args.out, _csv(f"config_digest={cfg.digest}", "layer,prune_ratio,retention", rows, footer))
     return EXIT_OK
 
@@ -290,7 +289,7 @@ def _analyze_cosine(args) -> str:
 def _analyze_pca(args) -> str:
     emb = tensorio.read_tensor(args.embeddings)
     projection, (ev1, ev2) = pca2(emb)
-    rows = (f"{row[0]:.9f},{row[1]:.9f}" for row in projection)
+    rows = (f"{a:.9f},{b:.9f}" for a, b in projection.tolist())
     return _csv(f"eigenvalues={ev1:.9f},{ev2:.9f}", "axis1,axis2", rows)
 
 

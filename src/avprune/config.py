@@ -71,6 +71,8 @@ def _merge(node: dict, fragment, defaults: dict, path: str = ""):
         else:
             accepts, kind = _TYPE_RULES[type(defaults[key])]
             _require(accepts(value), where, f"expected {kind}")
+            if type(defaults[key]) is int and key != "seed":  # a size; seeds are masked to 64 bits instead
+                _require(-(1 << 63) <= value < 1 << 63, where, "must fit in a signed 64-bit integer")
             node[key] = value
 
 
@@ -153,6 +155,14 @@ class ExperimentConfig:
         with _key_paths("sequence"):
             chunk = ChunkSpec(n_v=seq["n_v"], n_a=seq["n_a"])
         selector = _member(Selector, raw["selector"], "selector")
+
+        # numpy sizes no array past sys.maxsize bytes; each error names the largest term.
+        terms = {k: seq[k] for k in ("sys_len", "query_len")} | {k: seq["chunks"] * seq[k] for k in ("n_v", "n_a")}
+        n0, key = sum(terms.values()), f"sequence.{max(terms, key=terms.get)}"
+        _require(4 * n0 * n0 <= sys.maxsize, key, f"{n0} tokens' (n0, n0) float32 scores are too big for numpy")
+        layers, d = model["layers"], model["d"]
+        draws, key = 12 * layers * d * d, "model.d" if d * d > layers else "model.layers"
+        _require(8 * draws <= sys.maxsize, key, f"the decoder's {draws} float64 draws are too big for numpy")
         return ExperimentConfig(raw=raw, schedule=schedule, tds=tds, chunk=chunk, selector=selector)
 
     @property

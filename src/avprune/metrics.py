@@ -19,14 +19,8 @@ from .sequence import Modality
 from .trace import PruneTrace
 
 HISTOGRAM_BIN_WIDTH = 0.05  # fixed so histograms are comparable across runs
-# Blocks bound peak memory: the unranked rows and columns of one block of
-# pairs, and the temporaries of one belows() call. A belows() call costs
-# _LANE numpy passes (one per lane step) whatever its length, so its blocks
-# are larger: a 100k-pair sample takes two calls. A block of whole lanes
-# draws no scalar tail. One call for all of it, or blocks of 65,536, raised
-# the analyze benchmark's peak RSS by about 0.5 MiB.
+# Pairs per block; blocks bound the unranked rows, columns and cosines held at once.
 _PAIR_BLOCK = 4096
-_DRAW_BLOCK = 51_200  # 400 lanes
 # A block reads its cosines from Gram windows left[r0:r1] @ right[k0:k1].T of
 # at most _PAIR_BLOCK * d entries, one of the (_PAIR_BLOCK, d) row gathers a
 # dot per pair would take. A Gram entry and the stacked (1,d)@(d,1) dot of
@@ -106,16 +100,14 @@ class CosineHistogram:
 def _sample_distinct(n_total: int, k: int, rng: Rng) -> np.ndarray:
     # Floyd's algorithm (Bentley & Floyd 1987): k distinct uniform draws from
     # range(n_total). Step j of range(lo, n_total) draws t = below(j + 1) and
-    # keeps j if t is kept already, else t. The draws come first, a block at a
-    # time; the rest is whole-array. t is kept already when an earlier step
-    # drew it too (a repeat), or when lo <= t < j and step t itself kept t (a
-    # link, for a first draw). One sort of (t << bits) | step orders the draws
+    # keeps j if t is kept already, else t. The draws come first, in one
+    # belows() call; the rest is whole-array. t is kept already when an
+    # earlier step drew it too (a repeat), or when lo <= t < j and step t
+    # itself kept t (a link, for a first draw). One sort of (t << bits) | step orders the draws
     # by value, then step, so each value's first draw leads its run, and the
     # draws in [lo, n_total) form the tail, where all links lie.
     lo = n_total - k
-    t = np.empty(k, np.int64)
-    for s in range(0, k, _DRAW_BLOCK):
-        t[s : s + _DRAW_BLOCK] = rng.belows(np.arange(lo + s + 1, min(lo + s + _DRAW_BLOCK, n_total) + 1))
+    t = rng.belows(np.arange(lo + 1, n_total + 1))
     steps = np.arange(k)
     bits = max(k - 1, 1).bit_length()
     if n_total <= np.iinfo(np.int64).max >> bits:

@@ -13,8 +13,8 @@ draws, and the start states are found in log depth: the level-m jump of the
 first ``2**m`` starts gives the next ``2**m``. All lanes then step together
 as ``np.uint64`` arrays.
 Draws of fewer than ``_MIN_LANES`` lanes take the scalar stream instead.
-Gaussians are Box-Muller over whole pairs of ``uniforms`` per call, a block
-at a time, with libm's ``log``, ``cos`` and ``sin``, as ``math`` gives them.
+Gaussians are Box-Muller over whole pairs of ``uniforms`` per call, in one
+pass, with libm's ``log``, ``cos`` and ``sin``, as ``math`` gives them.
 numpy's float64 ``cos`` and ``sin`` loops call libm. Its float64 ``log`` has
 its own SIMD kernel, which differs from libm in the last bit on some inputs;
 ``_exact_log`` steers it to the scalar loop, which calls libm. ``sqrt`` and
@@ -41,10 +41,6 @@ _LANE = 128
 # draws took 0.97 ms through it against 0.09 ms scalar, 512 took 0.58 against
 # 0.37, 1024 took 0.59 against 0.73 and 4096 took 0.64 against 4.24.
 _MIN_LANES = 8
-# States per jump-table gather: a (4, 32, 64) uint64 block is 64 KiB.
-_JUMP_BLOCK = 32
-# Uniform pairs per Box-Muller block; blocks bound its float64 temporaries.
-_BOX_MULLER_BLOCK = 8192
 # pca2's power iteration: stop at 1 - |<w, v>| <= tol; after max_iter steps, eigh takes over.
 _PCA_TOL = 1e-8
 _PCA_MAX_ITER = 1000
@@ -95,13 +91,11 @@ def _step_lanes(state: np.ndarray, steps: int) -> np.ndarray:
 
 def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``states``, (k, 4) little-endian words, advanced by the jump ``table`` holds."""
+    octets = states.view(np.uint8)
+    nibbles = np.stack((octets & 15, octets >> 4), axis=2).reshape(-1, 64)  # nibble p at [:, p]
+    columns = table.take(nibbles + np.arange(0, 1024, 16), axis=1)
     out = np.empty((len(states), 4), dtype="<u8")
-    # Blocks bound the gathered (4, block, 64) lookups.
-    for lo in range(0, len(states), _JUMP_BLOCK):
-        octets = states[lo : lo + _JUMP_BLOCK].view(np.uint8)
-        nibbles = np.stack((octets & 15, octets >> 4), axis=2).reshape(-1, 64)  # nibble p at [:, p]
-        columns = table.take(nibbles + np.arange(0, 1024, 16), axis=1)
-        np.bitwise_xor.reduce(columns, axis=2, out=out[lo : lo + _JUMP_BLOCK].T)
+    np.bitwise_xor.reduce(columns, axis=2, out=out.T)
     return out
 
 
@@ -241,16 +235,21 @@ class Rng:
     def gaussians(self, count: int) -> np.ndarray:
         """``count`` standard normals, Box-Muller over ``ceil(count / 2)`` pairs of ``uniforms``.
 
-        Pair k gives draws 2k (cos) and 2k + 1 (sin); an odd count drops its last sin.
+        Pair k gives draws 2k (cos) and 2k + 1 (sin) over its own uniforms; an odd count drops its last sin.
         """
         if count < 0:
             raise InvalidInput(f"gaussians() requires count >= 0, got {count}")
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs).reshape(pairs, 2)
-        out = np.empty((pairs, 2))
-        for lo in range(0, pairs, _BOX_MULLER_BLOCK):
-            _box_muller(u[lo : lo + _BOX_MULLER_BLOCK], out[lo : lo + _BOX_MULLER_BLOCK])
-        return out.ravel()[:count]
+        # radius and theta read each pair before cos and sin write over it.
+        radius = _exact_log(u[:, 0])
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta = u[:, 1] * (2.0 * math.pi)
+        np.cos(theta, out=u[:, 0])
+        np.sin(theta, out=u[:, 1])
+        u *= radius[:, None]
+        return u.ravel()[:count]
 
 
 def _exact_log(u: np.ndarray) -> np.ndarray:
@@ -261,17 +260,6 @@ def _exact_log(u: np.ndarray) -> np.ndarray:
     out = np.empty(len(u))
     np.log(u, out=out[::-1])
     return out[::-1]
-
-
-def _box_muller(u: np.ndarray, out: np.ndarray) -> None:
-    """Gaussian pairs from uniform pairs ``u`` into ``out``, each radius from ``log(u[:, 0])``."""
-    radius = _exact_log(u[:, 0])
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    theta = u[:, 1] * (2.0 * math.pi)
-    np.cos(theta, out=out[:, 0])
-    np.sin(theta, out=out[:, 1])
-    out *= radius[:, None]
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:

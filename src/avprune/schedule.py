@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from statistics import fmean
 
 from .errors import Infeasible, InvalidInput
 
@@ -84,8 +83,9 @@ def retention_trace(cfg: PruneScheduleConfig, r0: float) -> tuple[float, ...]:
 
 
 def mean_retention(cfg: PruneScheduleConfig, r0: float) -> float:
-    """Unweighted per-layer mean of the retention trace."""
-    return fmean(retention_trace(cfg, r0))
+    """Unweighted per-layer mean of the retention trace, as ``statistics.fmean`` rounds it."""
+    values = retention_trace(cfg, r0)
+    return math.fsum(values) / len(values)
 
 
 def calibrate_p_final(target_mean: float, r0: float, layers: int, beta: float) -> tuple[float | None, float]:

@@ -101,6 +101,23 @@ class TestCommandLine:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sets, key",
+        [
+            (["sequence.n_a=100000000000000000000"], "sequence.n_a"),
+            (["sequence.d=100000000000000000000", "model.d=100000000000000000000"], "sequence.d"),
+            (["model.layers=100000000000000000000"], "model.layers"),
+            (["sequence.sys_len=4611686018427387904"], "sequence.sys_len"),  # its (n0, n0) float32 scores
+        ],
+    )
+    def test_sizes_numpy_cannot_hold_exit_1_naming_the_key(self, tmp_path, sets, key):
+        env = dict(os.environ, PYTHONPATH=str(Path(avprune.__file__).parents[1]))
+        argv = [sys.executable, "-m", "avprune.cli", "simulate", "--out", str(tmp_path / "o")]
+        done = subprocess.run([*argv, *(f"--set={s}" for s in sets)], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert f"{key}: " in done.stderr and "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])
@@ -256,6 +273,13 @@ class TestSimulate:
         # Only a multi-run fan-out with workers > 1 needs the pool; every other start skips its import.
         env = dict(os.environ, PYTHONPATH=str(Path(avprune.__file__).parents[1]))
         code = "import sys, avprune.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "False\n")
+
+    def test_import_leaves_statistics_out(self):
+        # statistics pulls in fractions and decimal; mean_retention is math.fsum over the count, as its fmean.
+        env = dict(os.environ, PYTHONPATH=str(Path(avprune.__file__).parents[1]))
+        code = "import sys, avprune.cli; print('statistics' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (0, "False\n")
 

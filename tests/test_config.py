@@ -55,6 +55,25 @@ def test_range_violations_name_the_path():
         ExperimentConfig.resolve({"schedule": {"kind": "exponential", "p_init": 0.0}})
 
 
+def test_sizes_stay_in_int64_and_arrays_numpy_can_size():
+    with pytest.raises(InvalidInput, match="tds.start_layer: must fit in a signed 64-bit integer"):
+        ExperimentConfig.resolve({"tds": {"start_layer": 2**63}})
+    cfg = ExperimentConfig.resolve({"sequence": {"seed": 2**80}, "model": {"seed": -(2**70)}})
+    assert (cfg.raw["sequence"]["seed"], cfg.raw["model"]["seed"]) == (2**80, -(2**70))  # masked when drawn
+    # The default's 684 other tokens plus sys_len; 4 * n0**2 bytes of scores fit up to n0 = 1518500249.
+    ExperimentConfig.resolve({"sequence": {"sys_len": 1518500249 - 684}})
+    with pytest.raises(InvalidInput, match="sequence.sys_len: 1518500250 tokens'"):
+        ExperimentConfig.resolve({"sequence": {"sys_len": 1518500250 - 684}})
+    with pytest.raises(InvalidInput, match="sequence.n_v: "):
+        ExperimentConfig.resolve({"sequence": {"chunks": 2**40}})
+    # 8 * 12 * 32**2 bytes of draws per layer fit up to 93824992236885 layers.
+    ExperimentConfig.resolve({"model": {"layers": 93824992236885}})
+    with pytest.raises(InvalidInput, match="model.layers: the decoder's"):
+        ExperimentConfig.resolve({"model": {"layers": 93824992236886}})
+    with pytest.raises(InvalidInput, match="model.d: the decoder's"):
+        ExperimentConfig.resolve({"sequence": {"d": 2**31}, "model": {"d": 2**31}})
+
+
 def test_model_dim_must_match_sequence_dim():
     with pytest.raises(InvalidInput, match="model.d"):
         ExperimentConfig.resolve({"model": {"d": 64}})

@@ -28,8 +28,7 @@ from avprune import (
     top20_recall,
 )
 from avprune import metrics
-from avprune.metrics import _DRAW_BLOCK, HISTOGRAM_BIN_WIDTH, _sample_distinct
-from avprune.numerics import _LANE
+from avprune.metrics import HISTOGRAM_BIN_WIDTH, _sample_distinct
 
 
 def scalar_sample_distinct(n_total, k, rng):
@@ -351,9 +350,9 @@ class TestSampleDistinct:
             (2, 1),
             (5000, 1),
             (5000, 4999),  # k = n_total - 1 makes the longest collision chains
-            (2 * _DRAW_BLOCK, _DRAW_BLOCK + 1),
-            (3 * _DRAW_BLOCK + 101, 3 * _DRAW_BLOCK + 100),
-            (10 * _DRAW_BLOCK, 2 * _DRAW_BLOCK + 7),
+            (102_400, 51_201),
+            (153_701, 153_700),
+            (512_000, 102_407),
             (662_976, 100_000),  # the analyze benchmark's VV sample
             (2**34 + 3, 9),
             (2**59 - 1, 9),  # k = 9 packs steps into 4 bits: the largest n_total packed,
@@ -374,9 +373,6 @@ class TestSampleDistinct:
         picks = _sample_distinct(n_total, 6, ScriptedDraws(draws))
         assert picks.tolist() == scalar_sample_distinct(n_total, 6, ScriptedDraws(draws))
         assert picks.tolist() == [5, lo, lo + 1, lo + 2, lo + 3, lo + 4]
-
-    def test_draw_blocks_are_whole_lanes(self):
-        assert _DRAW_BLOCK % _LANE == 0
 
     def test_peak_memory_of_a_benchmark_sized_sample(self):
         tracemalloc.start()

@@ -18,7 +18,7 @@ from avprune import (
     splitmix64,
 )
 from avprune import numerics
-from avprune.numerics import _BOX_MULLER_BLOCK, _LANE, _MIN_LANES, _exact_log, _jump_table, _lane_outputs
+from avprune.numerics import _LANE, _MIN_LANES, _exact_log, _jump_table, _lane_outputs
 
 
 class TestSplitmix:
@@ -143,16 +143,15 @@ class TestBulkDraws:
             "35107271acf58093228692919762c46bd3095d02c9c3c8deb16db860a42934cc"
         )
 
-    @pytest.mark.parametrize("count", [2 * 2 * _BOX_MULLER_BLOCK - 1, 2 * 2 * _BOX_MULLER_BLOCK + 1])
-    def test_bulk_gaussians_match_the_scalar_stream_across_box_muller_blocks(self, count):
-        # Box-Muller runs 2 * _BOX_MULLER_BLOCK draws per block; these counts
-        # end one draw short of the second block's end or one draw into a third.
+    @pytest.mark.parametrize("count", [32_767, 32_769])
+    def test_bulk_gaussians_match_the_scalar_stream_at_odd_counts(self, count):
+        # Odd counts drop their last sin; these end one draw either side of 2**15.
         bulk, scalar = Rng(count), Rng(count)
         assert bulk.gaussians(count).tobytes() == reference_gaussians(scalar, count).tobytes()
         assert bulk._s == scalar._s
 
     def test_numpy_cos_and_sin_are_libm_bit_for_bit(self):
-        # gaussians() takes cos and sin of a block from numpy, the reference one
+        # gaussians() takes cos and sin of a whole draw from numpy, the reference one
         # at a time from math, so the two streams agree only while numpy's
         # float64 loops return what libm returns. Angles are formed as there,
         # u * 2pi, plus 0 and the neighbours of each quarter turn.
@@ -171,21 +170,21 @@ class TestBulkDraws:
             assert out[:, column].tobytes() == expected.tobytes()
 
     def test_exact_log_is_libm_bit_for_bit(self):
-        # gaussians() takes the log of a block from numpy, the reference one at
-        # a time from math. numpy's contiguous float64 log misses libm's in the
-        # last bit on these inputs; _exact_log must not, at the short lengths
-        # a small draw makes, over a whole block and down the strided column
-        # of uniform pairs that Box-Muller passes.
+        # gaussians() takes the log of a whole draw from numpy, the reference
+        # one at a time from math. numpy's contiguous float64 log misses libm's
+        # in the last bit on these inputs; _exact_log must not, at the short
+        # lengths a small draw makes, and down the strided column of uniform
+        # pairs that Box-Muller passes, at the decoder's 172,032 pairs.
         misses = simd_log_misses()
         assert misses.size >= 500
         for n in (1, 2, 3):
             for lo in range(0, misses.size - n + 1, n):
                 assert _exact_log(misses[lo : lo + n]).tobytes() == libm_log(misses[lo : lo + n]).tobytes()
-        block = np.resize(misses, _BOX_MULLER_BLOCK)
-        assert _exact_log(block).tobytes() == libm_log(block).tobytes()
-        column = np.stack((block, block[::-1]), axis=1)[:, 0]
-        assert _exact_log(column).tobytes() == libm_log(block).tobytes()
-        assert _exact_log(column[:1]).tobytes() == libm_log(block[:1]).tobytes()
+        draw = np.resize(misses, 172_032)
+        assert _exact_log(draw).tobytes() == libm_log(draw).tobytes()
+        column = np.stack((draw, draw[::-1]), axis=1)[:, 0]
+        assert _exact_log(column).tobytes() == libm_log(draw).tobytes()
+        assert _exact_log(column[:1]).tobytes() == libm_log(draw[:1]).tobytes()
 
     def test_jump_table_is_built_on_first_use_not_at_import(self):
         src = str(Path(avprune.__file__).parents[1])
@@ -263,9 +262,10 @@ class TestBulkDraws:
         assert r._s == scalar._s
 
 
-class TestBoxMullerBlocks:
-    # The decoder's draw count. Blocks bound the float64 temporaries: Box-Muller
-    # over the whole array at once peaks near 3.1 x 8 x count bytes.
+class TestGaussiansPeak:
+    # The decoder's draw count. Box-Muller writes each pair's normals over its
+    # own uniforms, so the draw of the uniforms sets the peak: measured 2.03 x
+    # 8 x count bytes.
     def test_peak_stays_near_two_float64_arrays(self):
         count = 344_064
         Rng(0).gaussians(count)  # builds the jump tables this count needs
@@ -305,9 +305,9 @@ class TestBelows:
         with pytest.raises(InvalidInput):
             Rng(3).belows(ns)
 
-    def test_a_sampler_block_of_bounds(self):
-        # One draw block of the analyze benchmark's 100k-pair VV sample.
-        ns = np.arange(612_977, 662_977)
+    def test_a_sampler_draw_of_bounds(self):
+        # The one draw of the analyze benchmark's 100k-pair VV sample.
+        ns = np.arange(562_977, 662_977)
         bulk, scalar = Rng(11), Rng(11)
         assert bulk.belows(ns).tolist() == [scalar.below(int(b)) for b in ns]
         assert bulk._s == scalar._s
