@@ -51,7 +51,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     path, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON, an integer too long to convert, or nesting too deep
         value = raw
     return path, value
 

@@ -32,7 +32,7 @@ from .schedule import PruneScheduleConfig, prune_ratio
 from .sequence import InterleavedSequence, Modality, TokenTable
 from .trace import LayerRecord, PruneTrace
 
-# Rows of the score buffer that one block covers.
+# Rows of the score matrix that one block of the softmax covers.
 _ROW_BLOCK = 64
 
 
@@ -97,28 +97,20 @@ def _pairwise_width(n: int, hi: int) -> int:
     return width
 
 
-def _forward_layer(
-    x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray, scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``).
-
-    ``scores`` is a float32 (m, m) buffer, m >= n, whose entries above the
-    diagonal are +0.0. The heads take its ``[:n, :n]`` corner in turn and
-    leave those entries so, which lets a run pass one buffer through every
-    head and its shrinking lengths.
-    """
+def _forward_layer(x: np.ndarray, w: _LayerWeights, heads: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One decoder layer; returns (new hidden states, head-averaged probs of ``rows``)."""
     n, d = x.shape
     head_dim = d // heads
     q = (x @ w.wq).reshape(n, heads, head_dim).transpose(1, 0, 2)
     kt = (x @ w.wk).reshape(n, heads, head_dim).transpose(1, 2, 0)  # each head's k transposed
     v = (x @ w.wv).reshape(n, heads, head_dim).transpose(1, 0, 2)
 
-    probs = scores[:n, :n]
+    probs = np.zeros((n, n), dtype=np.float32)  # every head's in turn
     scale = np.float32(math.sqrt(head_dim))
     col = np.arange(_ROW_BLOCK + 1)
     upper = col > col[:, None]  # the causal mask of a diagonal block
     # Rows [lo, hi) at a time, only their columns [0, hi): the causal entries
-    # right of them stay the buffer's +0.0, as exp(-inf) would give. Blocks
+    # right of them stay the matrix's +0.0, as exp(-inf) would give. Blocks
     # of q @ kT keep the full product's bits, except a one-row block, which
     # takes numpy's matrix-vector path; so a one-row last block joins the one
     # before it.
@@ -226,7 +218,7 @@ def _pruning_loop(
     records = []
     for layer in range(sched.layers):
         n = len(tokens)
-        # Index arrays, not slices: ``layer_map`` averages ``probs[:, rows]`` and must keep its bytes.
+        # Index arrays, not slices: replay checks a record's text rows against ``len(rows)``.
         rows, cols = np.arange(n - n_query, n), np.arange(n_sys, n - n_query)
         record, columns = layer_map(layer, tokens, rows, cols), tokens[n_sys : n - n_query]
         if observer is not None:
@@ -287,13 +279,12 @@ def run_with_pruning(
     working = seq if intra is None else apply_intra(seq, intra)[0]
     x = working.embeddings.astype(np.float32) + sinusoidal_positions(working.tokens.id, model.d)
     held = working.tokens.id  # token id of each row of x
-    scores = np.zeros((len(held), len(held)), dtype=np.float32)  # every head's and layer's, in its corner
 
     def layer_map(layer: int, tokens: TokenTable, rows: np.ndarray, cols: np.ndarray) -> AttentionRecord:
         nonlocal x, held
         if len(held) != len(tokens):  # drop the rows pruned since the last layer; ids ascend in both
             x, held = x[np.searchsorted(held, tokens.id)], tokens.id
-        x, avg = _forward_layer(x, model.weights[layer], model.heads, rows, scores)
+        x, avg = _forward_layer(x, model.weights[layer], model.heads, rows)
         return AttentionRecord(layer=layer, col_ids=tokens.id[cols], values=avg[:, cols])
 
     return _pruning_loop(working, sched, tds, selector, layer_map, seed=model.seed, observer=observer)

@@ -572,6 +572,15 @@ class TestSimulate:
         assert f"error: {key}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000], ids=["5000-digits", "100000-brackets"])
+    def test_set_value_the_json_parser_refuses_exits_1_naming_the_key(self, capsys, tmp_path, value):
+        # json.loads raises ValueError past 4300 digits and RecursionError on deep nesting.
+        out = tmp_path / "out"
+        assert main(["simulate", "--out", str(out), "--set", f"sequence.seed={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: sequence.seed:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_section_value_runs_the_default(self, capsys, tmp_path):
         code, out = run_cli(capsys, "simulate", "--out", str(tmp_path / "o"), "--set", "schedule={}")
         assert code == 0

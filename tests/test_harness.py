@@ -50,7 +50,7 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
     maps = []
     for rec, obs in zip(trace.layers, observed):
         w = model.weights[rec.layer]
-        x, avg = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x))
+        x, avg = _forward_layer(x, w, model.heads, np.arange(len(x)))
         rows = np.flatnonzero(tokens.mask(Modality.QUERY_TEXT))
         cols = np.flatnonzero(tokens.is_audiovisual)
         assert np.array_equal(obs.col_ids, tokens.id[cols])
@@ -61,11 +61,6 @@ def oracle_maps(seq, model, trace, observed, intra=None) -> list[np.ndarray]:
         keep = ~np.isin(tokens.id, rec.pruned_ids)
         x, tokens = x[keep], tokens[keep]
     return maps
-
-
-def zeroed(x):
-    """A fresh score buffer for one ``_forward_layer`` call on ``x``."""
-    return np.zeros((len(x), len(x)), dtype=np.float32)
 
 
 def reference_forward_layer(x, w, heads):
@@ -160,11 +155,12 @@ ROW_SETS = {
 # Lengths around the softmax's row-block seams: one row short of a block, a
 # block, one row into the next, and the same around two blocks.
 SEAM_LENGTHS = [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1]
-# n=1364 is the chunks=4 length; it leaves out 32 heads, whose reference
-# would hold about 1 GB of (heads, n, n) float32 temporaries.
+# 688 and 1364 are the default and chunks=4 lengths, and 1345 (chunks-4 layer
+# 10) leaves a one-row last block. The long ones leave out 32 heads, whose
+# reference would hold about 1 GB of (heads, n, n) float32 temporaries.
 LAYER_SHAPES = [
-    (n, d, heads) for n in [1, 2, 9, *SEAM_LENGTHS, 177, 178, 400, 688] for d, heads in WIDTHS
-] + [(1364, d, heads) for d, heads in WIDTHS if heads < 32]
+    (n, d, heads) for n in [1, 2, 9, *SEAM_LENGTHS, 177, 178, 400, 687, 688] for d, heads in WIDTHS
+] + [(n, d, heads) for n in [1345, 1364] for d, heads in WIDTHS if heads < 32]
 
 
 class TestForwardLayer:
@@ -175,7 +171,7 @@ class TestForwardLayer:
         x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
         want_x, want_avg = reference_forward_layer(x, w, heads)
         picked = ROW_SETS[rows](n)
-        got_x, got_avg = _forward_layer(x, w, heads, picked, zeroed(x))
+        got_x, got_avg = _forward_layer(x, w, heads, picked)
         assert got_x.tobytes() == want_x.tobytes()
         want_rows = want_avg[picked]
         assert got_avg.shape == want_rows.shape
@@ -188,28 +184,11 @@ class TestForwardLayer:
         x = np.random.default_rng(0).standard_normal((n, d)).astype(np.float32)
         tracemalloc.start()
         try:
-            _forward_layer(x, w, heads, np.arange(n - 8, n), zeroed(x))  # the default config's 8 query rows
+            _forward_layer(x, w, heads, np.arange(n - 8, n))  # the default config's 8 query rows
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * n * n * 4
-
-    def test_one_score_buffer_serves_shrinking_lengths(self):
-        # A run's lengths shrink through one buffer, which every head of a
-        # layer takes in turn. 1345, 129 and 65 are 1 mod 64, so their last
-        # block would hold one row; chunks-4 layer 10 has n = 1345.
-        lengths, d, heads = [1345, 688, 687, 129, 65, 64, 2, 1], 32, 4
-        scores = np.zeros((lengths[0], lengths[0]), dtype=np.float32)
-        above = np.triu(np.ones(scores.shape, dtype=bool), k=1)
-        for n in lengths:
-            w = ToyDecoder(1, heads, d, seed=n).weights[0]
-            x = np.random.default_rng(n).standard_normal((n, d)).astype(np.float32)
-            want_x, want_avg = reference_forward_layer(x, w, heads)
-            got_x, got_avg = _forward_layer(x, w, heads, np.arange(n), scores)
-            assert got_x.tobytes() == want_x.tobytes(), n
-            assert got_avg.tobytes() == want_avg.tobytes(), n
-            # All bits clear: +0.0, with no sign bit.
-            assert not scores.view(np.uint32)[above].any(), n
 
     def test_row_sums_over_the_pairwise_width_keep_the_full_sums_bits(self):
         # The layer sums a block's rows over [:width] and relies on the +0.0
@@ -220,7 +199,7 @@ class TestForwardLayer:
         for n in [*range(1, 130), *range(1, 2800, 64), 688, 1364, 2716]:
             ends = {*range(_ROW_BLOCK, n, _ROW_BLOCK), n}  # where the layer's blocks end
             draws = set(rng.integers(1, n + 1, size=24).tolist())
-            rows = np.empty((8, n + 3), dtype=np.float32)[:, :n]  # strided, as the layer's corner is
+            rows = np.empty((8, n + 3), dtype=np.float32)[:, :n]  # strided, as the layer's row blocks are
             for hi in sorted(ends | draws):
                 rows[:, :hi] = rng.random((8, hi), dtype=np.float32)
                 rows[:, hi:] = 0.0
@@ -344,14 +323,14 @@ class TestRunWithPruning:
         kept = seq.tokens
         for layer in range(first_prune + 1):
             w = model.weights[layer]
-            x, probs = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x))
+            x, probs = _forward_layer(x, w, model.heads, np.arange(len(x)))
             assert np.array_equal(probs, full_maps[layer])
             pruned = set(trace.layers[layer].pruned_ids)
             dropped = np.isin(kept.id, list(pruned))
             x = np.delete(x, np.flatnonzero(dropped), axis=0)
             kept = kept[~dropped]
         w = model.weights[first_prune + 1]
-        _, probs_next = _forward_layer(x, w, model.heads, np.arange(len(x)), zeroed(x))
+        _, probs_next = _forward_layer(x, w, model.heads, np.arange(len(x)))
         assert np.array_equal(probs_next, full_maps[first_prune + 1])
 
     def test_intra_plan_shrinks_layer_zero(self):
