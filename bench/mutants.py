@@ -80,30 +80,35 @@ _COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".py
 
 
 def run_suite(mutant=None) -> tuple[bool, str]:
-    """Whether tier-1 less ``LEFT_OUT`` passes on a copy with ``mutant`` applied, and its first failing test."""
+    """Whether tier-1 less ``LEFT_OUT`` passes on a copy with ``mutant`` applied, and its first failing test.
+
+    With no failing test named, the second item is pytest's last line of output.
+    """
     with tempfile.TemporaryDirectory(prefix="avprune-mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_COPY_IGNORE)
         if mutant is not None:
-            name, rel, text, replacement = mutant
+            _, rel, text, replacement = mutant
             path = copy / rel
-            source = path.read_text(encoding="utf-8")
-            if source.count(text) != 1:
-                sys.exit(f"mutant {name!r}: {text!r} occurs {source.count(text)} times in {rel}, not once")
-            path.write_text(source.replace(text, replacement), encoding="utf-8")
+            path.write_text(path.read_text(encoding="utf-8").replace(text, replacement), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
         argv += LEFT_OUT
         done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
-    failed = next((ln for ln in done.stdout.splitlines() if ln.startswith(("FAILED ", "ERROR "))), "")
-    return done.returncode == 0, failed.split(" - ")[0].split(" ", 1)[-1]
+    lines = done.stdout.splitlines()
+    failed = next((ln.split(" - ")[0].split(" ", 1)[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))), "")
+    return done.returncode == 0, failed or (lines or [done.stderr.strip()])[-1]
 
 
 def main() -> int:
+    for name, rel, text, _ in MUTANTS:
+        if (count := (ROOT / rel).read_text(encoding="utf-8").count(text)) != 1:
+            print(f"mutant {name!r}: {text!r} occurs {count} times in {rel}, not once", file=sys.stderr)
+            return 2
     start = time.perf_counter()
     passed, failed = run_suite()
     if not passed:
-        print(f"the unmutated suite fails: {failed or 'see pytest'}")
+        print(f"the unmutated suite fails: {failed}")
         return 2
     survivors = 0
     for mutant in MUTANTS:

@@ -218,7 +218,7 @@ def _pruning_loop(
     records = []
     for layer in range(sched.layers):
         n = len(tokens)
-        # Index arrays, not slices: replay checks a record's text rows against ``len(rows)``.
+        # Index arrays, not slices: both layer maps size or check their text rows by ``len(rows)``.
         rows, cols = np.arange(n - n_query, n), np.arange(n_sys, n - n_query)
         record, columns = layer_map(layer, tokens, rows, cols), tokens[n_sys : n - n_query]
         if observer is not None:
